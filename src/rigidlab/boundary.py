@@ -466,8 +466,8 @@ def reference_curve(profile, n_grid=4096):
     theta, kg = profile.theta_grid(n_grid)
     dx1 = np.cos(theta) / kg
     dx2 = np.sin(theta) / kg
-    x1 = _periodic_antiderivative_open(dx1, TWO_PI)
-    x2 = _periodic_antiderivative_open(dx2, TWO_PI)
+    x1 = _periodic_antiderivative(dx1, TWO_PI)
+    x2 = _periodic_antiderivative(dx2, TWO_PI)
     gap = math.hypot(float(periodic_trapezoid(dx1, TWO_PI)),
                      float(periodic_trapezoid(dx2, TWO_PI)))
     area = -float(periodic_trapezoid(x2 * dx1, TWO_PI))
@@ -475,19 +475,13 @@ def reference_curve(profile, n_grid=4096):
                           closure_gap=gap)
 
 
-def _periodic_antiderivative_open(values, period):
-    """Antiderivative samples of data that need not integrate to zero (the
-    ramp carries the mean)."""
-    return _periodic_antiderivative(np.asarray(values, dtype=float), period)
-
-
 # ---------------------------------------------------------------------------
 # admissibility, U/V functions, the energy inequality
 # ---------------------------------------------------------------------------
 
 def _uv_from_f(profile, f_vals, theta):
-    u = _periodic_antiderivative_open(f_vals * np.sin(theta), TWO_PI)
-    v = _periodic_antiderivative_open(f_vals * np.cos(theta), TWO_PI)
+    u = _periodic_antiderivative(f_vals * np.sin(theta), TWO_PI)
+    v = _periodic_antiderivative(f_vals * np.cos(theta), TWO_PI)
     return u, v
 
 
@@ -495,7 +489,7 @@ def admissibility_residuals(profile, f):
     """(u(2pi), v(2pi), loop integral of phi_s ds) for the given inhomogeneity.
 
     All three vanish for boundary data coming from a genuine deformation:
-    the first two because the rotation增量 closes up, the third because
+    the first two because the rotation increment closes up, the third because
     phi is single-valued.
     """
     f_fn = _as_theta_function(f)
@@ -544,8 +538,8 @@ def uv_functions(profile, f, n_grid=4096, exclusion=1e-3):
     theta, kg = profile.theta_grid(n_grid)
     f_vals = f_fn(theta)
     u, v = _uv_from_f(profile, f_vals, theta)
-    x1 = _periodic_antiderivative_open(np.cos(theta) / kg, TWO_PI)
-    x2 = _periodic_antiderivative_open(np.sin(theta) / kg, TWO_PI)
+    x1 = _periodic_antiderivative(np.cos(theta) / kg, TWO_PI)
+    x2 = _periodic_antiderivative(np.sin(theta) / kg, TWO_PI)
 
     if n_grid % 2:
         raise BoundaryError("uv_functions needs an even grid size")
@@ -607,7 +601,7 @@ def boundary_energy_inequality(profile, f, n_grid=4096):
         f_al * np.cos(theta_al) * u_al, TWO_PI))
 
     half = n // 2
-    x2_al = _periodic_antiderivative_open(np.sin(theta_al) / kg_al, TWO_PI)
+    x2_al = _periodic_antiderivative(np.sin(theta_al) / kg_al, TWO_PI)
     denom = x2_al[half]
     if abs(denom) < 1e-14:
         raise BoundaryError("degenerate normalization: int_0^pi sin/k_g = 0")

@@ -1,14 +1,16 @@
 """Infinitesimal-rigidity machinery for surfaces in R^3.
 
 A deformation field tau solves the linearized isometry equation when
-dr . dtau = 0.  Every such field has a rotation vector Y with
-dtau = Y x dr; the derivative of Y is tangential and is encoded by a
-symmetric tensor w via
+dr . dtau = 0.  Every such field has a rotation, a skew matrix Y with
+dtau = Y dr (in R^3, Y v = y x v for the rotation vector y); one jet
+pipeline computes it for hypersurfaces of any dimension.  The derivative
+of Y is encoded by the symmetric tensor w_ij = r_j . (Y_i n), taken
+against the oriented normal n; on an outward surface chart
 
-    Y_1 = (-w_12 r_1 + w_11 r_2) / sqrt(det g)
-    Y_2 = (-w_22 r_1 + w_21 r_2) / sqrt(det g),
+    y_1 = (-w_12 r_1 + w_11 r_2) / sqrt(det g)
+    y_2 = (-w_22 r_1 + w_21 r_2) / sqrt(det g),
 
-which for genuine flexes is h-trace-free and Codazzi.  With phi = r . tau
+and for genuine flexes w is h-trace-free and Codazzi.  With phi = r . tau
 and nu = 2 (phi - grad phi . grad rho) the tensor satisfies the pointwise
 relation
 
@@ -23,7 +25,9 @@ spectral gap of the assembled matrix then certify rigidity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -40,6 +44,7 @@ __all__ = [
     "FlexError",
     "TrivialMotion",
     "ExpressionField",
+    "RotationJets",
     "RotationData",
     "WTensor",
     "PhiRelationResult",
@@ -48,6 +53,7 @@ __all__ = [
     "KernelReport",
     "field_jets",
     "first_order_residual",
+    "rotation_jets",
     "rotation_data",
     "w_tensor",
     "phi_relation_residual",
@@ -187,46 +193,163 @@ def first_order_residual(immersion, fld, point):
 
 
 # ---------------------------------------------------------------------------
-# generic jet-arithmetic pipeline (scalars may be Jets of any order)
+# the rotation of a deformation field, for hypersurfaces of any dimension
 # ---------------------------------------------------------------------------
 
 def _dot(u, v):
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
+    return reduce(operator.add, (a * b for a, b in zip(u, v)))
+
+
+def _minor(m, i, j):
+    return [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+
+
+def _det(m):
+    """Determinant of a square nested list of jets (Laplace expansion)."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = m[0][0] * _det(_minor(m, 0, 0))
+    for j in range(1, len(m)):
+        term = m[0][j] * _det(_minor(m, 0, j))
+        acc = acc - term if j % 2 else acc + term
     return acc
 
 
-def _cross3(u, v):
-    return [u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0]]
+def _stack(rows, attr="value"):
+    """``attr`` of the jets of an [i][a] list as one array (..., i, a, ...)."""
+    axis = rows[0][0].value.ndim
+    return np.stack([np.stack([getattr(c, attr) for c in row], axis=axis)
+                     for row in rows], axis=axis)
 
 
-def _component_jets3(immersion, fld, point, order):
-    """Ambient components of r and tau as jets of ``order``; returns
-    (r, r_i, tau, tau_i) with r_i[a][i] a jet one order lower is NOT done
-    here; callers use derivative views."""
+@dataclass
+class RotationJets:
+    """Jets along the chart of the rotation Y of a deformation field, the
+    skew matrix with dtau = Y dr, on a hypersurface in R^(n+1).
+
+    Nested lists are indexed [i][a] with i a chart and a an ambient index.
+    Only the entries a < b of Y are built; ``y`` maps (a, b) to them.  The
+    normal carries the chart orientation.
+    """
+
+    tangents: list                # r_i
+    dtau: list                    # tau_i
+    metric: list                  # g_ij
+    normal: list                  # oriented unit normal n
+    dual: list                    # t^i = g^{ij} r_j
+    y: dict                       # (a, b) -> Y_ab, a < b
+
+    def frame(self):
+        """Values of the columns r_1 .. r_n, n: shape (..., A, n + 1)."""
+        return np.swapaxes(_stack([*self.tangents, self.normal]), -1, -2)
+
+    def rotation(self):
+        """Values of Y, shape (..., A, A), and of its chart derivatives
+        Y_k, shape (..., n, A, A)."""
+        batch = self.normal[0].value.shape
+        a_dim, n = len(self.normal), len(self.tangents)
+        y = np.zeros(batch + (a_dim, a_dim))
+        dy = np.zeros(batch + (n, a_dim, a_dim))
+        for (a, b), jet in self.y.items():
+            y[..., a, b], y[..., b, a] = jet.value, -jet.value
+            dy[..., :, a, b], dy[..., :, b, a] = jet.grad, -jet.grad
+        return y, dy
+
+    def flex_residual(self):
+        """max |tau_i - Y r_i| per point; zero exactly for flexes."""
+        y, _ = self.rotation()
+        y_r = np.einsum("...ab,...ib->...ia", y, _stack(self.tangents))
+        return np.max(np.abs(_stack(self.dtau) - y_r), axis=(-1, -2))
+
+    def w(self):
+        """The tensor w_kj = r_j . (Y_k n), symmetric for flexes: values
+        (..., k, j) and derivatives d_l w_kj as (..., k, j, l), the latter
+        None when Y carries first derivatives only."""
+        order = next(iter(self.y.values())).order - 1
+        nrm = [c.truncate(order) for c in self.normal]
+        wedge = []                    # r_j ^ n on the pairs a < b
+        for row in self.tangents:
+            rj = [c.truncate(order) for c in row]
+            wedge.append({(a, b): rj[a] * nrm[b] - rj[b] * nrm[a]
+                          for a, b in self.y})
+        n = len(self.tangents)
+        w = [[reduce(operator.add, (derivative_view(y, k) * wedge[j][ab]
+                                    for ab, y in self.y.items()))
+              for j in range(n)] for k in range(n)]
+        return _stack(w), (_stack(w, "grad") if order >= 1 else None)
+
+
+def rotation_jets(immersion, fld, point, order):
+    """Rotation of ``fld`` from chart jets of ``order`` >= 2; the returned
+    jets are one order lower.
+
+    With S_ij = r_i . tau_j, u_i = n . tau_i and p = u_i t^i,
+
+        Y = sum_{i<j} (S_ij - S_ji) / 2 (t^i t^j^T - t^j t^i^T) + n p^T - p n^T
+
+    is the unique skew solution of dtau = Y dr when ``fld`` is a flex;
+    otherwise :meth:`RotationJets.flex_residual` measures the failure.
+    """
     pts = np.asarray(point, dtype=float)
     r = [evaluate_jet(c, pts, order=order) for c in immersion.components]
     if isinstance(fld, TrivialMotion):
-        a, b = fld.matrix, fld.vector
-        tau = []
-        for al in range(len(r)):
-            acc = Jet.constant(b[al], r[0].nvars, order, pts.shape[:-1])
-            for be in range(len(r)):
-                if a[al, be] != 0.0:
-                    acc = acc + a[al, be] * r[be]
-            tau.append(acc)
+        tau = [reduce(operator.add,
+                      (m * c for m, c in zip(row, r) if m != 0.0),
+                      Jet.constant(b, r[0].nvars, order, pts.shape[:-1]))
+               for row, b in zip(fld.matrix, fld.vector)]
     else:
         tau = [evaluate_jet(c, pts, order=order) for c in fld.components]
-    return r, tau
+    n, a_dim = immersion.dim, len(r)
+    ri = [[derivative_view(c, i) for c in r] for i in range(n)]
+    taui = [[derivative_view(c, i) for c in tau] for i in range(n)]
+
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = _dot(ri[i], ri[j])
+    inv_det = _det(g).reciprocal()
+    ginv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            cof = _det(_minor(g, i, j)) if n > 1 else 1.0
+            ginv[i][j] = ginv[j][i] = (-cof if (i + j) % 2 else cof) * inv_det
+    dual = [[_dot([ginv[i][j] for j in range(n)], [ri[j][a] for j in range(n)])
+             for a in range(a_dim)] for i in range(n)]
+
+    # generalized cross product of the tangents, |N|^2 = det g
+    flip = immersion.orientation == "inward"
+    unit = jt.sqrt(inv_det)
+    normal = []
+    for a in range(a_dim):
+        minor = _det([row[:a] + row[a + 1:] for row in ri])
+        normal.append((-minor if (a % 2 == 1) != flip else minor) * unit)
+
+    u = [_dot(normal, taui[i]) for i in range(n)]
+    p = [_dot(u, [dual[i][a] for i in range(n)]) for a in range(a_dim)]
+    skew = {(i, j): 0.5 * (_dot(ri[i], taui[j]) - _dot(ri[j], taui[i]))
+            for i in range(n) for j in range(i + 1, n)}
+    y = {}
+    for a in range(a_dim):
+        for b in range(a + 1, a_dim):
+            acc = normal[a] * p[b] - p[a] * normal[b]
+            for (i, j), s in skew.items():
+                acc = acc + s * (dual[i][a] * dual[j][b]
+                                 - dual[j][a] * dual[i][b])
+            y[(a, b)] = acc
+    return RotationJets(tangents=ri, dtau=taui, metric=g, normal=normal,
+                        dual=dual, y=y)
+
+
+def _surface_rotation(immersion, fld, point, order):
+    if immersion.dim != 2:
+        raise FlexError("rotation data is defined for surfaces (n = 2)")
+    return rotation_jets(immersion, fld, point, order)
 
 
 @dataclass
 class RotationData:
     u: np.ndarray                 # (..., 2), u_i = n . tau_i
-    w_scalar: np.ndarray
+    w_scalar: np.ndarray          # n . Y
     y: np.ndarray                 # (..., 3) rotation vector
     dy: np.ndarray                # (..., 2, 3), Y_k
     a_mixed: np.ndarray           # (..., 2, 2), Y_k = a_k^l r_l
@@ -235,114 +358,33 @@ class RotationData:
     is_flex: np.ndarray
 
 
-def rotation_data(immersion, fld, point, pipeline=None):
+def _hodge(y):
+    """Rotation vectors (Y_21, Y_02, Y_10) of skew 3x3 matrices, so that
+    Y v = y x v."""
+    return np.stack([y[..., 2, 1], y[..., 0, 2], y[..., 1, 0]], axis=-1)
+
+
+def rotation_data(immersion, fld, point):
     """Rotation vector Y with dtau = Y x dr, its derivative, and the mixed
     tensor a_k^l.  Non-flex inputs are flagged through ``is_flex`` and the
-    rotation residual instead of raising."""
-    pipe = pipeline if pipeline is not None else _rotation_pipeline(
-        immersion, fld, point)
-    return pipe.data
-
-
-class _RotationPipeline:
-    """Shared jet-arithmetic computation of the rotation quantities.
-
-    Everything is computed with order-2 jets so that first derivatives of
-    derived scalars (and hence second derivatives of Y) stay exact; the
-    w-tensor covariant derivative consumes them via order-1 views.
-    """
-
-    def __init__(self, immersion, fld, point):
-        if immersion.dim != 2:
-            raise FlexError("rotation data is defined for surfaces (n = 2)")
-        self.immersion = immersion
-        self.point = np.asarray(point, dtype=float)
-        r, tau = _component_jets3(immersion, fld, point, order=3)
-        sign = -1.0 if immersion.orientation == "inward" else 1.0
-
-        r2 = [c.truncate(2) for c in r]
-        tau2 = [c.truncate(2) for c in tau]
-        ri = [[derivative_view(c, i) for c in r] for i in range(2)]   # order 2
-        taui = [[derivative_view(c, i) for c in tau] for i in range(2)]
-
-        g = [[_dot(ri[i], ri[j]) for j in range(2)] for i in range(2)]
-        detg = g[0][0] * g[1][1] - g[0][1] * g[0][1]
-        sqrtg = jt.sqrt(detg)
-        cross = _cross3(ri[0], ri[1])
-        normal = [sign * c / sqrtg for c in cross]
-
-        u = [_dot(normal, taui[i]) for i in range(2)]
-        w = (_dot(ri[1], taui[0]) - _dot(ri[0], taui[1])) / (2.0 * sqrtg)
-        y = [(u[1] * ri[0][a] - u[0] * ri[1][a]) / sqrtg + w * normal[a]
-             for a in range(3)]
-
-        self.r = r2
-        self.ri = ri
-        self.tau = tau2
-        self.taui = taui
-        self.g = g
-        self.detg = detg
-        self.sqrtg = sqrtg
-        self.normal = normal
-        self.u = u
-        self.w = w
-        self.y = y
-
-        # order-1 views of Y_k and the frame for downstream derivatives
-        self.yk = [[derivative_view(y[a], k) for a in range(3)]
-                   for k in range(2)]
-        self.ri1 = [[c.truncate(1) for c in ri[i]] for i in range(2)]
-        g1 = [[c.truncate(1) for c in row] for row in g]
-        det1 = self.detg.truncate(1)
-        self.ginv1 = [[g1[1][1] / det1, -1.0 * g1[0][1] / det1],
-                      [-1.0 * g1[0][1] / det1, g1[0][0] / det1]]
-        self.sqrtg1 = self.sqrtg.truncate(1)
-
-        # a_k^l with first derivatives: Y_k = a_k^l r_l
-        self.a_mixed1 = [
-            [
-                _dot(self.yk[k], self.ri1[0]) * self.ginv1[0][l]
-                + _dot(self.yk[k], self.ri1[1]) * self.ginv1[1][l]
-                for l in range(2)
-            ]
-            for k in range(2)
-        ]
-
-        self.data = self._collect()
-
-    def _collect(self):
-        u_val = np.stack([c.value for c in self.u], axis=-1)
-        w_val = self.w.value
-        y_val = np.stack([c.value for c in self.y], axis=-1)
-        dy_val = np.stack(
-            [np.stack([c.value for c in row], axis=-1) for row in self.yk],
-            axis=-2)
-        a_val = np.stack(
-            [np.stack([c.value for c in row], axis=-1) for row in self.a_mixed1],
-            axis=-2)
-
-        ri_val = [np.stack([c.value for c in row], axis=-1) for row in self.ri]
-        taui_val = [np.stack([c.value for c in row], axis=-1)
-                    for row in self.taui]
-        res = []
-        for i in range(2):
-            cr = np.cross(y_val, ri_val[i])
-            res.append(np.max(np.abs(taui_val[i] - cr), axis=-1))
-        rotation_residual = np.maximum(res[0], res[1])
-        scale = max(1.0, float(np.max(np.abs(y_val))),
-                    max(float(np.max(np.abs(t))) for t in taui_val))
-        n_val = np.stack([c.value for c in self.normal], axis=-1)
-        tangency = np.max(np.abs(np.einsum("...a,...ka->...k", n_val, dy_val)),
-                          axis=-1)
-        return RotationData(
-            u=u_val, w_scalar=w_val, y=y_val, dy=dy_val, a_mixed=a_val,
-            rotation_residual=rotation_residual,
-            tangency_residual=tangency,
-            is_flex=rotation_residual <= FLEX_RESIDUAL_TOL * scale)
-
-
-def _rotation_pipeline(immersion, fld, point):
-    return _RotationPipeline(immersion, fld, point)
+    rotation residual instead of raising; each point is judged on its own
+    scale, so a verdict does not depend on the rest of the batch."""
+    rj = _surface_rotation(immersion, fld, point, 2)
+    y_mat, dy_mat = rj.rotation()
+    y, dy = _hodge(y_mat), _hodge(dy_mat)
+    n_val = rj.frame()[..., 2]
+    taui = _stack(rj.dtau)
+    residual = rj.flex_residual()
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(y), axis=-1),
+                                       np.max(np.abs(taui), axis=(-1, -2))))
+    tangency = np.max(np.abs(np.einsum("...a,...ka->...k", n_val, dy)),
+                      axis=-1)
+    return RotationData(
+        u=np.einsum("...a,...ia->...i", n_val, taui),
+        w_scalar=np.einsum("...a,...a->...", n_val, y), y=y, dy=dy,
+        a_mixed=np.einsum("...ka,...la->...kl", dy, _stack(rj.dual)),
+        rotation_residual=residual, tangency_residual=tangency,
+        is_flex=residual <= FLEX_RESIDUAL_TOL * scale)
 
 
 @dataclass
@@ -354,31 +396,23 @@ class WTensor:
     codazzi_residual: np.ndarray
 
 
-def w_tensor(immersion, fld, point, pipeline=None):
-    """Extract w_ij from the rotation derivative, with covariant derivatives
-    and the trace/Codazzi health residuals."""
-    pipe = pipeline if pipeline is not None else _rotation_pipeline(
-        immersion, fld, point)
-    sq = pipe.sqrtg1
-    a = pipe.a_mixed1
-    w11 = sq * a[0][1]
-    w12 = -1.0 * sq * a[0][0]
-    w21 = sq * a[1][1]
-    w22 = -1.0 * sq * a[1][0]
+def w_tensor(immersion, fld, point):
+    """Extract w_ij = r_j . (Y_i n) from the rotation derivative, with
+    covariant derivatives and the trace/Codazzi health residuals.  w is
+    taken against the oriented normal, so it changes sign with the
+    orientation."""
+    return _w_tensor(_surface_rotation(immersion, fld, point, 3),
+                     frame_at(immersion, point, order=2))
 
-    w_val = np.stack([
-        np.stack([w11.value, w12.value], axis=-1),
-        np.stack([w21.value, w22.value], axis=-1)], axis=-2)
-    dw = np.stack([
-        np.stack([w11.grad, w12.grad], axis=-2),
-        np.stack([w21.grad, w22.grad], axis=-2)], axis=-3)
+
+def _w_tensor(rj, fr):
+    w_val, dw = rj.w()
     # dw[..., i, j, k] = d_k w_ij -> reorder to (..., k, i, j)
     dw = np.moveaxis(dw, -1, -3)
 
     sym_res = np.abs(w_val[..., 0, 1] - w_val[..., 1, 0])
     w_sym = 0.5 * (w_val + np.swapaxes(w_val, -1, -2))
 
-    fr = frame_at(immersion, point, order=2)
     gamma = fr.christoffels
     corr = np.einsum("...lki,...lj->...kij", gamma, w_sym)
     w_cov = dw - corr - np.swapaxes(corr, -1, -2)
@@ -417,9 +451,9 @@ def phi_relation_residual(immersion, fld, point):
     Also verifies the normal decomposition of b = tau - Y x r.  Points with
     |mu| < 1e-8 are flagged skipped.
     """
-    pipe = _rotation_pipeline(immersion, fld, point)
-    wt = w_tensor(immersion, fld, point, pipeline=pipe)
+    rj = _surface_rotation(immersion, fld, point, 3)
     fr = frame_at(immersion, point, order=2)
+    wt = _w_tensor(rj, fr)
     sup = support_at(immersion, point, frame=fr)
     fj = field_jets(immersion, fld, point, order=2)
 
@@ -447,7 +481,7 @@ def phi_relation_residual(immersion, fld, point):
 
     # b = tau - Y x r should equal g^{ij} phi_i r_j + (phi - grad phi .
     # grad rho) / mu * n wherever mu is not degenerate
-    y = rotation_data(immersion, fld, point, pipeline=pipe).y
+    y = _hodge(rj.rotation()[0])
     b_vec = fj.value - np.cross(y, pos)
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = np.where(skipped, 0.0, (phi - grad_pair)

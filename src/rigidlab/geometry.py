@@ -375,10 +375,6 @@ def _metric_at(immersion, pts):
     return np.einsum("...ai,...aj->...ij", tang, tang)
 
 
-def _christoffels_at(immersion, pts):
-    return frame_at(immersion, pts, order=2).christoffels
-
-
 def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
     """Construct geodesic coordinates based on a closed boundary edge.
 
@@ -504,7 +500,7 @@ def _edge_kg(fr0, other, nu):
 
 def _rk4_geodesic_step(immersion, x, v, h):
     def rhs(state_x, state_v):
-        gam = _christoffels_at(immersion, state_x)
+        gam = frame_at(immersion, state_x, order=2).christoffels
         a = -np.einsum("...kij,...i,...j->...k", gam, state_v, state_v)
         return state_v, a
 

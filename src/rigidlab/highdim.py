@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import derivative_view
-from .linalg import null_space, singular_values
+from .flex import rotation_jets
+from .linalg import null_space, numerical_rank
 
 __all__ = [
     "HighDimError",
@@ -88,7 +88,7 @@ def generalized_kronecker(upper, lower):
 class BivectorDecomposition:
     rotation: np.ndarray          # (..., A, A) pointwise skew rotation matrix
     w_frame: np.ndarray           # (..., n, A, A) frame components of dY
-    w_sym: np.ndarray             # (..., n, n) extracted symmetric tensor
+    w_sym: np.ndarray             # (..., n, n) w_kj = r_j . (Y_k n)
     tangential_residual: np.ndarray   # max |W_i^{j gamma}|, tangential pairs
     symmetry_residual: np.ndarray
     flex_residual: np.ndarray     # how well dtau = Y dr held pointwise
@@ -97,141 +97,29 @@ class BivectorDecomposition:
 def decompose_rotation_bivector(immersion, fld, point):
     """Pointwise rotation of a flex and the frame expansion of its derivative.
 
-    Solves dtau = Y dr for the unique skew matrix Y built from the
-    observable data (closed form below), differentiates it exactly through
-    jet views, and expands each derivative in the frame bivector basis
-    e_alpha ^ e_beta with e_1..e_n the tangents and e_{n+1} the normal.
-    Tangential-tangential components must vanish and w_ij = 2 W_i^{j(n+1)}
-    sqrt(det g) must be symmetric; for trivial motions everything is zero.
+    Takes the skew rotation Y with dtau = Y dr from the shared jet pipeline
+    (:func:`rigidlab.flex.rotation_jets`) and expands each derivative Y_k in
+    the frame bivector basis e_alpha ^ e_beta with e_1..e_n the tangents and
+    e_{n+1} the oriented normal.  Tangential-tangential components must
+    vanish and w_kj = r_j . (Y_k n) must be symmetric; for trivial motions
+    everything is zero.
     """
-    from .flex import _component_jets3, _dot  # shared jet helpers
-
     n = immersion.dim
-    a_dim = immersion.ambient_dim
-    pts = np.asarray(point, dtype=float)
-    r, tau = _component_jets3(immersion, fld, pts, order=2)
-
-    ri = [[derivative_view(c, i) for c in r] for i in range(n)]
-    taui = [[derivative_view(c, i) for c in tau] for i in range(n)]
-
-    # metric and inverse in jet arithmetic (order 1)
-    g = [[_dot(ri[i], ri[j]) for j in range(n)] for i in range(n)]
-    ginv = _jet_matrix_inverse(g)
-
-    normal = _jet_normal(ri, a_dim)
-
-    # closed-form skew rotation: Y = Pi Y Pi + q n^T - n q^T with
-    # Pi Y Pi = sum skew(S)_{ij} t^i (t^j)^T,  S_ij = r_i . tau_j,
-    # q = Y n = - g^{ij} u_i r_j,  u_i = n . tau_i
-    s_obs = [[_dot(ri[i], taui[j]) for j in range(n)] for i in range(n)]
-    u = [_dot(normal, taui[i]) for i in range(n)]
-    dual = [[None] * a_dim for _ in range(n)]   # t^i = g^{ij} r_j
-    for i in range(n):
-        for a in range(a_dim):
-            acc = ginv[i][0] * ri[0][a]
-            for j in range(1, n):
-                acc = acc + ginv[i][j] * ri[j][a]
-            dual[i][a] = acc
-    q = [None] * a_dim
-    for a in range(a_dim):
-        acc = -1.0 * u[0] * dual[0][a]
-        for i in range(1, n):
-            acc = acc - u[i] * dual[i][a]
-        q[a] = acc
-
-    y = [[None] * a_dim for _ in range(a_dim)]
-    for a in range(a_dim):
-        for b in range(a_dim):
-            acc = q[a] * normal[b] - normal[a] * q[b]
-            for i in range(n):
-                for j in range(n):
-                    skew = 0.5 * (s_obs[i][j] - s_obs[j][i])
-                    acc = acc + skew * dual[i][a] * dual[j][b]
-            y[a][b] = acc
-
-    batch = pts.shape[:-1]
-    y_val = np.empty(batch + (a_dim, a_dim))
-    y_der = np.empty(batch + (n, a_dim, a_dim))
-    for a in range(a_dim):
-        for b in range(a_dim):
-            y_val[..., a, b] = y[a][b].value
-            y_der[..., :, a, b] = y[a][b].grad
-
-    # flex health: tau_i = Y r_i
-    tang = np.empty(batch + (a_dim, n))
-    dtau = np.empty(batch + (a_dim, n))
-    for i in range(n):
-        for a in range(a_dim):
-            tang[..., a, i] = ri[i][a].value
-            dtau[..., a, i] = taui[i][a].value
-    flex_res = np.max(np.abs(dtau - np.einsum("...ab,...bi->...ai",
-                                              y_val, tang)), axis=(-1, -2))
+    rj = rotation_jets(immersion, fld, point, order=2)
+    y_val, y_der = rj.rotation()
 
     # frame expansion: dY_k = E (2 W_k) E^T with E = [tangents | normal]
-    n_val = np.empty(batch + (a_dim,))
-    for a in range(a_dim):
-        n_val[..., a] = normal[a].value
-    frame_mat = np.concatenate([tang, n_val[..., None]], axis=-1)
-    frame_inv = np.linalg.inv(frame_mat)
+    frame_inv = np.linalg.inv(rj.frame())
     w_frame = 0.5 * np.einsum("...pa,...kab,...qb->...kpq",
                               frame_inv, y_der, frame_inv)
 
     tang_res = np.max(np.abs(w_frame[..., :, :n, :n]), axis=(-1, -2, -3))
-    detg = np.abs(np.linalg.det(np.einsum("...ai,...aj->...ij", tang, tang)))
-    w_sym = 2.0 * w_frame[..., :, :n, n] * np.sqrt(detg)[..., None, None]
+    w_sym, _ = rj.w()
     sym_res = np.max(np.abs(w_sym - np.swapaxes(w_sym, -1, -2)), axis=(-1, -2))
     return BivectorDecomposition(
         rotation=y_val, w_frame=w_frame, w_sym=w_sym,
         tangential_residual=tang_res, symmetry_residual=sym_res,
-        flex_residual=flex_res)
-
-
-def _jet_matrix_inverse(g):
-    n = len(g)
-    if n == 2:
-        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        return [[g[1][1] / det, -1.0 * g[0][1] / det],
-                [-1.0 * g[1][0] / det, g[0][0] / det]]
-    if n == 3:
-        c00 = g[1][1] * g[2][2] - g[1][2] * g[2][1]
-        c01 = g[0][2] * g[2][1] - g[0][1] * g[2][2]
-        c02 = g[0][1] * g[1][2] - g[0][2] * g[1][1]
-        c10 = g[1][2] * g[2][0] - g[1][0] * g[2][2]
-        c11 = g[0][0] * g[2][2] - g[0][2] * g[2][0]
-        c12 = g[0][2] * g[1][0] - g[0][0] * g[1][2]
-        c20 = g[1][0] * g[2][1] - g[1][1] * g[2][0]
-        c21 = g[0][1] * g[2][0] - g[0][0] * g[2][1]
-        c22 = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        det = g[0][0] * c00 + g[0][1] * c10 + g[0][2] * c20
-        return [[c00 / det, c01 / det, c02 / det],
-                [c10 / det, c11 / det, c12 / det],
-                [c20 / det, c21 / det, c22 / det]]
-    raise HighDimError("jet matrix inverse implemented for n in {2, 3}")
-
-
-def _jet_normal(ri, a_dim):
-    """Unit normal via cofactor expansion, entries may be jets."""
-    n = a_dim - 1
-    comps = []
-    for a in range(a_dim):
-        rows = [b for b in range(a_dim) if b != a]
-        if n == 2:
-            det = (ri[0][rows[0]] * ri[1][rows[1]]
-                   - ri[0][rows[1]] * ri[1][rows[0]])
-        elif n == 3:
-            m = [[ri[i][rows[j]] for j in range(3)] for i in range(3)]
-            det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                   - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                   + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        else:
-            raise HighDimError("normals implemented for ambient dim <= 4")
-        comps.append((-1.0) ** a * det)
-    from .jets import sqrt as jsqrt
-    norm2 = comps[0] * comps[0]
-    for c in comps[1:]:
-        norm2 = norm2 + c * c
-    norm = jsqrt(norm2)
-    return [c / norm for c in comps]
+        flex_residual=rj.flex_residual())
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +199,7 @@ def dr_rigidity_test(h, rank_tol=1e-10):
     n = h.shape[0]
     if n < 3:
         raise HighDimError("the pointwise test is stated for n >= 3")
-    s = singular_values(h)
-    rank = int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
+    rank = numerical_rank(h, rel_tol=rank_tol)
     null_dim, _ = linearized_gauss_nullspace(h, rel_tol=rank_tol)
     diag_dim = _nullspace_dimension_diagonalized(h, rel_tol=rank_tol)
     if null_dim != diag_dim:

@@ -14,8 +14,6 @@ import numpy as np
 __all__ = [
     "Jet",
     "JetDomainError",
-    "constant",
-    "variable",
     "sin",
     "cos",
     "tan",
@@ -259,14 +257,6 @@ def _compose(u, f0, f1, f2=None, f3=None):
             + f1[..., None, None, None] * u.third
         )
     return Jet(value, grad, hess, third, nvars=u.nvars, order=u.order)
-
-
-def constant(value, nvars, order, batch_shape=()):
-    return Jet.constant(value, nvars, order, batch_shape)
-
-
-def variable(values, index, nvars, order):
-    return Jet.variable(values, index, nvars, order)
 
 
 def sin(x):

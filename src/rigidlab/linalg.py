@@ -1,44 +1,20 @@
-"""Dense linear algebra wrappers: SVD, numerical rank, null spaces."""
+"""Dense linear algebra wrappers: singular values, numerical rank, null
+spaces."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "SVDResult",
-    "svd",
     "singular_values",
     "numerical_rank",
     "null_space",
 ]
 
 
-@dataclass
-class SVDResult:
-    u: np.ndarray
-    singular_values: np.ndarray   # descending, non-negative
-    vt: np.ndarray
-
-    def reconstruction_residual(self, matrix):
-        approx = (self.u * self.singular_values) @ self.vt
-        denom = max(np.linalg.norm(matrix), 1e-300)
-        return np.linalg.norm(matrix - approx) / denom
-
-
-def svd(matrix):
-    """Thin SVD with the factors; raises on non-finite input."""
-    a = np.asarray(matrix, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("svd: matrix has non-finite entries")
-    u, s, vt = scipy.linalg.svd(a, full_matrices=False)
-    return SVDResult(u=u, singular_values=s, vt=vt)
-
-
 def singular_values(matrix):
-    """Singular values only (descending); much faster at large sizes."""
+    """Singular values in descending order; raises on non-finite input."""
     a = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("singular_values: matrix has non-finite entries")

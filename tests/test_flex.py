@@ -10,6 +10,7 @@ from rigidlab.flex import (ExpressionField, FlexError, TrivialMotion,
                            random_trivial_motion, rotation_data,
                            trivial_motion_count, w_tensor)
 from rigidlab.geometry import interior_points
+from rigidlab.highdim import decompose_rotation_bivector
 
 
 def expr_field(*components, dim=2):
@@ -63,6 +64,45 @@ def test_dilation_is_flagged_not_a_flex():
     rot = rotation_data(sphere, dilation, SPHERE_PTS)
     assert not rot.is_flex.any()
     assert np.min(rot.rotation_residual) > 0.1
+
+
+def test_is_flex_verdict_does_not_depend_on_the_batch():
+    sphere = sf.sphere(1.0)
+    tau = expr_field("0", "0", "1e-7*x1 + 1e3*x1^8")
+    pts = np.array([[0.05, 0.2], [3.0, 0.2]])
+    batched = rotation_data(sphere, tau, pts).is_flex
+    alone = [rotation_data(sphere, tau, p[None]).is_flex[0] for p in pts]
+    assert not alone[0]
+    assert list(batched) == alone
+
+
+@pytest.mark.parametrize("orientation", ["outward", "inward"])
+@pytest.mark.parametrize("chart", ["plane_graph", "sheared_cylinder"])
+def test_rotation_pipeline_agrees_across_modules(chart, orientation):
+    # a vertical flex of the plane, and a bending of the unit cylinder
+    # (rotation angle s about the axis) on a chart with g != identity
+    if chart == "plane_graph":
+        components = ["x1", "x2", "1"]
+        tau = expr_field("0", "0", "x1^3*x2 + x2^2 - 0.5*x1*x2")
+    else:
+        components = ["cos(x1)", "sin(x1)", "x2 + 0.5*x1^2"]
+        tau = expr_field("-(x1*sin(x1) + cos(x1))", "x1*cos(x1) - sin(x1)",
+                         "0")
+    surf = sf.load_surface({
+        "name": chart, "dim": 2, "components": components,
+        "domain": [[-1, 1], [-1, 1]], "periodic": [False, False],
+        "orientation": orientation})
+    pts = np.array([[0.2, -0.4], [0.5, 0.1], [-0.3, 0.6]])
+    wt = w_tensor(surf, tau, pts)
+    dec = decompose_rotation_bivector(surf, tau, pts)
+    assert np.max(np.abs(wt.w - dec.w_sym)) <= 1e-12
+    assert np.max(dec.symmetry_residual) <= 1e-12
+    rot = rotation_data(surf, tau, pts)
+    assert rot.is_flex.all()
+    assert np.max(np.abs(rot.y - np.stack([dec.rotation[..., 2, 1],
+                                           dec.rotation[..., 0, 2],
+                                           dec.rotation[..., 1, 0]],
+                                          axis=-1))) <= 1e-14
 
 
 def test_w_tensor_vanishes_for_trivial_motions():
