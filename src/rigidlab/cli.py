@@ -8,6 +8,7 @@ verdict indeterminate (and nothing failed), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -237,7 +238,10 @@ def run_flex_kernel(args):
                   "next_sigma": ker.next_sigma,
                   "rigidity_verdict": ker.verdict,
                   "expected_trivial": ker.expected_trivial,
-                  "unknowns": op.unknown_count}))
+                  "unknowns": op.unknown_count,
+                  "route": ker.route,
+                  "operator_shape": [op.operator.shape[0],
+                                     op.unknown_count]}))
     if args.csv_dir:
         _write_csv(args.csv_dir, "singular_values.csv",
                    ["index", "sigma"],
@@ -275,9 +279,21 @@ def run_pointwise_gauss(args):
     return report
 
 
+def _kg_inputs(kg):
+    """Report inputs for ``--kg``: a CSV profile is recorded by file name
+    and the SHA-256 of its bytes, so the report does not depend on the
+    directory the file is read from."""
+    if not kg.endswith(".csv"):
+        return {"kg": kg}
+    with open(kg, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return {"kg": os.path.basename(kg), "kg_sha256": digest}
+
+
 def run_boundary(args):
     report = Report(command="boundary", seed=args.seed,
-                    inputs={"kg": args.kg, "f": args.f, "steps": args.steps})
+                    inputs={**_kg_inputs(args.kg), "f": args.f,
+                            "steps": args.steps})
     if args.kg.endswith(".csv"):
         profile = bd.BoundaryProfile.from_csv(args.kg)
     else:

@@ -24,6 +24,7 @@ spectral gap of the assembled matrix then certify rigidity.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
@@ -66,7 +68,8 @@ __all__ = [
     "trivial_motion_count",
 ]
 
-MAX_UNKNOWNS = 20000
+# bytes the spectrum of an assembled operator may allocate on its route
+MAX_SPECTRUM_BYTES = 4 * 2**30
 FLEX_RESIDUAL_TOL = 1e-8
 
 
@@ -593,7 +596,7 @@ def boundary_adapted_field(n1, n2, mu1, mu2):
 
 @dataclass
 class FlexOperator:
-    """Dense assembled linearized-isometry operator over grid unknowns.
+    """Sparse assembled linearized-isometry operator over grid unknowns.
 
     Rows: for every node and index pair (i <= j), the shared-stencil
     residual D_i r . D_j tau + D_j r . D_i tau, where D is the sum of a
@@ -601,36 +604,42 @@ class FlexOperator:
     2-point one-sided difference (forward where possible, else backward).
     Sharing the stencils between r and tau makes every trivial motion an
     exact kernel vector; the one-sided part removes the checkerboard modes
-    centered stencils cannot see.
+    centered stencils cannot see.  Row 3 (i nt + j) + p and column
+    3 (i nt + j) + alpha belong to node (i, j).
 
     On pole-closed charts the unknowns of the pole-adjacent rings are
     restricted to ring Fourier frequencies {0, 1}: any field smooth across
     the pole has O(spacing^2) content beyond those on a ring of
     near-degenerate radius, while trivial motions have exactly none, so the
     restriction removes the under-resolved cap oscillations without
-    touching the certified kernel.  ``free_unknowns``/``ring_blocks``
-    describe the orthonormal unknown basis (both None without poles).
+    touching the certified kernel.  ``basis`` is the sparse orthonormal
+    (grid unknowns x reduced unknowns) basis of that restriction, None
+    without poles.  ``rotation`` is the grid rotation of a chart of
+    revolution (see ``_grid_rotation``), None otherwise; it selects the
+    Fourier-sector spectrum over the dense SVD.
     """
 
-    matrix: np.ndarray            # rows x reduced unknowns
+    operator: scipy.sparse.csr_matrix     # rows x grid unknowns
+    basis: Optional[scipy.sparse.csr_matrix]
+    rotation: Optional[np.ndarray]
     immersion: object
     grid: tuple
     nodes: np.ndarray             # (ns, nt, 2)
     positions: np.ndarray         # (ns, nt, 3)
-    row_count: int
     unknown_count: int            # reduced count (matrix columns)
-    grid_unknowns: int            # 3 * number of nodes
-    free_unknowns: Optional[np.ndarray] = None    # indices kept verbatim
-    ring_blocks: Optional[list] = None            # [(indices, basis_q)]
-    node_matrix: Optional[np.ndarray] = None      # pre-reduction operator
+    node_matrix: None = None      # no dense node copy; perfbench reads it
+
+    @functools.cached_property
+    def matrix(self):
+        """Dense rows x reduced unknowns operator: the dense SVD route and
+        the test oracle for the sector route."""
+        reduced = self.operator if self.basis is None else (
+            self.operator @ self.basis)
+        return reduced.toarray()
 
     def reduce_vector(self, vec):
         """Grid vector -> reduced coordinates (orthonormal projection)."""
-        if self.free_unknowns is None:
-            return vec
-        parts = [vec[self.free_unknowns]]
-        parts.extend(q.T @ vec[idx] for idx, q in self.ring_blocks)
-        return np.concatenate(parts)
+        return vec if self.basis is None else self.basis.T @ vec
 
     def evaluate_field(self, fld):
         """Coordinates of a deformation field on the grid (reduced basis
@@ -639,7 +648,9 @@ class FlexOperator:
         return self.reduce_vector(fj.value.reshape(-1))
 
     def apply(self, vector):
-        return self.matrix @ vector
+        if self.basis is not None:
+            vector = self.basis @ vector
+        return self.operator @ vector
 
 
 def _grid_axes(immersion, grid):
@@ -763,21 +774,37 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     otherwise, and pole-offset (no node at the degenerate ends) on charts
     with ``closed_poles``; closure across poles is realized by the exact
     half-period wrap of the chart, which is verified numerically.
+
+    The operator is sparse; ``kernel_dimension`` takes its spectrum by
+    Fourier sectors on charts of revolution and by a dense SVD otherwise.
+    A grid whose route would allocate more than ``MAX_SPECTRUM_BYTES`` is
+    refused here, before anything large is built.
     """
     if immersion.dim != 2:
         raise FlexError("the flex operator is assembled for surfaces (n = 2)")
     ns, nt = grid
     n_nodes = ns * nt
     n_unknowns = 3 * n_nodes
-    if n_unknowns > MAX_UNKNOWNS:
-        raise FlexError(f"{n_unknowns} unknowns exceed the dense-solver "
-                        f"limit {MAX_UNKNOWNS}")
     s_axis, t_axis = _grid_axes(immersion, grid)
     mesh = np.stack(np.meshgrid(s_axis, t_axis, indexing="ij"), axis=-1)
     positions = np.stack(
         [evaluate_jet(c, mesh, order=0).value for c in immersion.components],
         axis=-1)
     _validate_pole_wrap(immersion, grid, mesh, positions)
+    rotation = _grid_rotation(immersion, grid, positions)
+    basis = _pole_ring_basis(immersion, grid, s_axis)
+    n_cols = n_unknowns if basis is None else basis.shape[1]
+    if rotation is None:
+        route, need = "dense SVD", 2 * n_unknowns * n_cols * 8
+    else:
+        # ring-0 rows, their DFT and its product with u (8 + 16 + 16 bytes
+        # per entry), plus one complex block
+        route = "Fourier-sector"
+        need = 40 * 3 * nt * n_unknowns + 16 * (3 * nt) ** 2
+    if need > MAX_SPECTRUM_BYTES:
+        raise FlexError(f"the {route} spectrum of {n_unknowns} unknowns "
+                        f"needs {need} bytes, which exceeds the limit "
+                        f"{MAX_SPECTRUM_BYTES}")
     flat_r = positions.reshape(n_nodes, 3)
 
     # per-direction stencil groups and the difference of r they induce
@@ -795,13 +822,11 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
                     raise FlexError("stencil does not fit the grid")
                 d_r[axis][mask] += coeff * flat_r[nb[mask]]
 
-    matrix = np.zeros((n_unknowns, n_unknowns))
+    rows, cols, vals = [], [], []
     pair_list = [(0, 0), (0, 1), (1, 1)]
     node_ids = np.arange(n_nodes)
     for pair_idx, (a, b) in enumerate(pair_list):
-        rows = 3 * node_ids + pair_idx
-        # row = D_a r . D_b tau + D_b r . D_a tau; within one scatter the
-        # (row, col) pairs are unique, so fancy += is safe and fast
+        # row = D_a r . D_b tau + D_b r . D_a tau
         for da, db in ((a, b), (b, a)):
             for mask, entries in groups[db]:
                 active = node_ids[mask]
@@ -809,50 +834,68 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
                     key = (off, 0) if db == 0 else (0, off)
                     nb = resolved[key][mask]
                     for alpha in range(3):
-                        matrix[rows[mask], 3 * nb + alpha] += (
-                            coeff * d_r[da][active, alpha])
+                        rows.append(3 * active + pair_idx)
+                        cols.append(3 * nb + alpha)
+                        vals.append(coeff * d_r[da][active, alpha])
+    csr = _summed_csr(np.concatenate(rows), np.concatenate(cols),
+                      np.concatenate(vals), n_unknowns)
+    return FlexOperator(operator=csr, basis=basis, rotation=rotation,
+                        immersion=immersion, grid=grid, nodes=mesh,
+                        positions=positions, unknown_count=n_cols)
 
-    free, blocks = _pole_ring_basis(immersion, grid, s_axis)
-    if free is None:
-        reduced = matrix
-    else:
-        parts = [matrix[:, free]]
-        parts.extend(matrix[:, idx] @ q for idx, q in blocks)
-        reduced = np.concatenate(parts, axis=1)
-    return FlexOperator(matrix=reduced, immersion=immersion, grid=grid,
-                        nodes=mesh, positions=positions,
-                        row_count=n_unknowns,
-                        unknown_count=reduced.shape[1],
-                        grid_unknowns=n_unknowns,
-                        free_unknowns=free, ring_blocks=blocks,
-                        node_matrix=matrix)
+
+def _summed_csr(rows, cols, vals, n):
+    """Square CSR matrix of (row, col, value) triplets.  Repeated entries
+    are summed from 0.0 in input order, so every entry has the bits of the
+    sequential scatter-add of the same triplets (sparse conversions sum
+    duplicates in an unspecified order)."""
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    rank = np.arange(key.size) - starts[group]
+    data = np.zeros(starts.size)
+    for r in range(int(rank.max()) + 1):
+        sel = rank == r                 # at most one entry per group
+        data[group[sel]] += vals[sel]
+    unique = key[starts]
+    indptr = np.searchsorted(unique // n, np.arange(n + 1))
+    return scipy.sparse.csr_matrix((data, unique % n, indptr), shape=(n, n))
+
+
+def _pole_rings(immersion, grid):
+    """t-indices of the pole-adjacent rings."""
+    closed = immersion.closed_poles or (False, False)
+    nt = grid[1]
+    return [j for j, flag in ((0, closed[0]), (nt - 1, closed[1])) if flag]
 
 
 def _pole_ring_basis(immersion, grid, s_axis):
-    """Orthonormal unknown basis restricting each pole-adjacent ring to the
-    span of {1, cos s, sin s} per ambient component; identity elsewhere.
-    Returns (free_indices, [(ring_indices, ring_q)]) or (None, None)."""
-    closed = immersion.closed_poles or (False, False)
-    if not any(closed):
-        return None, None
+    """Sparse orthonormal unknown basis restricting each pole-adjacent ring
+    to the span of {1, cos s, sin s} per ambient component; identity
+    elsewhere.  Columns: the free unknowns in grid order, then three per
+    (ring, component).  None without poles."""
+    rings = _pole_rings(immersion, grid)
+    if not rings:
+        return None
     ns, nt = grid
-    rings = []
-    if closed[0]:
-        rings.append(0)
-    if closed[1]:
-        rings.append(nt - 1)
     raw = np.stack([np.ones(ns), np.cos(s_axis), np.sin(s_axis)], axis=1)
     ring_q, _ = np.linalg.qr(raw)               # (ns, 3) orthonormal
 
     n_unknowns = 3 * ns * nt
+    eye = scipy.sparse.identity(n_unknowns, format="csc")
     free = np.ones(n_unknowns, dtype=bool)
     blocks = []
     for j in rings:
         for alpha in range(3):
             idx = 3 * (np.arange(ns) * nt + j) + alpha
             free[idx] = False
-            blocks.append((idx, ring_q))
-    return np.flatnonzero(free), blocks
+            blocks.append(scipy.sparse.csc_matrix(eye[:, idx] @ ring_q))
+    return scipy.sparse.hstack([eye[:, np.flatnonzero(free)], *blocks],
+                               format="csr")
 
 
 def _validate_pole_wrap(immersion, grid, mesh, positions):
@@ -884,30 +927,42 @@ def _validate_pole_wrap(immersion, grid, mesh, positions):
 # sector decomposition for charts of revolution
 # ---------------------------------------------------------------------------
 
-def _detect_rotational_symmetry(op, tol=1e-12):
+def _grid_rotation(immersion, grid, positions, tol=1e-12):
     """Rotation R about the ambient z-axis with r(i+1, j) = R r(i, j) for
     the whole grid, or None.  Shared stencils make the assembled operator
     exactly equivariant under (shift in i, conjugation by R) whenever the
     samples satisfy this, which block-diagonalizes it by s-frequency."""
-    immersion = op.immersion
     if not immersion.periodic[0]:
         return None
-    ns = op.grid[0]
+    ns = grid[0]
     delta = 2.0 * math.pi / ns
     lo, hi = immersion.domain[0]
     if abs((hi - lo) - 2.0 * math.pi) > 1e-12:
         return None
     c, s = math.cos(delta), math.sin(delta)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    shifted = np.roll(op.positions, -1, axis=0)
-    err = np.max(np.abs(shifted - op.positions @ rot.T))
-    scale = max(1.0, float(np.max(np.abs(op.positions))))
+    shifted = np.roll(positions, -1, axis=0)
+    err = np.max(np.abs(shifted - positions @ rot.T))
+    scale = max(1.0, float(np.max(np.abs(positions))))
     return rot if err <= tol * scale else None
+
+
+def _detect_rotational_symmetry(op, tol=1e-12):
+    """``_grid_rotation`` of an assembled operator's samples."""
+    return _grid_rotation(op.immersion, op.grid, op.positions, tol)
 
 
 def _sector_singular_values(op, rot):
     """Singular values of the (pole-reduced) operator through the discrete
-    Fourier block decomposition; equals the dense spectrum to rounding."""
+    Fourier block decomposition; equals the dense spectrum to rounding.
+
+    Equivariance makes the rows of s-ring i the rows of ring 0 with the
+    columns shifted by i rings and the components rotated by R^i.  With u_d
+    the eigenvectors of R (R u_d = exp(i c_d delta) u_d), the column vector
+    exp(2 pi i k i' / ns) u_d is therefore mapped into s-frequency
+    m = k - c_d, and the m-th block is the k-th inverse DFT of ring 0's
+    rows over the column ring, contracted with u (Golub and Van Loan,
+    Matrix Computations, 4th ed., sec. 8.6, for the block-wise SVD)."""
     ns, nt = op.grid
     delta = 2.0 * math.pi / ns
     # eigenvectors of the component rotation and their integer frequencies
@@ -920,25 +975,21 @@ def _sector_singular_values(op, rot):
     if np.max(np.abs(eig - np.exp(1j * freqs * delta))) > 1e-10:
         raise FlexError("component rotation is not a grid rotation")
 
-    a = op.node_matrix.reshape(ns, nt, 3, ns, nt, 3).astype(complex)
-    a = np.fft.fft(a, axis=0, norm="ortho")       # rows -> sectors (F^H)
-    a = np.fft.ifft(a, axis=3, norm="ortho")      # column nodes -> modes (F)
-    a = np.einsum("rjpkqc,cd->rjpkqd", a, u)
+    # ring-0 rows by (column mode k, column ring j, eigen-component d)
+    ring = op.operator[:3 * nt].toarray().reshape(3 * nt, ns, nt, 3)
+    modes = np.fft.ifft(ring, axis=1, norm="forward") @ u
+    del ring
 
-    closed = op.immersion.closed_poles or (False, False)
-    rings = [j for j, flag in ((0, closed[0]), (nt - 1, closed[1])) if flag]
+    rings = _pole_rings(op.immersion, op.grid)
     keep_raw = {0, 1, ns - 1}
-
     svals = []
     for m in range(ns):
         cols = []
         for d in range(3):
             k = (m + freqs[d]) % ns
-            block = a[m, :, :, k, :, d]           # (nt, 3, nt)
-            block = block.reshape(3 * nt, nt)
             keep = [j for j in range(nt)
                     if j not in rings or k in keep_raw]
-            cols.append(block[:, keep])
+            cols.append(modes[:, k, keep, d])
         svals.append(scipy.linalg.svdvals(np.concatenate(cols, axis=1)))
     return np.sort(np.concatenate(svals))[::-1]
 
@@ -954,6 +1005,7 @@ class KernelReport:
     verdict: str
     expected_trivial: int = 6
     singular_values: Optional[np.ndarray] = None   # ascending
+    route: str = "dense"          # "dense" SVD or Fourier "sector" blocks
 
     def is_certificate(self):
         return self.verdict == "certified-rigid"
@@ -968,15 +1020,12 @@ def kernel_dimension(op, rel_tol=1e-8, gap_requirement=10.0):
     without a clear gap the verdict is "indeterminate", never a false
     certificate.
     """
-    if isinstance(op, FlexOperator):
-        rot = (_detect_rotational_symmetry(op)
-               if op.node_matrix is not None else None)
-        if rot is not None:
-            svals = _sector_singular_values(op, rot)
-        else:
-            svals = singular_values(op.matrix)
+    if not isinstance(op, FlexOperator):
+        svals, route = singular_values(np.asarray(op)), "dense"
+    elif op.rotation is not None:
+        svals, route = _sector_singular_values(op, op.rotation), "sector"
     else:
-        svals = singular_values(np.asarray(op))
+        svals, route = singular_values(op.matrix), "dense"
     asc = svals[::-1]
     smax = float(svals[0])
     if smax == 0.0:
@@ -1001,4 +1050,5 @@ def kernel_dimension(op, rel_tol=1e-8, gap_requirement=10.0):
     return KernelReport(dimension=dim, gap_ratio=float(gap), sigma_max=smax,
                         kernel_sigma=kernel_sigma, next_sigma=next_sigma,
                         rel_tol=rel_tol, verdict=verdict,
-                        expected_trivial=expected, singular_values=asc)
+                        expected_trivial=expected, singular_values=asc,
+                        route=route)

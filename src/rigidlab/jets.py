@@ -90,10 +90,16 @@ class Jet:
         return Jet(value, grad, hess, third, nvars=self.nvars, order=self.order)
 
     def _coerce(self, other):
+        """``other`` as a jet like this one; a plain scalar (0-d included)
+        comes back as a float, which the arithmetic applies to the arrays
+        directly instead of running the jet rules with a constant jet."""
         if isinstance(other, Jet):
             if other.nvars != self.nvars or other.order != self.order:
                 raise ValueError("jet nvars/order mismatch")
             return other
+        if isinstance(other, (int, float, np.integer, np.floating)) or (
+                isinstance(other, np.ndarray) and other.ndim == 0):
+            return float(other)
         arr = _as_array(other)
         shape = np.broadcast_shapes(arr.shape, self.value.shape)
         return Jet.constant(arr, self.nvars, self.order, batch_shape=shape)
@@ -130,8 +136,20 @@ class Jet:
 
     # -- ring operations ----------------------------------------------------
 
+    def _map(self, value_fn, deriv_fn):
+        """New jet with ``value_fn`` applied to the value and ``deriv_fn``
+        to every derivative array."""
+        return self._like(
+            value_fn(self.value),
+            None if self.order < 1 else deriv_fn(self.grad),
+            None if self.order < 2 else deriv_fn(self.hess),
+            None if self.order < 3 else deriv_fn(self.third),
+        )
+
     def __add__(self, other):
         o = self._coerce(other)
+        if not isinstance(o, Jet):
+            return self._map(lambda v: v + o, np.copy)
         return self._like(
             self.value + o.value,
             None if self.order < 1 else self.grad + o.grad,
@@ -157,6 +175,9 @@ class Jet:
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if not isinstance(o, Jet):
+            # the product rule with a constant, whose derivatives are zero
+            return self._map(lambda v: v * o, lambda d: d * o)
         a, b = self, o
         value = a.value * b.value
         grad = hess = third = None
@@ -188,7 +209,12 @@ class Jet:
         return _compose(self, 1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).reciprocal()
+        o = self._coerce(other)
+        if isinstance(o, Jet):
+            return self * o.reciprocal()
+        if o == 0.0:
+            raise JetDomainError("division by zero")
+        return self * (1.0 / o)
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.reciprocal()

@@ -261,6 +261,57 @@ def test_sector_decomposition_matches_dense_spectrum():
     assert rep.dimension == 6
 
 
+@pytest.mark.parametrize("surface, grid, dim", [
+    (sf.ellipsoid(1.2, 1.2, 0.7), (24, 12), 6),    # closed poles
+    (sf.cylinder(1.3), (24, 12), 48),               # open edges
+])
+def test_sector_route_matches_the_dense_oracle(surface, grid, dim):
+    from rigidlab.linalg import singular_values
+
+    op = assemble_flex_operator(surface, grid=grid)
+    assert op.rotation is not None
+    rep = kernel_dimension(op, rel_tol=1e-8)
+    assert rep.route == "sector"
+    assert rep.dimension == dim
+    dense = singular_values(op.matrix)[::-1]
+    assert rep.singular_values.shape == dense.shape == (op.unknown_count,)
+    assert np.max(np.abs(rep.singular_values - dense)) < 1e-12 * dense[-1]
+
+
+@pytest.mark.parametrize("surface", [sf.sphere(1.0), sf.saddle()])
+def test_sparse_apply_matches_the_dense_matrix(surface):
+    op = assemble_flex_operator(surface, grid=(16, 8))
+    v = np.random.default_rng(4).standard_normal(op.unknown_count)
+    dense = op.matrix @ v
+    assert np.max(np.abs(op.apply(v) - dense)) < 1e-13 * np.max(np.abs(dense))
+    # reduce_vector is the orthonormal projection onto the reduced basis
+    grid_v = v if op.basis is None else op.basis @ v
+    assert np.max(np.abs(op.reduce_vector(grid_v) - v)) < 1e-14
+
+
+def test_sphere_certificate_memory():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        op = assemble_flex_operator(sf.sphere(1.0), grid=(64, 32))
+        rep = kernel_dimension(op, rel_tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "certified-rigid"
+    assert rep.route == "sector"
+    assert peak < 250e6, f"peak {peak / 1e6:.0f} MB"
+
+
+def test_sphere_certificate_beyond_the_old_unknown_limit():
+    # 24576 unknowns: refused when the guard counted unknowns (20000)
+    op = assemble_flex_operator(sf.sphere(1.0), grid=(128, 64))
+    rep = kernel_dimension(op, rel_tol=1e-8)
+    assert rep.dimension == 6
+    assert rep.verdict == "certified-rigid"
+
+
 def test_kernel_verdicts_on_synthetic_spectra():
     # a gradual spectrum near the cut never certifies
     vague = np.diag(np.concatenate([np.full(6, 1e-9),

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import json
 import math
@@ -193,6 +194,26 @@ def test_cli_flex_kernel_small(tmp_path):
     assert (tmp_path / "singular_values.csv").exists()
 
 
+@pytest.mark.parametrize("surface, grid, route, shape",
+                         [("plane", "12x12", "dense", [432, 432]),
+                          # two pole rings of 3 x 16 unknowns keep 9 each
+                          ("sphere", "16x8", "sector", [384, 306])])
+def test_cli_flex_kernel_reports_its_route(tmp_path, surface, grid, route,
+                                           shape):
+    report = tmp_path / "flex.json"
+    code = cli.main(["flex-kernel", surface, "--grid", grid,
+                     "--report", str(report), "--csv-dir", str(tmp_path)])
+    assert code == 0
+    kernel = [c for c in json.loads(report.read_text())["checks"]
+              if c["kind"] == "kernel"][0]
+    assert kernel["metadata"]["route"] == route
+    assert kernel["metadata"]["operator_shape"] == shape
+    assert kernel["metadata"]["unknowns"] == shape[1]
+    # the full spectrum: one singular value per unknown
+    rows = (tmp_path / "singular_values.csv").read_text().splitlines()
+    assert len(rows) == 1 + shape[1]
+
+
 def test_cli_boundary_with_csv(tmp_path):
     code = cli.main(["boundary", "--kg", "1", "--f", "sin(2*x1)",
                      "--csv-dir", str(tmp_path)])
@@ -214,6 +235,26 @@ def test_cli_boundary_accepts_csv_profile(tmp_path):
     assert cli.main(["boundary", "--kg", str(path), "--f", "sin(2*x1)"]) == 0
 
 
+def test_cli_boundary_csv_report_is_independent_of_its_directory(tmp_path):
+    n = 64
+    theta = 2 * math.pi * np.arange(n) / n
+    text = "theta,kg\n" + "\n".join(
+        f"{float(t)!r},{float(1 + 0.2 * np.cos(2 * t))!r}" for t in theta)
+    reports = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        path = tmp_path / sub / "kg.csv"
+        path.write_text(text + "\n")
+        reports.append(tmp_path / f"{sub}.json")
+        assert cli.main(["boundary", "--kg", str(path), "--f", "sin(2*x1)",
+                         "--report", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    inputs = json.loads(reports[0].read_text())["inputs"]
+    assert inputs["kg"] == "kg.csv"
+    assert inputs["kg_sha256"] == hashlib.sha256(
+        (text + "\n").encode()).hexdigest()
+
+
 def test_cli_usage_errors(tmp_path):
     assert cli.main(["no-such-command"]) == 64
     assert cli.main(["check-surface", "missing.json"]) == 64
@@ -229,10 +270,17 @@ def test_cli_usage_errors(tmp_path):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys as _sys
+
+    import rigidlab
+    # the child imports the same package as this process
+    src = os.path.dirname(os.path.dirname(rigidlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([_sys.executable, "-m", "rigidlab", "catalog"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "catalog-sphere" in proc.stdout
 

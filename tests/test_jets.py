@@ -116,3 +116,26 @@ def test_truncate_and_derivative_view():
     assert dx.value == pytest.approx(f.grad[0])
     assert dx.grad == pytest.approx(f.hess[0])
     assert dx.hess == pytest.approx(f.third[0])
+
+
+def _parts(jet):
+    return [jet.value, jet.grad, jet.hess, jet.third]
+
+
+@pytest.mark.parametrize("c", [2.5, -3, np.float64(0.7), np.array(-1.25)])
+def test_scalar_arithmetic_is_bitwise_the_product_rule(c):
+    rng = np.random.default_rng(11)
+    x, y = make_xy(rng.uniform(-1, 1, (9, 2)))
+    f = jt.exp(x) * jt.sin(y) + x * x * y
+    k = Jet.constant(c, 2, 3, batch_shape=f.value.shape)
+    pairs = [(f * c, f * k), (c * f, k * f), (f + c, f + k), (c + f, k + f),
+             (f - c, f - k), (c - f, k - f), (f / c, f * k.reciprocal()),
+             (c / f, k * f.reciprocal())]
+    for fast, slow in pairs:
+        for a, b in zip(_parts(fast), _parts(slow)):
+            assert a.tobytes() == b.tobytes()
+        # the result owns its arrays
+        for a, b in zip(_parts(fast), _parts(f)):
+            assert not np.shares_memory(a, b)
+    with pytest.raises(JetDomainError):
+        f / 0
