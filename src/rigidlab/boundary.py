@@ -40,7 +40,10 @@ import numpy as np
 
 from .expressions import evaluate_jet, parse_expression
 from .geometry import GeodesicChart, geodesic_boundary_chart
-from .quadrature import periodic_trapezoid, rk4_path
+from .jets import RigidlabError
+from .quadrature import (invert_antiderivative, periodic_antiderivative,
+                         periodic_trapezoid, rk4_path, spectral_derivative,
+                         trig_interpolate)
 
 __all__ = [
     "BoundaryError",
@@ -68,7 +71,7 @@ TWO_PI = 2.0 * math.pi
 ADMISSIBLE_TOL = 1e-8
 
 
-class BoundaryError(ValueError):
+class BoundaryError(RigidlabError):
     pass
 
 
@@ -86,14 +89,10 @@ def _as_theta_function(f):
     if callable(f):
         return lambda theta: np.asarray(f(np.asarray(theta, dtype=float)),
                                         dtype=float)
-    if isinstance(f, str):
-        ast = parse_expression(f, 1)
-        return lambda theta: evaluate_jet(
-            ast, np.asarray(theta, dtype=float)[..., None], order=0).value
     if isinstance(f, (int, float)):
         return lambda theta: np.full_like(np.asarray(theta, dtype=float),
                                           float(f))
-    ast = f
+    ast = parse_expression(f, 1) if isinstance(f, str) else f
     return lambda theta: evaluate_jet(
         ast, np.asarray(theta, dtype=float)[..., None], order=0).value
 
@@ -122,7 +121,7 @@ class BoundaryProfile:
             raise BoundaryError("k_g must be positive for the turning-angle "
                                 "parametrization")
         inv = 1.0 / kg_vals
-        s_vals = _periodic_antiderivative(inv, TWO_PI)
+        s_vals = periodic_antiderivative(inv, TWO_PI)
         length = float(periodic_trapezoid(inv, TWO_PI))
         return cls(theta=theta, kg_theta=kg_vals, s_of_theta=s_vals,
                    length=length, total_turning=TWO_PI, kg_s=None, kg_fn=fn)
@@ -132,23 +131,16 @@ class BoundaryProfile:
         """Profile from k_g as a periodic function of arclength on
         [0, length); the total turning is measured, not assumed."""
         fn = _as_theta_function(kg)
-        s_grid = length * np.arange(n_grid) / n_grid
-        kg_vals = fn(s_grid)
-        if np.any(kg_vals <= 0.0):
-            raise BoundaryError("k_g must be positive everywhere")
-        turning = float(periodic_trapezoid(kg_vals, length))
-        theta_of_s = _periodic_antiderivative(kg_vals, length)
-        s_ext = np.concatenate([s_grid, [length]])
-        th_ext = np.concatenate([theta_of_s, [turning]])
-        # resample to a uniform theta grid by monotone inversion
+
+        def density(s):
+            kg_vals = fn(s)
+            if np.any(kg_vals <= 0.0):
+                raise BoundaryError("k_g must be positive everywhere")
+            return kg_vals
+
+        s_of_theta, turning = invert_antiderivative(density, length, n_grid,
+                                                    n_grid)
         theta = turning * np.arange(n_grid) / n_grid
-        s_of_theta = np.interp(theta, th_ext, s_ext)
-        # refine by Newton steps on theta(s) = target
-        for _ in range(3):
-            s_mod = np.mod(s_of_theta, length)
-            k_here = fn(s_mod)
-            th_here = np.interp(s_mod, s_ext, th_ext)
-            s_of_theta = s_of_theta - (th_here - theta) / k_here
         kg_theta = fn(np.mod(s_of_theta, length))
         return cls(theta=theta, kg_theta=kg_theta, s_of_theta=s_of_theta,
                    length=float(length), total_turning=turning, kg_s=fn)
@@ -167,8 +159,12 @@ class BoundaryProfile:
                 header[0] not in ("theta", "s"):
             raise BoundaryError("profile CSV needs header 'theta,kg' or "
                                 "'s,kg'")
-        params = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
+        try:
+            table = np.array(rows, dtype=float).reshape(len(rows), 2)
+        except ValueError as exc:
+            raise BoundaryError(f"profile CSV rows must be two numbers "
+                                f"each ({exc})") from exc
+        params, values = table.T
         if params.size < 4:
             raise BoundaryError("profile CSV needs at least four samples")
         step = params[1] - params[0]
@@ -177,7 +173,7 @@ class BoundaryProfile:
         period = params.size * step
 
         def fn(x):
-            return _trig_interpolate(values, period, x)
+            return trig_interpolate(values, period, x)
 
         if header[0] == "theta":
             if abs(period - TWO_PI) > 1e-9:
@@ -192,9 +188,9 @@ class BoundaryProfile:
         classical orientation, which flips the sign (a convex cap then has
         positive k_g)."""
         kg_samples = -chart.kg
-        n_s = kg_samples.size
+
         def kg_fn(s):
-            return _trig_interpolate(kg_samples, chart.length, s)
+            return trig_interpolate(kg_samples, chart.length, s)
         return cls.from_arclength(kg_fn, chart.length, n_grid=n_grid)
 
     def theta_grid(self, n):
@@ -203,60 +199,7 @@ class BoundaryProfile:
         theta = TWO_PI * np.arange(n) / n
         if self.kg_fn is not None:
             return theta, self.kg_fn(theta)
-        return theta, _trig_interpolate(self.kg_theta, TWO_PI, theta)
-
-
-def _periodic_antiderivative(values, period):
-    """Antiderivative samples (starting at 0) of a periodic sample set:
-    mean ramp plus spectral antiderivative of the oscillating part."""
-    m = values.size
-    mean = float(np.mean(values))
-    spectrum = np.fft.rfft(values - mean)
-    k = np.fft.rfftfreq(m, d=1.0 / m)
-    factor = np.zeros_like(spectrum)
-    nonzero = k > 0
-    factor[nonzero] = 1.0 / (1j * k[nonzero] * TWO_PI / period)
-    if m % 2 == 0:
-        factor[-1] = 0.0
-    anti = np.fft.irfft(spectrum * factor, n=m)
-    anti = anti - anti[0]
-    x = period * np.arange(m) / m
-    return anti + mean * x
-
-
-def _trig_interpolate(samples, period, points):
-    """Evaluate the trigonometric interpolant of uniform periodic samples."""
-    m = samples.size
-    spectrum = np.fft.rfft(samples) / m
-    pts = np.asarray(points, dtype=float)
-    result = np.full(pts.shape, spectrum[0].real)
-    for k in range(1, spectrum.size):
-        weight = 1.0 if (m % 2 == 0 and k == m // 2) else 2.0
-        phase = TWO_PI * k * pts / period
-        result = result + weight * (spectrum[k].real * np.cos(phase)
-                                    - spectrum[k].imag * np.sin(phase))
-    return result
-
-
-def _spectral_derivative(samples, period):
-    """d/dtheta of uniform periodic samples, spectrally."""
-    m = samples.size
-    spectrum = np.fft.rfft(samples)
-    k = np.fft.rfftfreq(m, d=1.0 / m)
-    if m % 2 == 0:
-        k = k.copy()
-        k[-1] = 0.0
-    return np.fft.irfft(spectrum * (1j * k * TWO_PI / period), n=m)
-
-
-def _antiderivative_at(integrand_aligned, theta_aligned, points):
-    """Antiderivative (from 0) of a periodic integrand, evaluated at
-    arbitrary points: spectral periodic part plus the exact mean ramp."""
-    slope = float(np.mean(integrand_aligned))
-    full = _periodic_antiderivative(integrand_aligned, TWO_PI)
-    periodic_part = full - slope * theta_aligned
-    pts = np.asarray(points, dtype=float)
-    return _trig_interpolate(periodic_part, TWO_PI, pts) + slope * pts
+        return theta, trig_interpolate(self.kg_theta, TWO_PI, theta)
 
 
 def _antiderivative_half_step(integrand_aligned, theta_aligned):
@@ -265,7 +208,7 @@ def _antiderivative_half_step(integrand_aligned, theta_aligned):
     ramp exactly."""
     m = integrand_aligned.size
     slope = float(np.mean(integrand_aligned))
-    full = _periodic_antiderivative(integrand_aligned, TWO_PI)
+    full = periodic_antiderivative(integrand_aligned, TWO_PI)
     periodic_part = full - slope * theta_aligned
     spectrum = np.fft.rfft(periodic_part)
     k = np.fft.rfftfreq(m, d=1.0 / m)
@@ -321,7 +264,7 @@ def dong_conditions(source, tol=1e-6, depth=0.1, n_s=64, n_t=64):
         m = 2048
         s_grid = profile.length * np.arange(m) / m
         kg_vals = profile.kg_s(s_grid)
-        theta_of_s = _periodic_antiderivative(kg_vals, profile.length)
+        theta_of_s = periodic_antiderivative(kg_vals, profile.length)
         closure = periodic_trapezoid(np.exp(1j * theta_of_s), profile.length)
     else:
         closure = periodic_trapezoid(
@@ -466,8 +409,8 @@ def reference_curve(profile, n_grid=4096):
     theta, kg = profile.theta_grid(n_grid)
     dx1 = np.cos(theta) / kg
     dx2 = np.sin(theta) / kg
-    x1 = _periodic_antiderivative(dx1, TWO_PI)
-    x2 = _periodic_antiderivative(dx2, TWO_PI)
+    x1 = periodic_antiderivative(dx1, TWO_PI)
+    x2 = periodic_antiderivative(dx2, TWO_PI)
     gap = math.hypot(float(periodic_trapezoid(dx1, TWO_PI)),
                      float(periodic_trapezoid(dx2, TWO_PI)))
     area = -float(periodic_trapezoid(x2 * dx1, TWO_PI))
@@ -480,8 +423,8 @@ def reference_curve(profile, n_grid=4096):
 # ---------------------------------------------------------------------------
 
 def _uv_from_f(profile, f_vals, theta):
-    u = _periodic_antiderivative(f_vals * np.sin(theta), TWO_PI)
-    v = _periodic_antiderivative(f_vals * np.cos(theta), TWO_PI)
+    u = periodic_antiderivative(f_vals * np.sin(theta), TWO_PI)
+    v = periodic_antiderivative(f_vals * np.cos(theta), TWO_PI)
     return u, v
 
 
@@ -538,8 +481,8 @@ def uv_functions(profile, f, n_grid=4096, exclusion=1e-3):
     theta, kg = profile.theta_grid(n_grid)
     f_vals = f_fn(theta)
     u, v = _uv_from_f(profile, f_vals, theta)
-    x1 = _periodic_antiderivative(np.cos(theta) / kg, TWO_PI)
-    x2 = _periodic_antiderivative(np.sin(theta) / kg, TWO_PI)
+    x1 = periodic_antiderivative(np.cos(theta) / kg, TWO_PI)
+    x2 = periodic_antiderivative(np.sin(theta) / kg, TWO_PI)
 
     if n_grid % 2:
         raise BoundaryError("uv_functions needs an even grid size")
@@ -552,8 +495,8 @@ def uv_functions(profile, f, n_grid=4096, exclusion=1e-3):
     big_v = v + constant * x1
 
     # numeric identity check: differentiate the constructed U, V spectrally
-    du = _spectral_derivative(big_u, TWO_PI)
-    dv = _spectral_derivative(big_v, TWO_PI)
+    du = spectral_derivative(big_u, TWO_PI)
+    dv = spectral_derivative(big_v, TWO_PI)
     keep = np.ones_like(theta, dtype=bool)
     for point in (0.0, math.pi, TWO_PI):
         keep &= np.abs(theta - point) > exclusion
@@ -601,7 +544,7 @@ def boundary_energy_inequality(profile, f, n_grid=4096):
         f_al * np.cos(theta_al) * u_al, TWO_PI))
 
     half = n // 2
-    x2_al = _periodic_antiderivative(np.sin(theta_al) / kg_al, TWO_PI)
+    x2_al = periodic_antiderivative(np.sin(theta_al) / kg_al, TWO_PI)
     denom = x2_al[half]
     if abs(denom) < 1e-14:
         raise BoundaryError("degenerate normalization: int_0^pi sin/k_g = 0")

@@ -22,6 +22,7 @@ from . import geometry as gm
 from . import highdim as hd
 from . import pairs as pr
 from . import surfaces as sf
+from .jets import RigidlabError
 from .report import CheckEntry, Report
 
 USAGE_ERROR = 64
@@ -44,6 +45,12 @@ def _grid(text):
         raise _UsageError(f"bad grid {text!r}, expected e.g. 64x32") from exc
 
 
+def _count(text):
+    if not text.isdecimal():
+        raise _UsageError(f"bad count {text!r}, expected an integer >= 0")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(prog="rigidlab",
                      description="numerical rigidity checks for immersed "
@@ -58,13 +65,13 @@ def build_parser():
     p = sub.add_parser("check-surface", help="pointwise identity suite")
     p.add_argument("surface", help="catalog name or surface JSON file")
     p.add_argument("--grid", type=_grid, default=(32, 32))
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_count, default=200)
     common(p)
 
     p = sub.add_parser("pair-check", help="isometric-pair diagnostics")
     p.add_argument("pair", help="pair JSON file: {surfaces: [a, b], "
                                 "tolerance: t}")
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_count, default=100)
     common(p)
 
     p = sub.add_parser("flex-kernel", help="discrete kernel certification")
@@ -112,6 +119,9 @@ def run_check_surface(args):
     if immersion.dim == len(args.grid):
         grid_pts = gm.sample_grid(immersion, args.grid, margin=0.02)
         pts = np.concatenate([pts, grid_pts.reshape(-1, immersion.dim)])
+    if len(pts) == 0:
+        raise _UsageError("check-surface needs at least one sample point "
+                          "(--points or --grid)")
     frame = gm.frame_at(immersion, pts, order=3)
 
     unit = np.abs(np.einsum("...a,...a->...", frame.normal, frame.normal) - 1)
@@ -175,6 +185,8 @@ def _load_pair(path):
 
 
 def run_pair_check(args):
+    if args.points == 0:
+        raise _UsageError("pair-check needs --points >= 1")
     pair = _load_pair(args.pair)
     report = Report(command="pair-check", seed=args.seed,
                     inputs={"first": pair.first.name,
@@ -253,15 +265,24 @@ def _parse_h(args):
     if args.h and args.h_file:
         raise _UsageError("give either --h or --h-file, not both")
     if args.h:
-        diag = [float(x) for x in args.h.split(",")]
-        if args.dim is not None and args.dim != len(diag):
+        try:
+            h = np.diag([float(x) for x in args.h.split(",")])
+        except ValueError as exc:
+            raise _UsageError(f"bad --h diagonal {args.h!r}") from exc
+        if args.dim is not None and args.dim != len(h):
             raise _UsageError("--dim does not match the --h diagonal length")
-        return np.diag(diag)
-    if args.h_file:
+    elif args.h_file:
         with open(args.h_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return np.asarray(data["h"], dtype=float)
-    raise _UsageError("pointwise-gauss needs --h or --h-file")
+            try:
+                h = np.asarray(json.load(fh)["h"], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _UsageError(f"{args.h_file}: needs a numeric 'h' "
+                                  "matrix") from exc
+    else:
+        raise _UsageError("pointwise-gauss needs --h or --h-file")
+    if not np.all(np.isfinite(h)):
+        raise _UsageError("h has non-finite entries")
+    return h
 
 
 def run_pointwise_gauss(args):
@@ -291,6 +312,8 @@ def _kg_inputs(kg):
 
 
 def run_boundary(args):
+    if args.steps < 1:
+        raise _UsageError("boundary needs --steps >= 1")
     report = Report(command="boundary", seed=args.seed,
                     inputs={**_kg_inputs(args.kg), "f": args.f,
                             "steps": args.steps})
@@ -390,8 +413,7 @@ _RUNNERS = {
 
 
 _INPUT_ERRORS = (_UsageError, FileNotFoundError, json.JSONDecodeError,
-                 gm.GeometryError, pr.PairError, bd.BoundaryError,
-                 fx.FlexError, hd.HighDimError)
+                 RigidlabError)
 
 
 def main(argv=None):

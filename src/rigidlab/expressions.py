@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .jets import Jet
+from .jets import Jet, RigidlabError
 
 __all__ = [
     "Var",
@@ -40,7 +40,7 @@ UNARY_FUNCTIONS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
 BINARY_OPS = ("+", "-", "*", "/")
 
 
-class ExpressionError(ValueError):
+class ExpressionError(RigidlabError):
     """Parse or validation failure; ``offset`` is a 1-based byte position."""
 
     def __init__(self, message, offset=None):

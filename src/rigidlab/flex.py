@@ -39,7 +39,7 @@ from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
 from .expressions import evaluate_jet, parse_expression
 from .geometry import frame_at, sample_grid
-from .jets import Jet, derivative_view
+from .jets import Jet, RigidlabError, derivative_view
 from .linalg import singular_values
 
 __all__ = [
@@ -73,7 +73,7 @@ MAX_SPECTRUM_BYTES = 4 * 2**30
 FLEX_RESIDUAL_TOL = 1e-8
 
 
-class FlexError(ValueError):
+class FlexError(RigidlabError):
     pass
 
 
@@ -241,6 +241,7 @@ class RotationJets:
     normal: list                  # oriented unit normal n
     dual: list                    # t^i = g^{ij} r_j
     y: dict                       # (a, b) -> Y_ab, a < b
+    tau: list                     # the field tau, at the chart jets' order
 
     def frame(self):
         """Values of the columns r_1 .. r_n, n: shape (..., A, n + 1)."""
@@ -340,7 +341,7 @@ def rotation_jets(immersion, fld, point, order):
                                  - dual[j][a] * dual[i][b])
             y[(a, b)] = acc
     return RotationJets(tangents=ri, dtau=taui, metric=g, normal=normal,
-                        dual=dual, y=y)
+                        dual=dual, y=y, tau=tau)
 
 
 def _surface_rotation(immersion, fld, point, order):
@@ -458,16 +459,18 @@ def phi_relation_residual(immersion, fld, point):
     fr = frame_at(immersion, point, order=2)
     wt = _w_tensor(rj, fr)
     sup = support_at(immersion, point, frame=fr)
-    fj = field_jets(immersion, fld, point, order=2)
+    tau = np.stack([c.value for c in rj.tau], axis=-1)
+    dtau = np.stack([c.grad for c in rj.tau], axis=-2)
+    ddtau = np.stack([c.hess for c in rj.tau], axis=-3)
 
     pos, tang = fr.position, fr.tangents
-    phi = np.einsum("...a,...a->...", pos, fj.value)
-    dphi = (np.einsum("...ai,...a->...i", tang, fj.value)
-            + np.einsum("...a,...ai->...i", pos, fj.grad))
-    ddphi = (np.einsum("...aij,...a->...ij", fr.d2, fj.value)
-             + np.einsum("...ai,...aj->...ij", tang, fj.grad)
-             + np.einsum("...aj,...ai->...ij", tang, fj.grad)
-             + np.einsum("...a,...aij->...ij", pos, fj.hess))
+    phi = np.einsum("...a,...a->...", pos, tau)
+    dphi = (np.einsum("...ai,...a->...i", tang, tau)
+            + np.einsum("...a,...ai->...i", pos, dtau))
+    ddphi = (np.einsum("...aij,...a->...ij", fr.d2, tau)
+             + np.einsum("...ai,...aj->...ij", tang, dtau)
+             + np.einsum("...aj,...ai->...ij", tang, dtau)
+             + np.einsum("...a,...aij->...ij", pos, ddtau))
     phi_hess = ddphi - np.einsum("...kij,...k->...ij", fr.christoffels, dphi)
 
     grad_pair = np.einsum("...i,...ij,...j->...",
@@ -485,7 +488,7 @@ def phi_relation_residual(immersion, fld, point):
     # b = tau - Y x r should equal g^{ij} phi_i r_j + (phi - grad phi .
     # grad rho) / mu * n wherever mu is not degenerate
     y = _hodge(rj.rotation()[0])
-    b_vec = fj.value - np.cross(y, pos)
+    b_vec = tau - np.cross(y, pos)
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = np.where(skipped, 0.0, (phi - grad_pair)
                         / np.where(skipped, 1.0, mu))
@@ -733,9 +736,6 @@ def _direction_stencils(immersion, grid, axis):
     forward = [(0, -1.0 / spacing), (1, 1.0 / spacing)]
     backward = [(-1, -1.0 / spacing), (0, 1.0 / spacing)]
 
-    if m < 5:
-        raise FlexError("grid too coarse for the 5-point stencil "
-                        f"(axis {axis} has {m} nodes)")
     groups = []
     if periodic:
         groups.append((broadcast(ones), centered))
@@ -783,6 +783,8 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     if immersion.dim != 2:
         raise FlexError("the flex operator is assembled for surfaces (n = 2)")
     ns, nt = grid
+    if min(grid) < 5:
+        raise FlexError(f"grid {ns}x{nt} too coarse for the 5-point stencil")
     n_nodes = ns * nt
     n_unknowns = 3 * n_nodes
     s_axis, t_axis = _grid_axes(immersion, grid)
@@ -947,11 +949,6 @@ def _grid_rotation(immersion, grid, positions, tol=1e-12):
     return rot if err <= tol * scale else None
 
 
-def _detect_rotational_symmetry(op, tol=1e-12):
-    """``_grid_rotation`` of an assembled operator's samples."""
-    return _grid_rotation(op.immersion, op.grid, op.positions, tol)
-
-
 def _sector_singular_values(op, rot):
     """Singular values of the (pole-reduced) operator through the discrete
     Fourier block decomposition; equals the dense spectrum to rounding.
@@ -1006,9 +1003,6 @@ class KernelReport:
     expected_trivial: int = 6
     singular_values: Optional[np.ndarray] = None   # ascending
     route: str = "dense"          # "dense" SVD or Fourier "sector" blocks
-
-    def is_certificate(self):
-        return self.verdict == "certified-rigid"
 
 
 def kernel_dimension(op, rel_tol=1e-8, gap_requirement=10.0):

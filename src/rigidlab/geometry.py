@@ -20,6 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .expressions import evaluate_jet
+from .jets import RigidlabError
+from .quadrature import invert_antiderivative, spectral_derivative
 
 __all__ = [
     "GeometryError",
@@ -42,7 +44,7 @@ __all__ = [
 DEGENERACY_RTOL = 1e-12
 
 
-class GeometryError(ValueError):
+class GeometryError(RigidlabError):
     pass
 
 
@@ -87,9 +89,6 @@ class Immersion:
     def ambient_dim(self):
         return self.dim + 1
 
-    def widths(self):
-        return np.array([hi - lo for lo, hi in self.domain])
-
     def contains(self, point, slack=1e-9):
         pts = np.asarray(point, dtype=float)
         ok = np.ones(pts.shape[:-1], dtype=bool)
@@ -125,10 +124,6 @@ class PointFrame:
     order: int
     d3: Optional[np.ndarray] = None   # (..., A, n, n, n)
     jets: Optional[list] = field(default=None, repr=False)
-
-    @property
-    def sqrt_det_metric(self):
-        return np.sqrt(self.det_metric)
 
 
 def _component_jets(immersion, point, order):
@@ -355,20 +350,6 @@ class GeodesicChart:
         return L, M, N
 
 
-def _fourier_derivative(values, period, axis=0):
-    """Spectral derivative of a smooth periodic sample set along ``axis``."""
-    m = values.shape[axis]
-    spectrum = np.fft.rfft(values, axis=axis)
-    k = np.fft.rfftfreq(m, d=1.0 / m)          # 0, 1, ..., m/2
-    if m % 2 == 0:
-        k = k.copy()
-        k[-1] = 0.0                            # drop the unpaired Nyquist mode
-    shape = [1] * values.ndim
-    shape[axis] = k.size
-    spectrum = spectrum * (1j * k.reshape(shape) * 2.0 * np.pi / period)
-    return np.fft.irfft(spectrum, n=m, axis=axis)
-
-
 def _metric_at(immersion, pts):
     jts = [evaluate_jet(c, pts, order=1) for c in immersion.components]
     tang = np.stack([j.grad for j in jts], axis=-2)
@@ -410,25 +391,12 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
         g = _metric_at(immersion, curve_point(sigma))
         return np.sqrt(g[..., other, other])
 
-    # total boundary length by periodic trapezoid on a fine grid
-    fine = plo + period * np.arange(4096) / 4096
-    length = float(np.mean(speed(fine)) * period)
-
-    # equal-arclength parameter values sigma(s_k) by RK4 on ds/dsigma inverse
-    n_sub = 32
-    sigma_targets = np.empty(n_s)
-    sigma = plo
+    # equal-arclength parameter values and the total boundary length from
+    # the spectral antiderivative of the speed on a fine grid
+    sigma_nodes, length = invert_antiderivative(
+        lambda x: speed(plo + x), period, n_s, 4096)
     ds = length / n_s
-    for k in range(n_s):
-        sigma_targets[k] = sigma
-        hstep = ds / n_sub
-        for _ in range(n_sub):
-            k1 = 1.0 / speed(sigma)
-            k2 = 1.0 / speed(sigma + 0.5 * hstep * k1)
-            k3 = 1.0 / speed(sigma + 0.5 * hstep * k2)
-            k4 = 1.0 / speed(sigma + hstep * k3)
-            sigma = sigma + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    start_pts = curve_point(sigma_targets)
+    start_pts = curve_point(plo + sigma_nodes)
 
     # inward unit normals in chart coordinates
     fr0 = frame_at(immersion, start_pts, order=2)
@@ -465,7 +433,7 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
     s_nodes = ds * np.arange(n_s)
     ramp = np.zeros_like(pts)
     ramp[..., other] = (period / length) * s_nodes[:, None]
-    Fs = _fourier_derivative(pts - ramp, length, axis=0)
+    Fs = spectral_derivative(pts - ramp, length, axis=0)
     Fs[..., other] += period / length
     g_grid = _metric_at(immersion, pts)
     Ft = vel

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flex import rotation_jets
+from .jets import RigidlabError
 from .linalg import null_space, numerical_rank
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 
-class HighDimError(ValueError):
+class HighDimError(RigidlabError):
     pass
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "Jet",
+    "RigidlabError",
     "JetDomainError",
     "sin",
     "cos",
@@ -24,7 +25,12 @@ __all__ = [
 ]
 
 
-class JetDomainError(ValueError):
+class RigidlabError(ValueError):
+    """Base of every error a bad input raises in this package; the CLI maps
+    it to a usage error."""
+
+
+class JetDomainError(RigidlabError):
     """Raised when a function is evaluated outside its domain (log of a
     non-positive number, division by zero, and similar)."""
 
@@ -104,14 +110,6 @@ class Jet:
         shape = np.broadcast_shapes(arr.shape, self.value.shape)
         return Jet.constant(arr, self.nvars, self.order, batch_shape=shape)
 
-    def copy(self):
-        return self._like(
-            self.value.copy(),
-            None if self.grad is None else self.grad.copy(),
-            None if self.hess is None else self.hess.copy(),
-            None if self.third is None else self.third.copy(),
-        )
-
     def truncate(self, order):
         """View of this jet at a lower order (components are shared)."""
         if order > self.order:
@@ -122,17 +120,6 @@ class Jet:
             self.hess if order >= 2 else None,
             self.third if order >= 3 else None,
             nvars=self.nvars, order=order)
-
-    # -- derivative accessors ----------------------------------------------
-
-    def d(self, i):
-        return self.grad[..., i]
-
-    def d2(self, i, j):
-        return self.hess[..., i, j]
-
-    def d3(self, i, j, k):
-        return self.third[..., i, j, k]
 
     # -- ring operations ----------------------------------------------------
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .darboux import support_at
 from .geometry import frame_at, sample_grid, second_form_derivatives
+from .jets import RigidlabError
 from .quadrature import gauss_legendre_nodes
 
 __all__ = [
@@ -47,7 +48,7 @@ __all__ = [
 SINGULAR_HBAR_RTOL = 1e-10
 
 
-class PairError(ValueError):
+class PairError(RigidlabError):
     pass
 
 

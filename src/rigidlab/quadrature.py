@@ -1,4 +1,6 @@
-"""Quadrature rules and the classical RK4 stepper shared across modules."""
+"""Quadrature rules, the periodic spectral calculus on uniform samples of
+one period (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3-4) and
+the classical RK4 stepper shared across modules."""
 
 from __future__ import annotations
 
@@ -9,7 +11,13 @@ __all__ = [
     "gauss_legendre_nodes",
     "gauss_legendre",
     "rk4_path",
+    "periodic_antiderivative",
+    "trig_interpolate",
+    "spectral_derivative",
+    "invert_antiderivative",
 ]
+
+TWO_PI = 2.0 * np.pi
 
 
 def periodic_trapezoid(samples, period=2.0 * np.pi, axis=-1):
@@ -64,3 +72,75 @@ def rk4_path(rhs, y0, t0, t1, steps):
         y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         out[k + 1] = y
     return t_nodes, out
+
+
+def periodic_antiderivative(values, period):
+    """Antiderivative samples (starting at 0) of a periodic sample set:
+    mean ramp plus spectral antiderivative of the oscillating part."""
+    m = values.size
+    mean = float(np.mean(values))
+    spectrum = np.fft.rfft(values - mean)
+    k = np.fft.rfftfreq(m, d=1.0 / m)
+    factor = np.zeros_like(spectrum)
+    nonzero = k > 0
+    factor[nonzero] = 1.0 / (1j * k[nonzero] * TWO_PI / period)
+    if m % 2 == 0:
+        factor[-1] = 0.0
+    anti = np.fft.irfft(spectrum * factor, n=m)
+    anti = anti - anti[0]
+    x = period * np.arange(m) / m
+    return anti + mean * x
+
+
+def trig_interpolate(samples, period, points):
+    """Evaluate the trigonometric interpolant of uniform periodic samples.
+
+    One pass per mode keeps the working set at the size of ``points``."""
+    m = samples.size
+    spectrum = np.fft.rfft(samples) / m
+    pts = np.asarray(points, dtype=float)
+    result = np.full(pts.shape, spectrum[0].real)
+    for k in range(1, spectrum.size):
+        weight = 1.0 if (m % 2 == 0 and k == m // 2) else 2.0
+        phase = TWO_PI * k * pts / period
+        result = result + weight * (spectrum[k].real * np.cos(phase)
+                                    - spectrum[k].imag * np.sin(phase))
+    return result
+
+
+def spectral_derivative(values, period, axis=0):
+    """Derivative of smooth periodic samples along ``axis``, spectrally."""
+    m = values.shape[axis]
+    spectrum = np.fft.rfft(values, axis=axis)
+    k = np.fft.rfftfreq(m, d=1.0 / m)          # 0, 1, ..., m/2
+    if m % 2 == 0:
+        k[-1] = 0.0                            # drop the unpaired Nyquist mode
+    shape = [1] * values.ndim
+    shape[axis] = k.size
+    spectrum = spectrum * (1j * k.reshape(shape) * TWO_PI / period)
+    return np.fft.irfft(spectrum, n=m, axis=axis)
+
+
+def invert_antiderivative(density, period, count, samples):
+    """Nodes x_k with int_0^{x_k} density = total k / count,
+    k = 0 .. count - 1, and the total integral over one period.
+
+    ``density`` is a positive periodic callable, sampled at ``samples``
+    uniform points for a spectral antiderivative F.  Monotone linear
+    inversion of the F samples gives the start; three Newton steps follow,
+    each evaluating F exactly (trig interpolant of its periodic part plus
+    the mean ramp) and dividing by the exact density."""
+    grid = period * np.arange(samples) / samples
+    values = density(grid)
+    slope = float(np.mean(values))
+    total = slope * period
+    anti = periodic_antiderivative(values, period)
+    periodic_part = anti - slope * grid
+    targets = total * np.arange(count) / count
+    nodes = np.interp(targets, np.append(anti, total),
+                      np.append(grid, period))
+    for _ in range(3):
+        residual = (trig_interpolate(periodic_part, period, nodes)
+                    + slope * nodes - targets)
+        nodes = nodes - residual / density(nodes)
+    return nodes, total

@@ -11,8 +11,9 @@ from rigidlab.boundary import (BoundaryError, BoundaryProfile,
                                random_admissible_profile_function,
                                reference_curve, solve_boundary_ode,
                                trig_polynomial, uv_functions)
-from rigidlab.boundary import _constraint_matrix, _spectral_derivative
+from rigidlab.boundary import _constraint_matrix
 from rigidlab.geometry import geodesic_boundary_chart
+from rigidlab.quadrature import spectral_derivative
 
 TWO_PI = 2 * math.pi
 
@@ -32,6 +33,17 @@ def test_arclength_profile_measures_turning(circle):
     assert prof.total_turning == pytest.approx(4 * math.pi)
     assert circle.total_turning == pytest.approx(TWO_PI)
     assert circle.length == pytest.approx(TWO_PI)
+
+
+def test_arclength_profile_inverts_the_turning_angle():
+    # k_g(s) = 1 + 0.5 cos s + 0.2 sin 3s turns by
+    # theta(s) = s + 0.5 sin s + 0.2 (1 - cos 3s) / 3
+    prof = BoundaryProfile.from_arclength(
+        lambda s: 1 + 0.5 * np.cos(s) + 0.2 * np.sin(3 * s), TWO_PI)
+    s = prof.s_of_theta
+    theta = s + 0.5 * np.sin(s) + 0.2 * (1 - np.cos(3 * s)) / 3
+    assert prof.total_turning == pytest.approx(TWO_PI, abs=1e-12)
+    assert np.max(np.abs(theta - prof.theta)) < 1e-12
 
 
 def test_homogeneous_ode_solution_rotates(circle):
@@ -75,10 +87,10 @@ def test_reference_curve_perturbed_profile_closes():
 def test_reference_curve_curvature_reconstruction():
     prof = BoundaryProfile.from_theta("1 + 0.3*cos(2*x1)")
     curve = reference_curve(prof, n_grid=2048)
-    x1p = _spectral_derivative(curve.x1, TWO_PI)
-    x2p = _spectral_derivative(curve.x2, TWO_PI)
-    x1pp = _spectral_derivative(x1p, TWO_PI)
-    x2pp = _spectral_derivative(x2p, TWO_PI)
+    x1p = spectral_derivative(curve.x1, TWO_PI)
+    x2p = spectral_derivative(curve.x2, TWO_PI)
+    x1pp = spectral_derivative(x1p, TWO_PI)
+    x2pp = spectral_derivative(x2p, TWO_PI)
     kappa = (x1p * x2pp - x2p * x1pp) / (x1p**2 + x2p**2) ** 1.5
     _, kg = prof.theta_grid(2048)
     assert np.max(np.abs(kappa - kg)) < 1e-6

@@ -152,6 +152,26 @@ def test_phi_relation_skips_support_degenerate_points():
     assert res.skipped.all()
 
 
+def test_phi_relation_evaluates_each_chart_jet_once(monkeypatch):
+    from rigidlab import flex, geometry
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return evaluate_jet(*args, **kwargs)
+
+    monkeypatch.setattr(flex, "evaluate_jet", counted)
+    monkeypatch.setattr(geometry, "evaluate_jet", counted)
+    surf = sf.ellipsoid()
+    pts = interior_points(surf, 10, np.random.default_rng(5))
+    res = phi_relation_residual(surf, random_trivial_motion(
+        np.random.default_rng(6)), pts)
+    # three order-3 jets for the rotation, three order-2 ones for the frame
+    assert sorted(calls) == [2, 2, 2, 3, 3, 3]
+    assert np.max(res.max_residual) < 1e-8
+
+
 # -- closed one-form ----------------------------------------------------------
 
 def test_closed_one_form_trivial_cases():
@@ -243,12 +263,11 @@ def test_sphere_small_grid_certificate():
 
 
 def test_sector_decomposition_matches_dense_spectrum():
-    from rigidlab.flex import (_detect_rotational_symmetry,
-                               _sector_singular_values)
+    from rigidlab.flex import _sector_singular_values
     from rigidlab.linalg import singular_values
 
     op = assemble_flex_operator(sf.sphere(1.0), grid=(16, 8))
-    rot = _detect_rotational_symmetry(op)
+    rot = op.rotation
     assert rot is not None
     fast = _sector_singular_values(op, rot)
     dense = singular_values(op.matrix)
@@ -256,7 +275,7 @@ def test_sector_decomposition_matches_dense_spectrum():
     assert np.max(np.abs(fast - dense)) < 1e-12 * dense[0]
     # a chart without the revolution symmetry falls back to the dense path
     ell = assemble_flex_operator(sf.ellipsoid(), grid=(16, 8))
-    assert _detect_rotational_symmetry(ell) is None
+    assert ell.rotation is None
     rep = kernel_dimension(ell, rel_tol=1e-8)
     assert rep.dimension == 6
 

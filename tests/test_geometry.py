@@ -4,10 +4,11 @@ import pytest
 from rigidlab import surfaces as sf
 from rigidlab.expressions import parse_expression
 from rigidlab.geometry import (DegenerateFrameError, GeodesicChartError,
-                               brioschi_curvature, codazzi_residual,
-                               covariant_hessian, frame_at,
+                               Immersion, brioschi_curvature,
+                               codazzi_residual, covariant_hessian, frame_at,
                                geodesic_boundary_chart, interior_points,
                                second_form_derivatives)
+from rigidlab.quadrature import gauss_legendre
 
 CATALOG = [sf.sphere(1.0), sf.sphere(2.0), sf.ellipsoid(), sf.cylinder(1.0),
            sf.saddle(), sf.quartic_cap()]
@@ -115,6 +116,28 @@ def test_spherical_cap_geodesic_curvature():
     assert np.max(np.abs(chart.kg + np.tan(lat0))) < 1e-6
     expected = np.cos(lat0 + chart.t) / np.cos(lat0)
     assert np.max(np.abs(chart.B - expected[None, :])) < 1e-10
+
+
+def test_chart_start_points_are_equally_spaced_in_arclength():
+    # the edge x2 = 1 is the ellipse (2 cos x1, sin x1, 0), whose parameter
+    # speed sqrt(1 + 3 sin^2 x1) is far from constant
+    cap = Immersion("elliptic_cap", 2, tuple(
+        parse_expression(c, 2)
+        for c in ("2*x2*cos(x1)", "x2*sin(x1)", "(1 - x2^2)^2")),
+        ((0.0, 2 * np.pi), (0.2, 1.0)), (True, False))
+    chart = geodesic_boundary_chart(cap, (1, "hi"), depth=0.05,
+                                    n_s=64, n_t=4)
+
+    def speed(x):
+        return np.sqrt(1.0 + 3.0 * np.sin(x) ** 2)
+
+    sigma = chart.points[:, 0, 0]
+    ends = np.append(sigma[1:], sigma[0] + 2 * np.pi)
+    arcs = np.array([gauss_legendre(speed, a, b)
+                     for a, b in zip(sigma, ends)])
+    assert chart.length == pytest.approx(
+        gauss_legendre(speed, 0.0, 2 * np.pi, cells=32), abs=1e-12)
+    assert np.max(np.abs(arcs - chart.length / 64)) < 1e-12
 
 
 def test_geodesic_leaves_domain_raises():

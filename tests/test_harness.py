@@ -255,18 +255,45 @@ def test_cli_boundary_csv_report_is_independent_of_its_directory(tmp_path):
         (text + "\n").encode()).hexdigest()
 
 
-def test_cli_usage_errors(tmp_path):
-    assert cli.main(["no-such-command"]) == 64
-    assert cli.main(["check-surface", "missing.json"]) == 64
-    assert cli.main(["flex-kernel", "plane", "--grid", "banana"]) == 64
-    assert cli.main(["pointwise-gauss"]) == 64
+def test_cli_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert cli.main(["check-surface", str(bad)]) == 64
-    assert cli.main(["boundary", "--kg", "cos(x1)"]) == 64   # k_g <= 0
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"name": "x", "dim": 2}))
-    assert cli.main(["check-surface", str(incomplete)]) == 64
+    text_row = tmp_path / "text_row.csv"
+    text_row.write_text("s,kg\n0,1\n1,one\n2,1\n3,1\n")
+    nan_h = tmp_path / "nan_h.json"
+    nan_h.write_text('{"h": [[1, 0, 0], [0, NaN, 0], [0, 0, 1]]}')
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"surfaces": ["sphere", "sphere"]}))
+    bad_variable = tmp_path / "bad_variable.json"
+    bad_variable.write_text(json.dumps({
+        "name": "x", "dim": 2, "components": ["x1", "x2", "x3"],
+        "domain": [[0, 1], [0, 1]], "periodic": [False, False]}))
+    for argv in (
+            ["no-such-command"],
+            ["check-surface", "missing.json"],
+            ["flex-kernel", "plane", "--grid", "banana"],
+            ["pointwise-gauss"],
+            ["check-surface", str(bad)],
+            ["boundary", "--kg", "cos(x1)"],                 # k_g <= 0
+            ["check-surface", str(incomplete)],
+            ["check-surface", str(bad_variable)],
+            ["boundary", "--kg", str(text_row)],
+            ["pointwise-gauss", "--h", "1,nan,2"],
+            ["pointwise-gauss", "--h", "1,inf,2"],
+            ["pointwise-gauss", "--h-file", str(nan_h)],
+            ["check-surface", "sphere", "--points", "-1"],
+            ["pair-check", str(pair), "--points", "0"],
+            ["check-surface", "sphere", "--points", "0", "--grid", "0x0"],
+            ["boundary", "--f", "sin("],
+            ["boundary", "--kg", "log(x1)"],
+            ["boundary", "--steps", "0"],
+            ["flex-kernel", "sphere", "--grid", "0x0"]):
+        assert cli.main(argv) == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, (argv, captured.err)
 
 
 def test_module_entry_point():
