@@ -42,8 +42,8 @@ from .expressions import evaluate_jet, parse_expression
 from .geometry import GeodesicChart, geodesic_boundary_chart
 from .jets import RigidlabError
 from .quadrature import (invert_antiderivative, periodic_antiderivative,
-                         periodic_trapezoid, rk4_path, spectral_derivative,
-                         trig_interpolate)
+                         periodic_trapezoid, rk4_path, rk4_stage_times,
+                         spectral_derivative, trig_interpolate)
 
 __all__ = [
     "BoundaryError",
@@ -129,8 +129,19 @@ class BoundaryProfile:
     @classmethod
     def from_arclength(cls, kg, length, n_grid=2048):
         """Profile from k_g as a periodic function of arclength on
-        [0, length); the total turning is measured, not assumed."""
-        fn = _as_theta_function(kg)
+        [0, length); the total turning is measured, not assumed.
+
+        ``kg`` may also be a 1-D array of uniform periodic samples over
+        [0, length): k_g is then their trigonometric interpolant, whose
+        antiderivative is exact to rounding on twice as many samples."""
+        if isinstance(kg, np.ndarray):
+            samples = 2 * kg.size
+
+            def fn(s):
+                return trig_interpolate(kg, length, s)
+        else:
+            samples = n_grid
+            fn = _as_theta_function(kg)
 
         def density(s):
             kg_vals = fn(s)
@@ -139,7 +150,7 @@ class BoundaryProfile:
             return kg_vals
 
         s_of_theta, turning = invert_antiderivative(density, length, n_grid,
-                                                    n_grid)
+                                                    samples)
         theta = turning * np.arange(n_grid) / n_grid
         kg_theta = fn(np.mod(s_of_theta, length))
         return cls(theta=theta, kg_theta=kg_theta, s_of_theta=s_of_theta,
@@ -171,15 +182,12 @@ class BoundaryProfile:
         if np.max(np.abs(np.diff(params) - step)) > 1e-9 * abs(step):
             raise BoundaryError("profile CSV samples must be uniform")
         period = params.size * step
-
-        def fn(x):
-            return trig_interpolate(values, period, x)
-
         if header[0] == "theta":
             if abs(period - TWO_PI) > 1e-9:
                 raise BoundaryError("theta samples must cover one full turn")
-            return cls.from_theta(fn, n_grid=n_grid)
-        return cls.from_arclength(fn, period, n_grid=n_grid)
+            return cls.from_theta(
+                lambda x: trig_interpolate(values, period, x), n_grid=n_grid)
+        return cls.from_arclength(values, period, n_grid=n_grid)
 
     @classmethod
     def from_chart(cls, chart: GeodesicChart, n_grid=2048):
@@ -187,11 +195,7 @@ class BoundaryProfile:
         k_g = B_t(s, 0) with inward t; the boundary profile uses the
         classical orientation, which flips the sign (a convex cap then has
         positive k_g)."""
-        kg_samples = -chart.kg
-
-        def kg_fn(s):
-            return trig_interpolate(kg_samples, chart.length, s)
-        return cls.from_arclength(kg_fn, chart.length, n_grid=n_grid)
+        return cls.from_arclength(-chart.kg, chart.length, n_grid=n_grid)
 
     def theta_grid(self, n):
         if n == self.theta.size:
@@ -367,12 +371,17 @@ class BoundaryODESolution:
 
 def solve_boundary_ode(profile, f, c1=0.0, c2=0.0, n_steps=4096):
     """Integrate the boundary ODE in the turning angle and compare with the
-    closed form built from u = int f sin, v = int f cos."""
-    f_fn = _as_theta_function(f)
+    closed form built from u = int f sin, v = int f cos.
+
+    f is evaluated once, on the table of RK4 stage angles (a callable f
+    must accept an array of angles); the stepper then reads it by angle."""
+    stages = rk4_stage_times(0.0, TWO_PI, n_steps)[2].ravel()
+    f_vals = np.broadcast_to(_as_theta_function(f)(stages), stages.shape)
+    f_at = dict(zip(stages.tolist(), f_vals.tolist()))
 
     def rhs(theta, y):
         phi_s, phi_t, u, v = y
-        fv = float(f_fn(theta))
+        fv = f_at[theta]
         return np.array([phi_t, -phi_s + fv,
                          fv * math.sin(theta), fv * math.cos(theta)])
 

@@ -51,6 +51,17 @@ def _count(text):
     return int(text)
 
 
+def _tolerance(text):
+    try:
+        value = float(text)
+        if not 0.0 <= value < 1.0:          # NaN fails the comparison too
+            raise ValueError
+    except ValueError as exc:
+        raise _UsageError(f"bad tolerance {text!r}, expected a finite "
+                          "number in [0, 1)") from exc
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="rigidlab",
                      description="numerical rigidity checks for immersed "
@@ -58,7 +69,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_count, default=0)
         p.add_argument("--report", help="write the JSON report here")
         p.add_argument("--csv-dir", help="emit CSV series into this directory")
 
@@ -77,7 +88,7 @@ def build_parser():
     p = sub.add_parser("flex-kernel", help="discrete kernel certification")
     p.add_argument("surface")
     p.add_argument("--grid", type=_grid, default=(64, 32))
-    p.add_argument("--svd-tol", type=float, default=1e-8)
+    p.add_argument("--svd-tol", type=_tolerance, default=1e-8)
     common(p)
 
     p = sub.add_parser("pointwise-gauss", help="rank-based pointwise "
@@ -85,7 +96,7 @@ def build_parser():
     p.add_argument("--h", help="comma-separated diagonal of h")
     p.add_argument("--h-file", help="JSON file with {\"h\": [[...]]}")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--rank-tol", type=float, default=1e-10)
+    p.add_argument("--rank-tol", type=_tolerance, default=1e-10)
     common(p)
 
     p = sub.add_parser("boundary", help="boundary profile suite")

@@ -10,6 +10,7 @@ __all__ = [
     "periodic_trapezoid",
     "gauss_legendre_nodes",
     "gauss_legendre",
+    "rk4_stage_times",
     "rk4_path",
     "periodic_antiderivative",
     "trig_interpolate",
@@ -52,6 +53,16 @@ def gauss_legendre(f, a, b, cells=8, nodes=16):
     return float(np.sum(w * np.asarray(f(x), dtype=float)))
 
 
+def rk4_stage_times(t0, t1, steps):
+    """Step nodes t_k of :func:`rk4_path`, its step h, and the (steps, 3)
+    table of the times t_k, t_k + h/2, t_k + h at which it calls ``rhs``
+    (bit for bit), so a right-hand side can be tabulated before stepping."""
+    t_nodes = np.linspace(t0, t1, steps + 1)
+    h = (t1 - t0) / steps
+    start = t_nodes[:-1]
+    return t_nodes, h, np.stack([start, start + 0.5 * h, start + h], axis=1)
+
+
 def rk4_path(rhs, y0, t0, t1, steps):
     """Classical RK4 integration returning the whole path.
 
@@ -59,16 +70,14 @@ def rk4_path(rhs, y0, t0, t1, steps):
     (t_nodes, states) with states of shape (steps + 1,) + y0.shape.
     """
     y = np.array(y0, dtype=float)
-    t_nodes = np.linspace(t0, t1, steps + 1)
-    h = (t1 - t0) / steps
+    t_nodes, h, stages = rk4_stage_times(t0, t1, steps)
     out = np.empty((steps + 1,) + y.shape)
     out[0] = y
-    for k in range(steps):
-        t = t_nodes[k]
+    for k, (t, t_half, t_end) in enumerate(stages):
         k1 = np.asarray(rhs(t, y))
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-        k4 = np.asarray(rhs(t + h, y + h * k3))
+        k2 = np.asarray(rhs(t_half, y + 0.5 * h * k1))
+        k3 = np.asarray(rhs(t_half, y + 0.5 * h * k2))
+        k4 = np.asarray(rhs(t_end, y + h * k3))
         y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         out[k + 1] = y
     return t_nodes, out

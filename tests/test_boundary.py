@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rigidlab import boundary
 from rigidlab import surfaces as sf
 from rigidlab.boundary import (BoundaryError, BoundaryProfile,
                                InadmissibleError, admissibility_residuals,
@@ -12,8 +13,9 @@ from rigidlab.boundary import (BoundaryError, BoundaryProfile,
                                reference_curve, solve_boundary_ode,
                                trig_polynomial, uv_functions)
 from rigidlab.boundary import _constraint_matrix
-from rigidlab.geometry import geodesic_boundary_chart
-from rigidlab.quadrature import spectral_derivative
+from rigidlab.expressions import evaluate_jet, parse_expression
+from rigidlab.geometry import Immersion, geodesic_boundary_chart
+from rigidlab.quadrature import spectral_derivative, trig_interpolate
 
 TWO_PI = 2 * math.pi
 
@@ -50,6 +52,60 @@ def test_homogeneous_ode_solution_rotates(circle):
     sol = solve_boundary_ode(circle, 0.0, c1=1.0, c2=0.0, n_steps=2048)
     assert np.max(np.abs(sol.phi_s - np.cos(sol.theta))) < 1e-10
     assert np.max(np.abs(sol.phi_t + np.sin(sol.theta))) < 1e-10
+
+
+def _rk4_reference(f_at, c1, c2, n_steps):
+    """The boundary ODE stepped by classical RK4 with f evaluated one angle
+    at a time, in the arithmetic order of ``rk4_path``."""
+    h = TWO_PI / n_steps
+
+    def rhs(theta, y):
+        fv = f_at(theta)
+        return np.array([y[1], -y[0] + fv,
+                         fv * math.sin(theta), fv * math.cos(theta)])
+
+    y = np.array([c1, c2, 0.0, 0.0])
+    path = [y]
+    for t in np.linspace(0.0, TWO_PI, n_steps + 1)[:-1]:
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        path.append(y)
+    return np.array(path)
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 1024])
+def test_ode_evaluates_f_once_per_solve(circle, monkeypatch, n_steps):
+    text = "0.4 + 1.3*sin(2*x1) + cos(x1)^2"
+    ast = parse_expression(text, 1)
+    poly = trig_polynomial([0.2, 0.5, -0.3, 0.1, 0.4])
+    jet_calls, poly_calls = [], []
+
+    def counted_jet(*args, **kwargs):
+        jet_calls.append(args)
+        return evaluate_jet(*args, **kwargs)
+
+    def counted_poly(theta):
+        poly_calls.append(theta)
+        return poly(theta)
+
+    monkeypatch.setattr(boundary, "evaluate_jet", counted_jet)
+    for f, f_at, calls, expected in (
+            (text, lambda t: float(evaluate_jet(
+                ast, np.asarray(t)[..., None], order=0).value),
+             jet_calls, 1),
+            (counted_poly, lambda t: float(poly(np.asarray(t))),
+             poly_calls, 1),
+            (0.7, lambda t: 0.7, jet_calls, 0)):
+        calls.clear()
+        sol = solve_boundary_ode(circle, f, c1=0.3, c2=-0.7,
+                                 n_steps=n_steps)
+        assert len(calls) == expected, f
+        path = np.stack([sol.phi_s, sol.phi_t, sol.u, sol.v], axis=1)
+        assert np.array_equal(path, _rk4_reference(f_at, 0.3, -0.7,
+                                                   n_steps)), f
 
 
 def test_ode_matches_closed_form_for_sin2(circle):
@@ -231,3 +287,56 @@ def test_profile_from_chart_flips_to_classical_sign():
     prof = BoundaryProfile.from_chart(chart)
     assert prof.total_turning == pytest.approx(TWO_PI, abs=1e-9)
     assert np.max(np.abs(prof.kg_theta - 1.0)) < 1e-9
+
+
+def _exact_turning(kg_samples, length, s):
+    """theta(s): the integral from 0 to s of the trigonometric interpolant
+    of uniform k_g samples over [0, length), mode by mode."""
+    m = kg_samples.size
+    coeffs = np.fft.rfft(kg_samples) / m
+    omega = TWO_PI / length
+    theta = coeffs[0].real * s
+    for k in range(1, coeffs.size):
+        weight = 1.0 if (m % 2 == 0 and k == m // 2) else 2.0
+        a, b = weight * coeffs[k].real, -weight * coeffs[k].imag
+        theta = theta + (a * np.sin(k * omega * s)
+                         - b * (np.cos(k * omega * s) - 1.0)) / (k * omega)
+    return theta
+
+
+def test_sampled_arclength_profiles_invert_on_twice_their_samples(
+        monkeypatch, tmp_path):
+    inverted = boundary.invert_antiderivative
+    sample_counts = []
+
+    def counted(density, period, count, samples):
+        sample_counts.append(samples)
+        return inverted(density, period, count, samples)
+
+    monkeypatch.setattr(boundary, "invert_antiderivative", counted)
+    # the edge x2 = 1 is the ellipse (2 cos x1, sin x1, 0)
+    cap = Immersion("elliptic_cap", 2, tuple(
+        parse_expression(c, 2)
+        for c in ("2*x2*cos(x1)", "x2*sin(x1)", "(1 - x2^2)^2")),
+        ((0.0, TWO_PI), (0.2, 1.0)), (True, False))
+    chart = geodesic_boundary_chart(cap, (1, "hi"), depth=0.05,
+                                    n_s=64, n_t=4)
+    length = 1.3 * TWO_PI
+    s = length * np.arange(512) / 512
+    kg = 1.0 / (1.0 + 0.3 * np.cos(s / 1.3) + 0.1 * np.sin(4 * s / 1.3))
+    path = tmp_path / "profile_s.csv"
+    path.write_text("s,kg\n" + "".join(
+        f"{float(a)!r},{float(b)!r}\n" for a, b in zip(s, kg)))
+
+    for build, samples in ((lambda: BoundaryProfile.from_chart(chart),
+                            -chart.kg),
+                           (lambda: BoundaryProfile.from_csv(str(path)), kg)):
+        sample_counts.clear()
+        prof = build()
+        assert sample_counts == [2 * samples.size]
+        full, _ = inverted(
+            lambda x: trig_interpolate(samples, prof.length, x),
+            prof.length, 2048, 2048)
+        assert np.max(np.abs(prof.s_of_theta - full)) < 1e-13
+        theta = _exact_turning(samples, prof.length, prof.s_of_theta)
+        assert np.max(np.abs(theta - prof.theta)) < 1e-12

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidlab import cli
 from rigidlab.linalg import null_space, numerical_rank, singular_values
@@ -289,11 +293,69 @@ def test_cli_usage_errors(tmp_path, capsys):
             ["boundary", "--f", "sin("],
             ["boundary", "--kg", "log(x1)"],
             ["boundary", "--steps", "0"],
-            ["flex-kernel", "sphere", "--grid", "0x0"]):
+            ["flex-kernel", "sphere", "--grid", "0x0"],
+            ["flex-kernel", "sphere", "--grid", "8x6", "--svd-tol", "nan"],
+            ["flex-kernel", "sphere", "--grid", "8x6", "--svd-tol", "inf"],
+            ["pointwise-gauss", "--h", "1,2,3", "--rank-tol", "nan"],
+            ["pointwise-gauss", "--h", "1,2,3", "--rank-tol", "-1"]):
         assert cli.main(argv) == 64, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+
+
+_FUZZ_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "-0", "1e-8", "0.5", "1", "abc", ""]))
+_FUZZ_TOLERANCE = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True).map(repr), _FUZZ_NUMBER)
+_FUZZ_EXPRESSION = st.one_of(
+    st.builds("{:.3f} + {:.3f}*cos({}*x1)".format, st.floats(-1.0, 3.0),
+              st.floats(-1.0, 1.0), st.integers(0, 4)),
+    st.sampled_from(["x1", "log(x1)", "1/x1", "exp(800*x1)", "sin(", "x2"]),
+    st.text(alphabet="x12+-*/^().e sincoglqrt", max_size=12))
+
+
+def _fuzz_grid(longest):
+    return st.builds("{}x{}".format, st.integers(4, 8),
+                     st.integers(4, longest))
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """Cheap argv for every numeric CLI input: grids up to 8x8, at most 50
+    points and 64 ODE steps."""
+    kind = draw(st.sampled_from(["gauss", "boundary", "surface", "flex"]))
+    if kind == "gauss":
+        entries = st.one_of(st.floats(-3.0, 3.0).map(repr), _FUZZ_NUMBER)
+        argv = ["pointwise-gauss",
+                "--h", ",".join(draw(st.lists(entries, max_size=5))),
+                "--rank-tol=" + draw(_FUZZ_TOLERANCE)]
+    elif kind == "boundary":
+        argv = ["boundary", "--kg", draw(_FUZZ_EXPRESSION),
+                "--f", draw(_FUZZ_EXPRESSION),
+                "--steps", str(draw(st.integers(-1, 64)))]
+    elif kind == "surface":
+        argv = ["check-surface",
+                draw(st.sampled_from(["sphere", "saddle", "quartic_cap"])),
+                "--points", str(draw(st.integers(-1, 50))),
+                "--grid", draw(_fuzz_grid(8))]
+    else:
+        argv = ["flex-kernel",
+                draw(st.sampled_from(["sphere", "plane", "saddle"])),
+                "--grid", draw(_fuzz_grid(6)),
+                "--svd-tol=" + draw(_FUZZ_TOLERANCE)]
+    return argv + [f"--seed={draw(st.integers(-1, 3))}"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_fuzz_argv())
+def test_cli_fuzz_exits_with_a_code_never_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 64), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_module_entry_point():
