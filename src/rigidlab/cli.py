@@ -68,10 +68,10 @@ def build_parser():
                                  "surface charts")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, csv_help="emit CSV series into this directory"):
         p.add_argument("--seed", type=_count, default=0)
         p.add_argument("--report", help="write the JSON report here")
-        p.add_argument("--csv-dir", help="emit CSV series into this directory")
+        p.add_argument("--csv-dir", help=csv_help)
 
     p = sub.add_parser("check-surface", help="pointwise identity suite")
     p.add_argument("surface", help="catalog name or surface JSON file")
@@ -89,7 +89,10 @@ def build_parser():
     p.add_argument("surface")
     p.add_argument("--grid", type=_grid, default=(64, 32))
     p.add_argument("--svd-tol", type=_tolerance, default=1e-8)
-    common(p)
+    common(p, csv_help="write singular_values.csv (index, sigma; ascending) "
+                       "into this directory: the full spectrum on the "
+                       "sector and dense routes, only the resolved sigma_7 "
+                       "and sigma_max on the deflated route")
 
     p = sub.add_parser("pointwise-gauss", help="rank-based pointwise "
                                                "rigidity test")
@@ -254,8 +257,8 @@ def run_flex_kernel(args):
     report.add(CheckEntry(
         name="kernel-dimension", kind="kernel", value=float(ker.dimension),
         tolerance=None, verdict=verdict, module="flex",
-        claim="count of singular values under the relative threshold, "
-              "with a mandatory spectral gap",
+        claim=(_DEFLATED_CLAIM if ker.route == "deflated"
+               else _SPECTRUM_CLAIM),
         metadata={"gap_ratio": ker.gap_ratio, "sigma_max": ker.sigma_max,
                   "kernel_sigma": ker.kernel_sigma,
                   "next_sigma": ker.next_sigma,
@@ -266,10 +269,18 @@ def run_flex_kernel(args):
                   "operator_shape": [op.operator.shape[0],
                                      op.unknown_count]}))
     if args.csv_dir:
-        _write_csv(args.csv_dir, "singular_values.csv",
-                   ["index", "sigma"],
-                   [(i, s) for i, s in enumerate(ker.singular_values)])
+        index = ker.resolved or range(len(ker.singular_values))
+        _write_csv(args.csv_dir, "singular_values.csv", ["index", "sigma"],
+                   zip(index, ker.singular_values))
     return report
+
+
+_SPECTRUM_CLAIM = ("count of singular values under the relative threshold, "
+                   "with a mandatory spectral gap")
+_DEFLATED_CLAIM = ("six singular values under the relative threshold, with "
+                   "a mandatory spectral gap, from the bounds kernel_sigma "
+                   ">= sigma_6 (the trivial motions) and next_sigma <= "
+                   "sigma_7 (their complement)")
 
 
 def _parse_h(args):

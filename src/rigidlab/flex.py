@@ -71,6 +71,14 @@ __all__ = [
 # bytes the spectrum of an assembled operator may allocate on its route
 MAX_SPECTRUM_BYTES = 4 * 2**30
 FLEX_RESIDUAL_TOL = 1e-8
+# deflated route: an eigenvalue of N = A^T A computed through N carries an
+# absolute error of a small multiple of eps * sigma_max^2.  Every bound the
+# route compares is moved by NORMAL_ROUNDING such units (eps * sigma_max for
+# singular values) against the certificate, and sigma_7^2 must exceed
+# NORMAL_FLOOR of them, so that the margin is at most 1e-3 of sigma_7^2.
+NORMAL_ROUNDING = 1e3
+NORMAL_FLOOR = 1e6
+NORMAL_SHIFT = 1e-10              # c = NORMAL_SHIFT * sigma_max^2
 
 
 class FlexError(RigidlabError):
@@ -619,7 +627,8 @@ class FlexOperator:
     (grid unknowns x reduced unknowns) basis of that restriction, None
     without poles.  ``rotation`` is the grid rotation of a chart of
     revolution (see ``_grid_rotation``), None otherwise; it selects the
-    Fourier-sector spectrum over the dense SVD.
+    Fourier-sector spectrum over the deflated certificate and the dense
+    SVD.
     """
 
     operator: scipy.sparse.csr_matrix     # rows x grid unknowns
@@ -635,7 +644,7 @@ class FlexOperator:
     @functools.cached_property
     def matrix(self):
         """Dense rows x reduced unknowns operator: the dense SVD route and
-        the test oracle for the sector route."""
+        the test oracle for the other two."""
         reduced = self.operator if self.basis is None else (
             self.operator @ self.basis)
         return reduced.toarray()
@@ -776,9 +785,11 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     half-period wrap of the chart, which is verified numerically.
 
     The operator is sparse; ``kernel_dimension`` takes its spectrum by
-    Fourier sectors on charts of revolution and by a dense SVD otherwise.
-    A grid whose route would allocate more than ``MAX_SPECTRUM_BYTES`` is
-    refused here, before anything large is built.
+    Fourier sectors on charts of revolution; on other charts it tries the
+    deflated certificate and falls back to a dense SVD.  A grid whose
+    route would allocate more than ``MAX_SPECTRUM_BYTES`` (the dense SVD,
+    charged in full because it stays the fallback) is refused here, before
+    anything large is built.
     """
     if immersion.dim != 2:
         raise FlexError("the flex operator is assembled for surfaces (n = 2)")
@@ -991,6 +1002,113 @@ def _sector_singular_values(op, rot):
     return np.sort(np.concatenate(svals))[::-1]
 
 
+# ---------------------------------------------------------------------------
+# deflated sparse certificate for every other chart
+# ---------------------------------------------------------------------------
+
+class _NoCertificate(Exception):
+    """A Rayleigh quotient on the complement of the trivial motions fell
+    below what a certificate needs."""
+
+
+def _trivial_basis(op):
+    """Orthonormal reduced coordinates (unknowns x 6) of the three unit
+    translations and the three axis rotations."""
+    eye = np.eye(3)
+    fields = [TrivialMotion(np.zeros((3, 3)), e) for e in eye]
+    fields += [TrivialMotion.from_axis(e) for e in eye]
+    q, _ = np.linalg.qr(np.stack([op.evaluate_field(f) for f in fields],
+                                 axis=1))
+    return q
+
+
+def _deflated_certificate(op, rel_tol, gap_requirement):
+    """Certificate from two Courant-Fischer bounds, without a dense SVD.
+
+    With T the orthonormal trivial motions and A the reduced operator,
+    kappa = ||A T||_2 bounds sigma_6 from above and mu = min over v _|_ T
+    of ||A v|| / ||v|| bounds sigma_7 from below.  mu^2 + c is the inverse
+    of the largest eigenvalue of P (N + c I)^-1 P on the range of
+    P = I - T T^T, N = A^T A, taken by Lanczos (ARPACK's eigsh, Lehoucq,
+    Sorensen and Yang 1998) on one sparse factorization of N + c I; the
+    Ritz value plus its residual norm bounds that eigenvalue from above as
+    long as the Lanczos start vector, a fixed pseudo-random one, has a
+    component along its eigenvector.
+
+    Returns (kappa, mu, sigma_max) when kappa <= cut < mu,
+    mu >= gap_requirement * kappa and mu^2 is at least NORMAL_FLOOR
+    rounding units above zero, each with its rounding margin against the
+    certificate; None otherwise.  Since sigma_6 <= kappa and
+    sigma_7 >= mu, a chart certified here is certified by the dense SVD.
+    The iteration stops early once a Rayleigh quotient ||A w||^2 / ||w||^2
+    of an iterate w _|_ T, an upper bound on mu^2, is too small; flexible
+    charts get there after one or two solves.
+    """
+    # imported here, not with the module: every CLI command imports flex,
+    # and only this route needs ARPACK and SuperLU (2 MB of RSS)
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigsh, splu)
+
+    a = (op.operator if op.basis is None else op.operator @ op.basis).tocsr()
+    at = a.T.tocsr()
+    n = a.shape[1]
+    eps = np.finfo(float).eps
+    trivial = _trivial_basis(op)
+    kappa = float(singular_values(a @ trivial)[0])
+
+    def project(x):
+        return x - trivial @ (trivial.T @ x)
+
+    def quotient(x):
+        return float(np.sum((a @ x) ** 2) / np.sum(x ** 2))
+
+    start = np.random.default_rng(0).standard_normal(n)
+    normal = LinearOperator((n, n), matvec=lambda x: at @ (a @ x),
+                            dtype=float)
+    try:
+        (top,), vec = eigsh(normal, k=1, which="LA", v0=start)
+    except ArpackNoConvergence:
+        return None
+    vec = vec[:, 0]
+    top_hi = top + float(np.linalg.norm(normal @ vec - top * vec))
+    margin = NORMAL_ROUNDING * eps * top_hi
+    sigma_lo = math.sqrt(max(top - margin, 0.0))
+    sigma_hi = math.sqrt(top_hi + margin)
+    kappa_hi = kappa + NORMAL_ROUNDING * eps * sigma_hi
+    if not (top > 0.0 and kappa_hi <= rel_tol * sigma_lo):
+        return None
+    # mu^2 must exceed all three, each with its margin
+    need = max((rel_tol * sigma_hi) ** 2, (gap_requirement * kappa_hi) ** 2,
+               NORMAL_FLOOR * eps * top_hi)
+
+    shift = NORMAL_SHIFT * top
+    lu = splu((at @ a + shift * scipy.sparse.identity(n)).tocsc(),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+              options={"SymmetricMode": True})
+
+    def inverse(x):
+        y = project(lu.solve(project(np.ravel(x))))
+        if quotient(y) + margin <= need:
+            raise _NoCertificate
+        return y
+
+    deflated = LinearOperator((n, n), matvec=inverse, dtype=float)
+    try:
+        (theta,), vec = eigsh(deflated, k=1, which="LA", v0=project(start))
+        vec = project(vec[:, 0])
+        residual = float(np.linalg.norm(inverse(vec) - theta * vec)
+                         / np.linalg.norm(vec))
+    except (_NoCertificate, ArpackNoConvergence):
+        return None
+    mu_sq = 1.0 / theta - shift
+    mu_sq_lo = 1.0 / (theta + residual) - shift - margin
+    # mu^2 <= the Rayleigh quotient of any v _|_ T: a lower bound above it
+    # means the Ritz pair is not trustworthy
+    if not need < mu_sq_lo <= quotient(vec) + margin:
+        return None
+    return kappa, math.sqrt(mu_sq), math.sqrt(top)
+
+
 @dataclass
 class KernelReport:
     dimension: int
@@ -1002,7 +1120,12 @@ class KernelReport:
     verdict: str
     expected_trivial: int = 6
     singular_values: Optional[np.ndarray] = None   # ascending
-    route: str = "dense"          # "dense" SVD or Fourier "sector" blocks
+    # "dense" SVD, Fourier "sector" blocks, or "deflated" bounds; on the
+    # deflated route kernel_sigma is the bound kappa >= sigma_6, next_sigma
+    # is mu <= sigma_7, and singular_values holds only mu and sigma_max at
+    # their ascending indices ``resolved``
+    route: str = "dense"
+    resolved: Optional[tuple] = None
 
 
 def kernel_dimension(op, rel_tol=1e-8, gap_requirement=10.0):
@@ -1013,7 +1136,27 @@ def kernel_dimension(op, rel_tol=1e-8, gap_requirement=10.0):
     gap ratio sigma_(dim+1)/sigma_(dim) is at least ``gap_requirement``;
     without a clear gap the verdict is "indeterminate", never a false
     certificate.
+
+    Routes, in the order tried: charts of revolution take the full
+    spectrum by Fourier sectors.  Every other assembled operator first
+    tries the deflated certificate (``_deflated_certificate``), which
+    proves sigma_6 <= kappa <= cut < mu <= sigma_7 with the gap and reports
+    only those bounds; when it cannot, the full spectrum comes from one
+    dense SVD, exactly as without the deflated route.  A plain matrix
+    always takes the dense SVD.
     """
+    expected = trivial_motion_count(3)
+    if isinstance(op, FlexOperator) and op.rotation is None:
+        bounds = _deflated_certificate(op, rel_tol, gap_requirement)
+        if bounds is not None:
+            kappa, mu, smax = bounds
+            gap = mu / max(kappa, smax * 1e-300)
+            return KernelReport(
+                dimension=expected, gap_ratio=gap, sigma_max=smax,
+                kernel_sigma=kappa, next_sigma=mu, rel_tol=rel_tol,
+                verdict="certified-rigid", expected_trivial=expected,
+                singular_values=np.array([mu, smax]), route="deflated",
+                resolved=(expected, op.unknown_count - 1))
     if not isinstance(op, FlexOperator):
         svals, route = singular_values(np.asarray(op)), "dense"
     elif op.rotation is not None:
@@ -1032,7 +1175,6 @@ def kernel_dimension(op, rel_tol=1e-8, gap_requirement=10.0):
         gap = float("inf")
     else:
         gap = next_sigma / max(kernel_sigma, smax * 1e-300)
-    expected = trivial_motion_count(3)
     if gap < gap_requirement:
         verdict = "indeterminate"
     elif dim == expected:

@@ -200,6 +200,11 @@ def dr_rigidity_test(h, rank_tol=1e-10):
     n = h.shape[0]
     if n < 3:
         raise HighDimError("the pointwise test is stated for n >= 3")
+    # both tests are invariant under scaling h; unscaled, an h near the top
+    # of the float range overflows where constraint rows sum two entries
+    peak = float(np.max(np.abs(h)))
+    if peak > 0.0:
+        h = h / peak
     rank = numerical_rank(h, rel_tol=rank_tol)
     null_dim, _ = linearized_gauss_nullspace(h, rel_tol=rank_tol)
     diag_dim = _nullspace_dimension_diagonalized(h, rel_tol=rank_tol)

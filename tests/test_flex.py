@@ -331,6 +331,69 @@ def test_sphere_certificate_beyond_the_old_unknown_limit():
     assert rep.verdict == "certified-rigid"
 
 
+def _moved(immersion, seed=3):
+    """The chart x -> Q x + b (Q a rotation), written out as expressions."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    spec = sf.surface_to_dict(immersion)
+    comps = spec["components"]
+    spec["components"] = [
+        " + ".join([repr(float(b))] + [f"({qa!r})*({c})"
+                                       for qa, c in zip(row, comps)])
+        for row, b in zip(q.tolist(), rng.uniform(-0.5, 0.5, 3))]
+    spec["name"] += "_moved"
+    return sf.load_surface(spec)
+
+
+@pytest.mark.parametrize("grid", [(40, 20), (48, 24)])
+def test_deflated_route_matches_the_dense_oracle(grid):
+    from rigidlab.linalg import singular_values
+
+    op = assemble_flex_operator(
+        sf.ellipsoid(2.0, 1.3, 0.75), grid=grid)
+    assert op.rotation is None
+    rep = kernel_dimension(op, rel_tol=1e-8)
+    assert rep.route == "deflated"
+    assert rep.verdict == "certified-rigid" and rep.dimension == 6
+    # the certificate never builds the dense operator
+    assert "matrix" not in op.__dict__
+    dense = singular_values(op.matrix)[::-1]
+    assert abs(rep.next_sigma - dense[6]) < 1e-8 * dense[6]
+    assert abs(rep.sigma_max - dense[-1]) < 1e-12 * dense[-1]
+    assert rep.kernel_sigma <= 1e-8 * rep.sigma_max
+    assert rep.gap_ratio == rep.next_sigma / rep.kernel_sigma
+    assert rep.resolved == (6, op.unknown_count - 1)
+    assert rep.singular_values.tolist() == [rep.next_sigma, rep.sigma_max]
+
+
+@pytest.mark.parametrize("surface, grid, route", [
+    (sf.ellipsoid(), (16, 8), "deflated"),
+    (sf.ellipsoid(), (24, 12), "deflated"),
+    (_moved(sf.ellipsoid()), (16, 8), "deflated"),
+    (_moved(sf.sphere(1.0)), (16, 8), "deflated"),
+    (sf.plane(), (12, 12), "dense"),
+    (sf.saddle(), (24, 16), "dense"),
+    (_moved(sf.saddle()), (16, 12), "dense"),
+    (sf.quartic_cap(), (24, 16), "dense"),
+    (_moved(sf.quartic_cap()), (16, 12), "dense"),
+])
+def test_deflated_route_agrees_with_the_dense_route(surface, grid, route):
+    op = assemble_flex_operator(surface, grid=grid)
+    assert op.rotation is None
+    rep = kernel_dimension(op, rel_tol=1e-8)
+    dense = kernel_dimension(op.matrix, rel_tol=1e-8)
+    assert rep.route == route
+    assert (rep.dimension, rep.verdict) == (dense.dimension, dense.verdict)
+    if route == "dense":
+        # the fallback is the plain dense SVD, bit for bit
+        assert dense.verdict != "certified-rigid"
+        assert np.array_equal(rep.singular_values, dense.singular_values)
+        assert (rep.kernel_sigma, rep.next_sigma, rep.gap_ratio) == (
+            dense.kernel_sigma, dense.next_sigma, dense.gap_ratio)
+
+
 def test_kernel_verdicts_on_synthetic_spectra():
     # a gradual spectrum near the cut never certifies
     vague = np.diag(np.concatenate([np.full(6, 1e-9),

@@ -218,6 +218,28 @@ def test_cli_flex_kernel_reports_its_route(tmp_path, surface, grid, route,
     assert len(rows) == 1 + shape[1]
 
 
+def test_cli_flex_kernel_deflated_csv_holds_only_resolved_values(tmp_path,
+                                                                capsys):
+    report = tmp_path / "flex.json"
+    code = cli.main(["flex-kernel", "ellipsoid", "--grid", "16x8",
+                     "--report", str(report), "--csv-dir", str(tmp_path)])
+    assert code == 0
+    kernel = [c for c in json.loads(report.read_text())["checks"]
+              if c["kind"] == "kernel"][0]
+    meta = kernel["metadata"]
+    assert meta["route"] == "deflated"
+    assert meta["rigidity_verdict"] == "certified-rigid"
+    assert "sigma_7" in kernel["claim"]
+    # sigma_7 and sigma_max at their ascending indices, nothing else
+    rows = (tmp_path / "singular_values.csv").read_text().splitlines()
+    assert rows == ["index,sigma",
+                    f"6.0,{meta['next_sigma']!r}",
+                    f"{float(meta['unknowns'] - 1)!r},{meta['sigma_max']!r}"]
+    with pytest.raises(SystemExit):
+        cli.main(["flex-kernel", "--help"])
+    assert "deflated route" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_boundary_with_csv(tmp_path):
     code = cli.main(["boundary", "--kg", "1", "--f", "sin(2*x1)",
                      "--csv-dir", str(tmp_path)])

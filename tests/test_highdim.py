@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigidlab.flex import TrivialMotion
 from rigidlab.highdim import (HighDimError, decompose_rotation_bivector,
@@ -146,6 +148,27 @@ def test_rank_dichotomy_sweep():
                 h = random_symmetric_with_rank(rng, n, rank)
                 dim, _ = linearized_gauss_nullspace(h)
                 assert (dim == 0) == (rank >= 3), (n, rank, dim)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5]),
+                min_size=3, max_size=4),
+       st.integers(-20, 22), st.booleans(), st.integers(0, 2**16))
+@example([1.0, 1.0, 1.0], 23, False, 0)         # 2^1023 on the diagonal
+def test_rigidity_verdict_is_invariant_under_scaling(eigenvalues, exponent,
+                                                     rotate, seed):
+    # max |h| <= 2^23, so 2^1000 h reaches the top of the float range and
+    # 2^-1000 h its bottom
+    h = np.diag(eigenvalues) * 2.0 ** exponent
+    if rotate:
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+            (len(eigenvalues),) * 2))
+        h = q @ h @ q.T
+    outcomes = set()
+    for k in (-1000, -500, 0, 500, 1000):
+        verdict = dr_rigidity_test(h * 2.0 ** k)
+        outcomes.add((verdict.verdict, verdict.rank, verdict.null_dimension))
+    assert len(outcomes) == 1, outcomes
 
 
 def test_small_dimension_rejected():
