@@ -216,15 +216,20 @@ def run_pair_check(args):
 
     rng = np.random.default_rng(args.seed)
     pts = gm.interior_points(pair.first, args.points, rng)
-    d = pr.difference_tensors(pair, pts)
+    # one order-3 frame per surface serves all three checks
+    frames = tuple(gm.frame_at(s, pts, order=3)
+                   for s in (pair.first, pair.second))
+    d = pr.difference_tensors(pair, pts, frames=frames)
     report.add(CheckEntry.residual(
         "equal-h-determinants", float(np.max(d.det_residual)), 1e-8, "pairs",
         "det(h) and det(h~) both equal K det(g)"))
     report.add(CheckEntry.residual(
-        "w-from-support", float(np.max(pr.verify_w_formula(pair, pts))),
+        "w-from-support",
+        float(np.max(pr.verify_w_formula(pair, pts, frames=frames))),
         1e-8, "pairs",
         "W (mu + mu~) = 2 Phi_hess + hbar (mu - mu~)"))
-    trace, codazzi = pr.verify_gauss_trace_and_codazzi(pair, pts)
+    trace, codazzi = pr.verify_gauss_trace_and_codazzi(pair, pts,
+                                                       frames=frames)
     report.add(CheckEntry.residual(
         "w-trace-free", float(np.max(trace)), 1e-7, "pairs",
         "hbar-trace of W vanishes (cofactor form when singular)"))

@@ -320,8 +320,8 @@ def _eval(node, pts, n, order):
     if isinstance(node, Pow):
         return _eval(node.base, pts, n, order) ** node.exponent
     if isinstance(node, Binary):
-        left = _eval(node.left, pts, n, order)
-        right = _eval(node.right, pts, n, order)
+        left = _operand(node.left, node.right, pts, n, order)
+        right = _operand(node.right, node.left, pts, n, order)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -330,3 +330,12 @@ def _eval(node, pts, n, order):
             return left * right
         return left / right
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _operand(node, other, pts, n, order):
+    """A literal next to a non-literal enters as a plain number, which the
+    jet arithmetic applies to the coefficients directly (bitwise what a
+    constant jet gives) instead of building a constant jet."""
+    if isinstance(node, Num) and not isinstance(other, Num):
+        return node.value
+    return _eval(node, pts, n, order)

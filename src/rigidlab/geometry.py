@@ -140,13 +140,38 @@ def frame_at(immersion, point, order=2):
     if order < 2:
         raise ValueError("frames need jets of order >= 2")
     pts, jts = _component_jets(immersion, point, order)
-    n = immersion.dim
-
     position = np.stack([j.value for j in jts], axis=-1)
     tangents = np.stack([j.grad for j in jts], axis=-2)
     d2 = np.stack([j.hess for j in jts], axis=-3)
     d3 = np.stack([j.third for j in jts], axis=-4) if order >= 3 else None
+    metric, det_metric, metric_inv, dmetric, christoffels = _connection(
+        immersion, tangents, d2)
 
+    normal = _cross_normal(tangents)
+    nrm = np.linalg.norm(normal, axis=-1, keepdims=True)
+    normal = normal / nrm
+    if immersion.orientation == "inward":
+        normal = -normal
+
+    second_form = np.einsum("...aij,...a->...ij", d2, normal)
+    curvature = np.linalg.det(second_form) / det_metric
+
+    return PointFrame(
+        point=pts, position=position, tangents=tangents, d2=d2,
+        normal=normal, metric=metric, metric_inv=metric_inv,
+        det_metric=det_metric, second_form=second_form,
+        christoffels=christoffels, dmetric=dmetric, curvature=curvature,
+        order=order, d3=d3, jets=jts)
+
+
+def _connection(immersion, tangents, d2):
+    """Metric, det g, inverse metric, d_k g_ij and the Christoffel symbols
+    from the first and second chart derivatives of the immersion.
+
+    Raises :class:`DegenerateFrameError` when det g falls under
+    ``1e-12 * (max tangent norm)^(2n)``.
+    """
+    n = tangents.shape[-1]
     metric = np.einsum("...ai,...aj->...ij", tangents, tangents)
     det_metric = np.linalg.det(metric)
     norms2 = np.einsum("...ai,...ai->...i", tangents, tangents)
@@ -157,14 +182,6 @@ def frame_at(immersion, point, order=2):
             f"(min det g = {np.min(det_metric):.3e})")
     metric_inv = np.linalg.inv(metric)
 
-    normal = _cross_normal(tangents)
-    nrm = np.linalg.norm(normal, axis=-1, keepdims=True)
-    normal = normal / nrm
-    if immersion.orientation == "inward":
-        normal = -normal
-
-    second_form = np.einsum("...aij,...a->...ij", d2, normal)
-
     dmetric = np.einsum("...aik,...aj->...kij", d2, tangents)
     dmetric = dmetric + np.swapaxes(dmetric, -1, -2)
     # Gamma^l_ij = 1/2 g^{lk} (d_i g_jk + d_j g_ik - d_k g_ij)
@@ -172,15 +189,15 @@ def frame_at(immersion, point, order=2):
                + np.einsum("...jik->...kij", dmetric)
                - dmetric)
     christoffels = 0.5 * np.einsum("...lk,...kij->...lij", metric_inv, bracket)
+    return metric, det_metric, metric_inv, dmetric, christoffels
 
-    curvature = np.linalg.det(second_form) / det_metric
 
-    return PointFrame(
-        point=pts, position=position, tangents=tangents, d2=d2,
-        normal=normal, metric=metric, metric_inv=metric_inv,
-        det_metric=det_metric, second_form=second_form,
-        christoffels=christoffels, dmetric=dmetric, curvature=curvature,
-        order=order, d3=d3, jets=jts)
+def _christoffels_at(immersion, point):
+    """Gamma^k_ij at ``point`` from the order-2 jets alone: no normal,
+    second form or curvature."""
+    _, jts = _component_jets(immersion, point, 2)
+    return _connection(immersion, np.stack([j.grad for j in jts], axis=-2),
+                       np.stack([j.hess for j in jts], axis=-3))[-1]
 
 
 def _cross_normal(tangents):
@@ -468,7 +485,7 @@ def _edge_kg(fr0, other, nu):
 
 def _rk4_geodesic_step(immersion, x, v, h):
     def rhs(state_x, state_v):
-        gam = frame_at(immersion, state_x, order=2).christoffels
+        gam = _christoffels_at(immersion, state_x)
         a = -np.einsum("...kij,...i,...j->...k", gam, state_v, state_v)
         return state_v, a
 

@@ -136,14 +136,24 @@ def _sym_index(n):
     return pairs, lookup
 
 
+def _normalized(h):
+    """h / max |h_ij| (h itself when zero): the linearized Gauss system is
+    homogeneous in h, so its null space does not change, and an h near the
+    top of the float range cannot overflow where a row sums two entries."""
+    peak = float(np.max(np.abs(h), initial=0.0))
+    return h / peak if peak > 0.0 else h
+
+
 def linearized_gauss_constraints(h):
     """Constraint matrix of h_kj w_il - h_lj w_ik = h_ki w_jl - h_li w_jk
-    over all index 4-tuples; unknowns are the n(n+1)/2 entries of w."""
+    over all index 4-tuples; unknowns are the n(n+1)/2 entries of w.
+    Symmetry of h is checked relative to max |h_ij|."""
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
     if h.shape != (n, n):
         raise HighDimError("h must be square")
-    if not np.allclose(h, h.T, atol=1e-12):
+    unit = _normalized(h)
+    if not np.allclose(unit, unit.T, atol=1e-12):
         raise HighDimError("h must be symmetric")
     pairs, lookup = _sym_index(n)
     rows = []
@@ -168,7 +178,7 @@ def linearized_gauss_nullspace(h, rel_tol=1e-10):
     n = h.shape[0]
     if n < 3:
         raise HighDimError("the pointwise test is stated for n >= 3")
-    mat = linearized_gauss_constraints(h)
+    mat = linearized_gauss_constraints(_normalized(h))
     basis = null_space(mat, rel_tol=rel_tol)
     return basis.shape[0], basis
 
@@ -200,11 +210,6 @@ def dr_rigidity_test(h, rank_tol=1e-10):
     n = h.shape[0]
     if n < 3:
         raise HighDimError("the pointwise test is stated for n >= 3")
-    # both tests are invariant under scaling h; unscaled, an h near the top
-    # of the float range overflows where constraint rows sum two entries
-    peak = float(np.max(np.abs(h)))
-    if peak > 0.0:
-        h = h / peak
     rank = numerical_rank(h, rel_tol=rank_tol)
     null_dim, _ = linearized_gauss_nullspace(h, rel_tol=rank_tol)
     diag_dim = _nullspace_dimension_diagonalized(h, rel_tol=rank_tol)

@@ -1,28 +1,28 @@
 """Truncated Taylor (jet) arithmetic up to third order in n chart variables.
 
-A jet carries the value of a scalar quantity together with its partial
-derivatives up to a requested order.  All arithmetic propagates derivatives
-exactly (to floating point rounding), so downstream identity checks see no
-finite-difference noise.  Jets are batched: every component array may carry
-arbitrary leading batch dimensions.
+A jet keeps the distinct Taylor coefficients c_alpha = d^alpha f / alpha!,
+|alpha| <= order, of a batch of scalars: one row per multi-index, degree by
+degree, each degree in lexicographic order of its sorted index tuples ((),
+(0,), .., (0, 0), (0, 1), ..), the flattened batch on the last, contiguous
+axis.  Products are one table-driven gather-multiply-add, unary functions
+one Taylor composition (Griewank and Walther, Evaluating Derivatives, 2nd
+ed., ch. 13); both are exact to rounding.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from functools import lru_cache
+
 import numpy as np
 
-__all__ = [
-    "Jet",
-    "RigidlabError",
-    "JetDomainError",
-    "sin",
-    "cos",
-    "tan",
-    "exp",
-    "log",
-    "sqrt",
-    "derivative_view",
-]
+__all__ = ["Jet", "RigidlabError", "JetDomainError", "sin", "cos", "tan",
+           "exp", "log", "sqrt", "derivative_view"]
+
+# entries (index pairs x points) in one block of a product: bounds its
+# temporaries without adding numpy calls per index pair
+_BLOCK = 1 << 16
 
 
 class RigidlabError(ValueError):
@@ -35,124 +35,170 @@ class JetDomainError(RigidlabError):
     non-positive number, division by zero, and similar)."""
 
 
-def _as_array(x):
-    return np.asarray(x, dtype=float)
+def _first(n, degree):
+    """Row of the first multi-index of ``degree`` (the count of lower ones)."""
+    return math.comb(n + degree - 1, n)
+
+
+@lru_cache(maxsize=None)
+def _layout(n, order):
+    """Sorted index tuples of degree <= ``order``, in row order; their rows."""
+    idx = [t for d in range(order + 1)
+           for t in itertools.combinations_with_replacement(range(n), d)]
+    return idx, {t: r for r, t in enumerate(idx)}
+
+
+@lru_cache(maxsize=None)
+def _full_index(n, degree):
+    """Row and alpha! of each entry of the full (n,) * degree tensor, C order."""
+    keys = [tuple(sorted(t))
+            for t in itertools.product(range(n), repeat=degree)]
+    fact = [math.prod(math.factorial(k.count(i)) for i in set(k)) for k in keys]
+    return (np.array([_layout(n, degree)[1][k] for k in keys], dtype=np.intp),
+            np.array(fact, dtype=float))
+
+
+@lru_cache(maxsize=None)
+def _product_table(n, order, low_a=0, low_b=0):
+    """Pairs (alpha, beta), alpha + beta = gamma, of c = a b for factors with
+    rows of degree >= low_a, low_b only.  Outputs run in stable order of
+    their pair counts: the j-th pairs of all outputs that have one are one
+    slice (``sizes``) added to a tail, and ``unsort`` restores row order."""
+    idx, row = _layout(n, order)
+    first = _first(n, low_a + low_b)
+    runs = [[] for _ in idx[first:]]
+    for ra, a in enumerate(idx[_first(n, low_a):]):
+        for rb, b in enumerate(idx[_first(n, low_b):]):
+            if len(a) + len(b) <= order:
+                runs[row[tuple(sorted(a + b))] - first].append((ra, rb))
+    by_length = sorted(range(len(runs)), key=lambda g: len(runs[g]))
+    layers = [[runs[g][j] for g in by_length if len(runs[g]) > j]
+              for j in range(len(runs[by_length[-1]]))]
+    left, right = (np.array(c, dtype=np.intp)
+                   for c in zip(*itertools.chain(*layers)))
+    return left, right, [len(p) for p in layers], np.argsort(by_length)
+
+
+def _product(a, b, table):
+    """Rows of a b from rows ``a``, ``b`` (rows, N) in blocks of points; each
+    output adds its pairs in table order, point by point, so a point's
+    result does not depend on the rest of its batch."""
+    left, right, sizes, unsort = table
+    block = max(_BLOCK // len(left), 1)
+    if a.shape[1] > block:
+        return np.concatenate([
+            _product(a[:, s:s + block], b[:, s:s + block], table)
+            for s in range(0, a.shape[1], block)], axis=1)
+    terms = a.take(left, axis=0)
+    terms *= b.take(right, axis=0)
+    outputs = start = sizes[0]
+    for size in sizes[1:]:
+        terms[outputs - size:outputs] += terms[start:start + size]
+        start += size
+    return terms[:outputs].take(unsort, axis=0)
 
 
 class Jet:
-    """Value plus partial derivatives up to ``order`` (0..3) in ``nvars``
-    variables.
-
-    Attributes
-    ----------
-    value : ndarray, batch shape ``S``
+    """Value and partial derivatives up to ``order`` (0..3) in ``nvars``
+    variables: packed coefficients ``coef`` (rows, prod(S)) over the batch
+    shape S = ``batch_shape``, read as read-only C-contiguous arrays:
+    value : ndarray, ``S`` (a view of ``coef``)
     grad  : ndarray, ``S + (n,)`` or None when order < 1
     hess  : ndarray, ``S + (n, n)``, symmetric, or None when order < 2
     third : ndarray, ``S + (n, n, n)``, fully symmetric, or None when order < 3
     """
 
-    __slots__ = ("nvars", "order", "value", "grad", "hess", "third")
+    __slots__ = ("nvars", "order", "coef", "batch_shape")
 
     def __init__(self, value, grad=None, hess=None, third=None, *, nvars, order):
         if not 0 <= order <= 3:
             raise ValueError(f"jet order must be in 0..3, got {order}")
-        self.nvars = int(nvars)
-        self.order = int(order)
-        self.value = _as_array(value)
-        self.grad = None if order < 1 else _as_array(grad)
-        self.hess = None if order < 2 else _as_array(hess)
-        self.third = None if order < 3 else _as_array(third)
+        value = np.asarray(value, dtype=float)
+        coef = np.empty((_first(nvars, order + 1), value.size))
+        for d, part in enumerate((value, grad, hess, third)[:order + 1]):
+            rows, fact = _full_index(nvars, d)
+            _, cols = np.unique(rows, return_index=True)
+            full = np.broadcast_to(part, value.shape + (nvars,) * d)
+            coef[rows[cols]] = (full.reshape(value.size, -1)[:, cols]
+                                / fact[cols]).T
+        self._set(coef, int(nvars), int(order), value.shape)
 
-    # -- constructors -----------------------------------------------------
+    def _set(self, coef, nvars, order, batch_shape):
+        coef.flags.writeable = False
+        self.nvars, self.order, self.coef, self.batch_shape = (
+            nvars, order, coef, batch_shape)
+        return self
+
+    @classmethod
+    def _packed(cls, coef, nvars, order, batch_shape):
+        return cls.__new__(cls)._set(coef, nvars, order, batch_shape)
 
     @classmethod
     def constant(cls, value, nvars, order, batch_shape=()):
-        v = np.broadcast_to(_as_array(value), batch_shape).copy()
-        n = nvars
-        g = np.zeros(batch_shape + (n,)) if order >= 1 else None
-        h = np.zeros(batch_shape + (n, n)) if order >= 2 else None
-        t = np.zeros(batch_shape + (n, n, n)) if order >= 3 else None
-        return cls(v, g, h, t, nvars=n, order=order)
+        batch_shape = tuple(batch_shape)
+        coef = np.zeros((_first(nvars, order + 1), math.prod(batch_shape)))
+        coef[0] = np.broadcast_to(value, batch_shape).reshape(-1)
+        return cls._packed(coef, nvars, order, batch_shape)
 
     @classmethod
     def variable(cls, values, index, nvars, order):
         """Jet of the coordinate function ``x_index`` (0-based) at ``values``."""
-        v = _as_array(values)
-        n = nvars
-        shape = v.shape
-        g = h = t = None
-        if order >= 1:
-            g = np.zeros(shape + (n,))
-            g[..., index] = 1.0
-        if order >= 2:
-            h = np.zeros(shape + (n, n))
-        if order >= 3:
-            t = np.zeros(shape + (n, n, n))
-        return cls(v, g, h, t, nvars=n, order=order)
+        v = np.asarray(values, dtype=float)
+        coef = np.zeros((_first(nvars, order + 1), v.size))
+        coef[0] = v.reshape(-1)
+        coef[1 + index:2 + index] = 1.0       # the gradient row, if any
+        return cls._packed(coef, nvars, order, v.shape)
 
-    # -- helpers -----------------------------------------------------------
+    def _part(self, degree):
+        """The derivatives of one degree as a batch-first symmetric tensor."""
+        if degree > self.order:
+            return None
+        rows, fact = _full_index(self.nvars, degree)
+        part = np.ascontiguousarray(self.coef[rows].T)
+        part *= fact
+        part.flags.writeable = False
+        return part.reshape(self.batch_shape + (self.nvars,) * degree)
 
-    def _like(self, value, grad, hess, third):
-        return Jet(value, grad, hess, third, nvars=self.nvars, order=self.order)
+    value = property(lambda self: self.coef[0].reshape(self.batch_shape))
+    grad = property(lambda self: self._part(1))
+    hess = property(lambda self: self._part(2))
+    third = property(lambda self: self._part(3))
+
+    def _like(self, coef):
+        return Jet._packed(coef, self.nvars, self.order, self.batch_shape)
 
     def _coerce(self, other):
-        """``other`` as a jet like this one; a plain scalar (0-d included)
-        comes back as a float, which the arithmetic applies to the arrays
-        directly instead of running the jet rules with a constant jet."""
+        """``other`` as a jet like this one, or a plain scalar (0-d arrays
+        too) as a float the arithmetic applies to the coefficients directly."""
         if isinstance(other, Jet):
-            if other.nvars != self.nvars or other.order != self.order:
-                raise ValueError("jet nvars/order mismatch")
+            if (other.nvars, other.order, other.batch_shape) != (
+                    self.nvars, self.order, self.batch_shape):
+                raise ValueError("jet nvars/order/batch shape mismatch")
             return other
         if isinstance(other, (int, float, np.integer, np.floating)) or (
                 isinstance(other, np.ndarray) and other.ndim == 0):
             return float(other)
-        arr = _as_array(other)
-        shape = np.broadcast_shapes(arr.shape, self.value.shape)
-        return Jet.constant(arr, self.nvars, self.order, batch_shape=shape)
+        return Jet.constant(other, self.nvars, self.order, self.batch_shape)
 
     def truncate(self, order):
-        """View of this jet at a lower order (components are shared)."""
+        """View of this jet at a lower order (coefficients are shared)."""
         if order > self.order:
             raise ValueError("truncate cannot raise the order")
-        return Jet(
-            self.value,
-            self.grad if order >= 1 else None,
-            self.hess if order >= 2 else None,
-            self.third if order >= 3 else None,
-            nvars=self.nvars, order=order)
-
-    # -- ring operations ----------------------------------------------------
-
-    def _map(self, value_fn, deriv_fn):
-        """New jet with ``value_fn`` applied to the value and ``deriv_fn``
-        to every derivative array."""
-        return self._like(
-            value_fn(self.value),
-            None if self.order < 1 else deriv_fn(self.grad),
-            None if self.order < 2 else deriv_fn(self.hess),
-            None if self.order < 3 else deriv_fn(self.third),
-        )
+        return Jet._packed(self.coef[:_first(self.nvars, order + 1)],
+                           self.nvars, order, self.batch_shape)
 
     def __add__(self, other):
         o = self._coerce(other)
         if not isinstance(o, Jet):
-            return self._map(lambda v: v + o, np.copy)
-        return self._like(
-            self.value + o.value,
-            None if self.order < 1 else self.grad + o.grad,
-            None if self.order < 2 else self.hess + o.hess,
-            None if self.order < 3 else self.third + o.third,
-        )
+            coef = self.coef.copy()
+            coef[0] += o
+            return self._like(coef)
+        return self._like(self.coef + o.coef)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like(
-            -self.value,
-            None if self.order < 1 else -self.grad,
-            None if self.order < 2 else -self.hess,
-            None if self.order < 3 else -self.third,
-        )
+        return self._like(-self.coef)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -164,36 +210,19 @@ class Jet:
         o = self._coerce(other)
         if not isinstance(o, Jet):
             # the product rule with a constant, whose derivatives are zero
-            return self._map(lambda v: v * o, lambda d: d * o)
-        a, b = self, o
-        value = a.value * b.value
-        grad = hess = third = None
-        if self.order >= 1:
-            grad = a.value[..., None] * b.grad + b.value[..., None] * a.grad
-        if self.order >= 2:
-            cross = a.grad[..., :, None] * b.grad[..., None, :]
-            hess = (
-                a.value[..., None, None] * b.hess
-                + b.value[..., None, None] * a.hess
-                + cross
-                + np.swapaxes(cross, -1, -2)
-            )
-        if self.order >= 3:
-            third = (
-                a.value[..., None, None, None] * b.third
-                + b.value[..., None, None, None] * a.third
-                + _sym_grad_hess(a.grad, b.hess)
-                + _sym_grad_hess(b.grad, a.hess)
-            )
-        return self._like(value, grad, hess, third)
+            return self._like(self.coef * o)
+        return self._like(_product(self.coef, o.coef,
+                                   _product_table(self.nvars, self.order)))
 
     __rmul__ = __mul__
 
     def reciprocal(self):
-        u = self.value
+        u = self.coef[0]
         if np.any(u == 0.0):
             raise JetDomainError("division by zero")
-        return _compose(self, 1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
+        r = 1.0 / u
+        r2 = r * r
+        return _compose(self, [r, -r2, r2 * r, -r2 * r2])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -210,135 +239,105 @@ class Jet:
         if not isinstance(exponent, (int, np.integer)):
             raise TypeError("jet exponent must be an integer")
         m = int(exponent)
-        u = self.value
+        u = self.coef[0]
         if m < 0 and np.any(u == 0.0):
             raise JetDomainError("zero raised to a negative power")
-        derivs = []
-        coeff = 1.0
-        for k in range(4):
-            p = m - k
-            if coeff == 0.0:
-                derivs.append(np.zeros_like(u))
-            else:
-                derivs.append(coeff * _int_power(u, p))
-            coeff *= m - k
-        return _compose(self, *derivs)
+        # Taylor coefficients binom(m, k) u^(m - k) for any integer m
+        binom = [math.prod(range(m - k + 1, m + 1)) / math.factorial(k)
+                 for k in range(self.order + 1)]
+        return _compose(self, [c * u ** (m - k) if c else 0.0 * u
+                               for k, c in enumerate(binom)])
 
     def __repr__(self):
         return f"Jet(order={self.order}, nvars={self.nvars}, value={self.value!r})"
 
 
-def _int_power(u, p):
-    if p == 0:
-        return np.ones_like(u)
-    if p > 0:
-        return u ** p
-    return 1.0 / u ** (-p)
-
-
-def _sym_grad_hess(g, h):
-    """Symmetrized grad x hess contribution to a third derivative:
-    g_i h_jk + g_j h_ik + g_k h_ij."""
-    t = g[..., :, None, None] * h[..., None, :, :]
-    t = t + g[..., None, :, None] * h[..., :, None, :]
-    t = t + g[..., None, None, :] * h[..., :, :, None]
-    return t
-
-
-def _compose(u, f0, f1, f2=None, f3=None):
-    """Jet of f(u) given the derivatives of f at u.value (Faa di Bruno to
-    third order)."""
-    value = np.asarray(f0, dtype=float)
-    grad = hess = third = None
-    if u.order >= 1:
-        f1 = np.asarray(f1, dtype=float)
-        grad = f1[..., None] * u.grad
-    if u.order >= 2:
-        f2 = np.asarray(f2, dtype=float)
-        outer = u.grad[..., :, None] * u.grad[..., None, :]
-        hess = f2[..., None, None] * outer + f1[..., None, None] * u.hess
-    if u.order >= 3:
-        f3 = np.asarray(f3, dtype=float)
-        cube = (
-            u.grad[..., :, None, None]
-            * u.grad[..., None, :, None]
-            * u.grad[..., None, None, :]
-        )
-        third = (
-            f3[..., None, None, None] * cube
-            + f2[..., None, None, None] * _sym_grad_hess(u.grad, u.hess)
-            + f1[..., None, None, None] * u.third
-        )
-    return Jet(value, grad, hess, third, nvars=u.nvars, order=u.order)
+def _compose(u, taylor):
+    """Jet of f(u) = sum_k t_k delta^k, ``taylor[k]`` = t_k = f^(k)(u_0) / k!,
+    delta = u - u_0 (the rows of degree >= 1); delta^k has rows >= k only."""
+    n, order, delta = u.nvars, u.order, u.coef[1:]
+    out = np.empty_like(u.coef)
+    out[0] = taylor[0]
+    if order:
+        np.multiply(taylor[1], delta, out=out[1:])
+    power = delta
+    for k in range(2, order + 1):
+        power = _product(power, delta, _product_table(n, order, k - 1, 1))
+        out[_first(n, k):] += taylor[k] * power
+    return u._like(out)
 
 
 def sin(x):
     if not isinstance(x, Jet):
         return np.sin(x)
-    s, c = np.sin(x.value), np.cos(x.value)
-    return _compose(x, s, c, -s, -c)
+    s, c = np.sin(x.coef[0]), np.cos(x.coef[0])
+    return _compose(x, [s, c, -0.5 * s, c / -6.0])
 
 
 def cos(x):
     if not isinstance(x, Jet):
         return np.cos(x)
-    s, c = np.sin(x.value), np.cos(x.value)
-    return _compose(x, c, -s, -c, s)
+    s, c = np.sin(x.coef[0]), np.cos(x.coef[0])
+    return _compose(x, [c, -s, -0.5 * c, s / 6.0])
 
 
 def tan(x):
     if not isinstance(x, Jet):
         return np.tan(x)
-    c = np.cos(x.value)
-    if np.any(np.abs(c) < 1e-300):
+    if np.any(np.abs(np.cos(x.coef[0])) < 1e-300):
         raise JetDomainError("tan evaluated at a pole")
-    t = np.tan(x.value)
+    t = np.tan(x.coef[0])
     sec2 = 1.0 + t * t
-    return _compose(x, t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (sec2 + 2.0 * t * t))
+    return _compose(x, [t, sec2, t * sec2, sec2 * (sec2 + 2.0 * t * t) / 3.0])
 
 
 def exp(x):
     if not isinstance(x, Jet):
         return np.exp(x)
-    e = np.exp(x.value)
-    return _compose(x, e, e, e, e)
+    e = np.exp(x.coef[0])
+    return _compose(x, [e, e, 0.5 * e, e / 6.0])
 
 
 def log(x):
     if not isinstance(x, Jet):
         return np.log(x)
-    u = x.value
+    u = x.coef[0]
     if np.any(u <= 0.0):
         raise JetDomainError("log of a non-positive number")
-    return _compose(x, np.log(u), 1.0 / u, -1.0 / u**2, 2.0 / u**3)
+    r = 1.0 / u
+    return _compose(x, [np.log(u), r, -0.5 * r * r, r * r * r / 3.0])
 
 
 def sqrt(x):
     if not isinstance(x, Jet):
         return np.sqrt(x)
-    u = x.value
+    u = x.coef[0]
     if np.any(u <= 0.0):
-        raise JetDomainError("sqrt of a non-positive number (derivatives "
-                             "require a strictly positive argument)")
+        raise JetDomainError("sqrt of a non-positive number (its derivatives "
+                             "need a positive argument)")
     r = np.sqrt(u)
-    return _compose(x, r, 0.5 / r, -0.25 / (u * r), 0.375 / (u * u * r))
+    return _compose(x, [r, 0.5 / r, -0.125 / (u * r), 0.0625 / (u * u * r)])
+
+
+@lru_cache(maxsize=None)
+def _shift(n, order, index):
+    """Rows of beta + e_index and weights beta_index + 1, |beta| <= order."""
+    idx, row = _layout(n, order + 1)
+    lower = idx[:_first(n, order + 1)]
+    return (np.array([row[tuple(sorted(t + (index,)))] for t in lower],
+                     dtype=np.intp),
+            np.array([t.count(index) + 1.0 for t in lower]))
 
 
 def derivative_view(jet, index, order=None):
-    """Jet of the partial derivative d(jet)/dx_index, one order lower.
-
-    The components of the returned jet are slices of the higher components
-    of ``jet``; this is how quantities built from second derivatives get
-    differentiated once more without any new evaluation.
-    """
+    """Jet of d(jet)/dx_index, one order lower: the weighted coefficient
+    shift (beta_index + 1) c_(beta + e_index), so quantities built from
+    second derivatives get differentiated again without a new evaluation."""
     if jet.order < 1:
         raise ValueError("cannot take a derivative view of an order-0 jet")
     new_order = jet.order - 1 if order is None else order
     if new_order > jet.order - 1:
         raise ValueError("derivative view cannot raise the order")
-    value = jet.grad[..., index]
-    grad = jet.hess[..., index, :] if new_order >= 1 else None
-    hess = jet.third[..., index, :, :] if new_order >= 2 else None
-    if new_order >= 3:
-        raise ValueError("third-order views are not available")
-    return Jet(value, grad, hess, None, nvars=jet.nvars, order=new_order)
+    rows, weight = _shift(jet.nvars, new_order, index)
+    return Jet._packed(jet.coef[rows] * weight[:, None], jet.nvars, new_order,
+                       jet.batch_shape)

@@ -107,11 +107,11 @@ def difference_tensors(pair, point, frames=None):
                              mu=s1.mu, mu_tilde=s2.mu, det_residual=det_res)
 
 
-def verify_w_formula(pair, point):
+def verify_w_formula(pair, point, frames=None):
     """Residual of W_ij (mu + mu~) - 2 Phi_{i,j} - hbar_ij (mu - mu~),
     relative to the size of its terms.  Phi_{i,j} is the covariant Hessian
     of the support difference in the shared metric."""
-    f1, f2 = _pair_frames(pair, point)
+    f1, f2 = frames if frames is not None else _pair_frames(pair, point)
     s1 = support_at(pair.first, point, frame=f1)
     s2 = support_at(pair.second, point, frame=f2)
     d = difference_tensors(pair, point, frames=(f1, f2))
@@ -133,16 +133,15 @@ def _cofactor_trace(hbar, w):
             - 2.0 * hbar[..., 0, 1] * w[..., 0, 1])
 
 
-def verify_gauss_trace_and_codazzi(pair, point):
+def verify_gauss_trace_and_codazzi(pair, point, frames=None):
     """(trace residual, Codazzi residual) of the difference form W.
 
     The trace uses hbar^{ij} W_ij when hbar is safely invertible and the
     equivalent cofactor form otherwise.  Codazzi compares the covariant
     derivatives W_{ij,k} and W_{ik,j}, each surface differentiating its own
-    second form.
+    second form.  ``frames`` must be of order 3.
     """
-    f1 = frame_at(pair.first, point, order=3)
-    f2 = frame_at(pair.second, point, order=3)
+    f1, f2 = frames if frames is not None else _pair_frames(pair, point, 3)
     d = difference_tensors(pair, point, frames=(f1, f2))
 
     hbar = d.h_bar

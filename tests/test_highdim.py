@@ -171,6 +171,15 @@ def test_rigidity_verdict_is_invariant_under_scaling(eigenvalues, exponent,
     assert len(outcomes) == 1, outcomes
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e300])
+def test_symmetry_check_does_not_depend_on_the_scale_of_h(scale):
+    h = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(HighDimError, match="symmetric"):
+        linearized_gauss_nullspace(scale * h)
+    with pytest.raises(HighDimError, match="symmetric"):
+        dr_rigidity_test(scale * h)
+
+
 def test_small_dimension_rejected():
     with pytest.raises(HighDimError):
         dr_rigidity_test(np.eye(2))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from rigidlab import jets as jt
+from rigidlab.expressions import evaluate_jet, parse_expression
 from rigidlab.jets import Jet, JetDomainError, derivative_view
 
 
@@ -139,3 +143,119 @@ def test_scalar_arithmetic_is_bitwise_the_product_rule(c):
             assert not np.shares_memory(a, b)
     with pytest.raises(JetDomainError):
         f / 0
+
+
+# -- random polynomials against exact derivatives ----------------------------
+
+_MAX_DEGREE = 6
+
+
+def _poly_mul(p, q):
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            key = tuple(i + j for i, j in zip(a, b))
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
+
+
+def _poly_add(p, q):
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, 0.0) + c
+    return out
+
+
+def _degree(p):
+    return max((sum(k) for k, c in p.items() if c != 0.0), default=0)
+
+
+@st.composite
+def _polynomials(draw, n, depth):
+    """A jet builder and the exact polynomial (exponent tuple -> coefficient)
+    of a random expression in +, *, ** and reciprocal."""
+    kind = draw(st.sampled_from(
+        ["var", "const"] + (["+", "*", "**", "recip"] if depth else [])))
+    if kind == "var":
+        i = draw(st.integers(0, n - 1))
+        exps = tuple(int(j == i) for j in range(n))
+        return (lambda xs, i=i: xs[i]), {exps: 1.0}
+    if kind == "const":
+        c = draw(st.floats(-2.0, 2.0))
+        return (lambda xs, c=c: Jet.constant(c, n, xs[0].order)), {(0,) * n: c}
+    fa, pa = draw(_polynomials(n, depth - 1))
+    if kind == "**":
+        m = draw(st.integers(0, 3))
+        if _degree(pa) * m > _MAX_DEGREE:
+            m = 1
+        pm = {(0,) * n: 1.0}
+        for _ in range(m):
+            pm = _poly_mul(pm, pa)
+        return (lambda xs: fa(xs) ** m), pm
+    if kind == "recip":
+        # p q / q with q bounded away from zero on [-1, 1]^n: the
+        # reciprocal enters, the function stays the polynomial p
+        i = draw(st.integers(0, n - 1))
+        c = draw(st.floats(-0.5, 0.5))
+
+        def fq(xs):
+            return 2.0 + c * xs[i] * xs[i]
+        return (lambda xs: (fa(xs) * fq(xs)) * fq(xs).reciprocal()), pa
+    fb, pb = draw(_polynomials(n, depth - 1))
+    if kind == "*" and _degree(pa) + _degree(pb) <= _MAX_DEGREE:
+        return (lambda xs: fa(xs) * fb(xs)), _poly_mul(pa, pb)
+    return (lambda xs: fa(xs) + fb(xs)), _poly_add(pa, pb)
+
+
+def _exact(poly, n, alpha, point):
+    """d^alpha of the polynomial at ``point`` with numpy.polynomial."""
+    coef = np.zeros((_MAX_DEGREE + 1,) * n)
+    for k, c in poly.items():
+        coef[k] += c
+    for axis, m in enumerate(alpha):
+        coef = npoly.polyder(coef, m, axis=axis)
+    for x in point:
+        coef = npoly.polyval(x, coef)
+    return float(coef)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(st.data(), st.integers(2, 4), st.integers(0, 3))
+def test_random_polynomial_jets_match_exact_derivatives(data, n, order):
+    build, poly = data.draw(_polynomials(n, 3))
+    point = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                        max_size=n)))
+    xs = [Jet.variable(point[i], i, n, order) for i in range(n)]
+    jet = build(xs)
+    # bounds every derivative of the polynomial on [-1, 1]^n
+    scale = 1.0 + sum(abs(c) for c in poly.values()) * 720.0
+    parts = [jet.value, jet.grad, jet.hess, jet.third]
+    for d in range(order + 1):
+        for idx in np.ndindex(*(n,) * d):
+            alpha = tuple(idx.count(i) for i in range(n))
+            assert parts[d][idx] == pytest.approx(
+                _exact(poly, n, alpha, point), abs=1e-12 * scale)
+    for low in range(order + 1):
+        cut = jet.truncate(low)
+        for d in range(low + 1):
+            assert np.array_equal(_parts(cut)[d], parts[d])
+        assert all(p is None for p in _parts(cut)[low + 1:])
+    for i in range(n if order else 0):
+        dv = derivative_view(jet, i)
+        views = [dv.value, dv.grad, dv.hess]
+        for d in range(order):
+            np.testing.assert_allclose(views[d], np.take(parts[d + 1], i, 0),
+                                       rtol=1e-14, atol=0)
+
+
+def test_sphere_jets_do_not_depend_on_the_batch():
+    comp = parse_expression("cos(x1)*cos(x2)", 2)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-3.0, 3.0, (100000, 2))
+    batch = evaluate_jet(comp, pts, order=3)
+    # both sides of the first product block boundaries, and the last point
+    block = max(jt._BLOCK // len(jt._product_table(2, 3)[0]), 1)
+    for k in (0, block - 1, block, 2 * block + 1, len(pts) - 1):
+        alone = evaluate_jet(comp, pts[k:k + 1], order=3)
+        for a, b in zip(_parts(alone), _parts(batch)):
+            assert a[0].tobytes() == b[k].tobytes()
