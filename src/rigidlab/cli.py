@@ -23,6 +23,7 @@ from . import highdim as hd
 from . import pairs as pr
 from . import surfaces as sf
 from .jets import RigidlabError
+from .linalg import contract
 from .report import CheckEntry, Report
 
 USAGE_ERROR = 64
@@ -138,8 +139,8 @@ def run_check_surface(args):
                           "(--points or --grid)")
     frame = gm.frame_at(immersion, pts, order=3)
 
-    unit = np.abs(np.einsum("...a,...a->...", frame.normal, frame.normal) - 1)
-    orth = np.abs(np.einsum("...a,...ai->...i", frame.normal, frame.tangents))
+    unit = np.abs(contract("...a,...a->...", frame.normal, frame.normal) - 1)
+    orth = np.abs(contract("...a,...ai->...i", frame.normal, frame.tangents))
     report.add(CheckEntry.residual(
         "normal-frame", max(float(unit.max()), float(orth.max())), 1e-12,
         "geometry", "unit normal orthogonal to all tangents"))
@@ -175,9 +176,9 @@ def run_check_surface(args):
     if immersion.dim == 2:
         report.add(CheckEntry.residual(
             "monge-ampere", float(np.max(dx.darboux_residual(
-                immersion, pts, frame=frame))), 1e-8, "darboux",
+                immersion, pts, frame=frame, support=sup))), 1e-8, "darboux",
             "det(rho_hess - g) = K det(g) mu^2"))
-    shape = dx.verify_shape_identity(immersion, pts, frame=frame)
+    shape = dx.verify_shape_identity(immersion, pts, frame=frame, support=sup)
     all_skipped = bool(np.all(shape.skipped))
     live = np.where(shape.skipped, 0.0, shape.max_residual)
     report.add(CheckEntry.residual(
@@ -225,11 +226,12 @@ def run_pair_check(args):
         "det(h) and det(h~) both equal K det(g)"))
     report.add(CheckEntry.residual(
         "w-from-support",
-        float(np.max(pr.verify_w_formula(pair, pts, frames=frames))),
+        float(np.max(pr.verify_w_formula(pair, pts, frames=frames,
+                                         difference=d))),
         1e-8, "pairs",
         "W (mu + mu~) = 2 Phi_hess + hbar (mu - mu~)"))
-    trace, codazzi = pr.verify_gauss_trace_and_codazzi(pair, pts,
-                                                       frames=frames)
+    trace, codazzi = pr.verify_gauss_trace_and_codazzi(
+        pair, pts, frames=frames, difference=d)
     report.add(CheckEntry.residual(
         "w-trace-free", float(np.max(trace)), 1e-7, "pairs",
         "hbar-trace of W vanishes (cofactor form when singular)"))

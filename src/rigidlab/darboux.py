@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import frame_at
+from .linalg import cofactor, contract
 
 __all__ = [
     "SupportData",
@@ -45,16 +46,16 @@ def support_at(immersion, point, frame=None):
     """Support quantities of r at ``point`` (batched)."""
     fr = frame if frame is not None else frame_at(immersion, point, order=2)
     pos, tang = fr.position, fr.tangents
-    rho = 0.5 * np.einsum("...a,...a->...", pos, pos)
-    grad_rho = np.einsum("...a,...ai->...i", pos, tang)
+    rho = 0.5 * contract("...a,...a->...", pos, pos)
+    grad_rho = contract("...a,...ai->...i", pos, tang)
     # d_ij rho = g_ij + r . r_ij, then subtract the Christoffel term
-    hess = fr.metric + np.einsum("...a,...aij->...ij", pos, fr.d2)
-    hess = hess - np.einsum("...kij,...k->...ij", fr.christoffels, grad_rho)
-    mu = np.einsum("...a,...a->...", pos, fr.normal)
+    hess = fr.metric + contract("...a,...aij->...ij", pos, fr.d2)
+    hess = hess - contract("...kij,...k->...ij", fr.christoffels, grad_rho)
+    mu = contract("...a,...a->...", pos, fr.normal)
 
-    grad_sq = np.einsum("...i,...ij,...j->...", grad_rho, fr.metric_inv, grad_rho)
+    grad_sq = contract("...i,...ij,...j->...", grad_rho, fr.metric_inv, grad_rho)
     norm_residual = np.abs(mu**2 - (2.0 * rho - grad_sq))
-    recon = (np.einsum("...ij,...j,...ai->...a", fr.metric_inv, grad_rho, tang)
+    recon = (contract("...ij,...j,...ai->...a", fr.metric_inv, grad_rho, tang)
              + mu[..., None] * fr.normal)
     position_residual = np.max(np.abs(pos - recon), axis=-1)
     return SupportData(rho=rho, grad_rho=grad_rho, rho_hess=hess, mu=mu,
@@ -62,17 +63,20 @@ def support_at(immersion, point, frame=None):
                        position_residual=position_residual)
 
 
-def darboux_residual(immersion, point, frame=None, relative=True):
+def darboux_residual(immersion, point, frame=None, relative=True,
+                     support=None):
     """det(rho_{i,j} - g_ij) - K det(g) mu^2 at ``point`` (n = 2 only).
 
     Zero up to rounding for a genuine immersion.  With ``relative`` the
-    residual is divided by max(1, |lhs|, |rhs|).
+    residual is divided by max(1, |lhs|, |rhs|).  ``support`` is the
+    :func:`support_at` result of the same frame, when the caller has it.
     """
     if immersion.dim != 2:
         raise ValueError("the Monge-Ampere identity is stated for n = 2")
     fr = frame if frame is not None else frame_at(immersion, point, order=2)
-    sup = support_at(immersion, point, frame=fr)
-    lhs = np.linalg.det(sup.rho_hess - fr.metric)
+    sup = support if support is not None else support_at(immersion, point,
+                                                         frame=fr)
+    lhs = cofactor(sup.rho_hess - fr.metric, adjugate=False)[0]
     rhs = fr.curvature * fr.det_metric * sup.mu**2
     res = np.abs(lhs - rhs)
     if relative:
@@ -86,12 +90,13 @@ class ShapeIdentityResult:
     skipped: np.ndarray           # support-degenerate points (|mu| tiny)
 
 
-def verify_shape_identity(immersion, point, frame=None):
+def verify_shape_identity(immersion, point, frame=None, support=None):
     """Componentwise residual of  h_ij mu - (rho_{i,j} - g_ij),  relative to
     the size of its terms.  Points with |mu| < 1e-8 are flagged as skipped
-    rather than failed."""
+    rather than failed.  ``support`` is as in :func:`darboux_residual`."""
     fr = frame if frame is not None else frame_at(immersion, point, order=2)
-    sup = support_at(immersion, point, frame=fr)
+    sup = support if support is not None else support_at(immersion, point,
+                                                         frame=fr)
     lhs = fr.second_form * sup.mu[..., None, None]
     rhs = sup.rho_hess - fr.metric
     scale = np.maximum(1.0, np.maximum(

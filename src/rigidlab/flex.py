@@ -39,8 +39,8 @@ from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
 from .expressions import evaluate_jet, parse_expression
 from .geometry import frame_at, sample_grid
-from .jets import Jet, RigidlabError, derivative_view
-from .linalg import singular_values
+from .jets import Jet, RigidlabError, batch_first, derivative_view, stacked
+from .linalg import cofactor, contract, singular_values
 
 __all__ = [
     "FlexError",
@@ -199,7 +199,7 @@ def first_order_residual(immersion, fld, point):
     """Symmetric residual r_i . tau_j + r_j . tau_i; zero for flexes."""
     fr = frame_at(immersion, point, order=2)
     fj = field_jets(immersion, fld, point, order=1)
-    s = np.einsum("...ai,...aj->...ij", fr.tangents, fj.grad)
+    s = contract("...ai,...aj->...ij", fr.tangents, fj.grad)
     return s + np.swapaxes(s, -1, -2)
 
 
@@ -226,13 +226,6 @@ def _det(m):
     return acc
 
 
-def _stack(rows, attr="value"):
-    """``attr`` of the jets of an [i][a] list as one array (..., i, a, ...)."""
-    axis = rows[0][0].value.ndim
-    return np.stack([np.stack([getattr(c, attr) for c in row], axis=axis)
-                     for row in rows], axis=axis)
-
-
 @dataclass
 class RotationJets:
     """Jets along the chart of the rotation Y of a deformation field, the
@@ -251,17 +244,13 @@ class RotationJets:
     y: dict                       # (a, b) -> Y_ab, a < b
     tau: list                     # the field tau, at the chart jets' order
 
-    def frame(self):
-        """Values of the columns r_1 .. r_n, n: shape (..., A, n + 1)."""
-        return np.swapaxes(_stack([*self.tangents, self.normal]), -1, -2)
-
     def rotation(self):
         """Values of Y, shape (..., A, A), and of its chart derivatives
         Y_k, shape (..., n, A, A)."""
-        batch = self.normal[0].value.shape
+        batch = self.normal[0].batch_shape
         a_dim, n = len(self.normal), len(self.tangents)
-        y = np.zeros(batch + (a_dim, a_dim))
-        dy = np.zeros(batch + (n, a_dim, a_dim))
+        y = batch_first(np.zeros((a_dim, a_dim) + batch), 2)
+        dy = batch_first(np.zeros((n, a_dim, a_dim) + batch), 3)
         for (a, b), jet in self.y.items():
             y[..., a, b], y[..., b, a] = jet.value, -jet.value
             dy[..., :, a, b], dy[..., :, b, a] = jet.grad, -jet.grad
@@ -270,8 +259,10 @@ class RotationJets:
     def flex_residual(self):
         """max |tau_i - Y r_i| per point; zero exactly for flexes."""
         y, _ = self.rotation()
-        y_r = np.einsum("...ab,...ib->...ia", y, _stack(self.tangents))
-        return np.max(np.abs(_stack(self.dtau) - y_r), axis=(-1, -2))
+        tangents, dtau = np.moveaxis(
+            stacked([self.tangents, self.dtau], (0,))[0], -3, 0)
+        y_r = contract("...ab,...ib->...ia", y, tangents)
+        return np.max(np.abs(dtau - y_r), axis=(-1, -2))
 
     def w(self):
         """The tensor w_kj = r_j . (Y_k n), symmetric for flexes: values
@@ -288,7 +279,9 @@ class RotationJets:
         w = [[reduce(operator.add, (derivative_view(y, k) * wedge[j][ab]
                                     for ab, y in self.y.items()))
               for j in range(n)] for k in range(n)]
-        return _stack(w), (_stack(w, "grad") if order >= 1 else None)
+        if order < 1:
+            return stacked(w, (0,))[0], None
+        return tuple(stacked(w, (0, 1)))
 
 
 def rotation_jets(immersion, fld, point, order):
@@ -372,8 +365,11 @@ class RotationData:
 
 def _hodge(y):
     """Rotation vectors (Y_21, Y_02, Y_10) of skew 3x3 matrices, so that
-    Y v = y x v."""
-    return np.stack([y[..., 2, 1], y[..., 0, 2], y[..., 1, 0]], axis=-1)
+    Y v = y x v, in the memory order of ``y``."""
+    out = np.empty_like(y[..., 0])
+    out[..., 0], out[..., 1], out[..., 2] = (
+        y[..., 2, 1], y[..., 0, 2], y[..., 1, 0])
+    return out
 
 
 def rotation_data(immersion, fld, point):
@@ -384,17 +380,17 @@ def rotation_data(immersion, fld, point):
     rj = _surface_rotation(immersion, fld, point, 2)
     y_mat, dy_mat = rj.rotation()
     y, dy = _hodge(y_mat), _hodge(dy_mat)
-    n_val = rj.frame()[..., 2]
-    taui = _stack(rj.dtau)
+    n_val, = stacked(rj.normal, (0,))
+    taui, dual = np.moveaxis(stacked([rj.dtau, rj.dual], (0,))[0], -3, 0)
     residual = rj.flex_residual()
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(y), axis=-1),
                                        np.max(np.abs(taui), axis=(-1, -2))))
-    tangency = np.max(np.abs(np.einsum("...a,...ka->...k", n_val, dy)),
+    tangency = np.max(np.abs(contract("...a,...ka->...k", n_val, dy)),
                       axis=-1)
     return RotationData(
-        u=np.einsum("...a,...ia->...i", n_val, taui),
-        w_scalar=np.einsum("...a,...a->...", n_val, y), y=y, dy=dy,
-        a_mixed=np.einsum("...ka,...la->...kl", dy, _stack(rj.dual)),
+        u=contract("...a,...ia->...i", n_val, taui),
+        w_scalar=contract("...a,...a->...", n_val, y), y=y, dy=dy,
+        a_mixed=contract("...ka,...la->...kl", dy, dual),
         rotation_residual=residual, tangency_residual=tangency,
         is_flex=residual <= FLEX_RESIDUAL_TOL * scale)
 
@@ -426,11 +422,11 @@ def _w_tensor(rj, fr):
     w_sym = 0.5 * (w_val + np.swapaxes(w_val, -1, -2))
 
     gamma = fr.christoffels
-    corr = np.einsum("...lki,...lj->...kij", gamma, w_sym)
+    corr = contract("...lki,...lj->...kij", gamma, w_sym)
     w_cov = dw - corr - np.swapaxes(corr, -1, -2)
 
     h = fr.second_form
-    det_h = np.linalg.det(h)
+    det_h = cofactor(h, adjugate=False)[0]
     cof = (h[..., 0, 0] * w_sym[..., 1, 1] + h[..., 1, 1] * w_sym[..., 0, 0]
            - 2.0 * h[..., 0, 1] * w_sym[..., 0, 1])
     h_scale = np.maximum(np.max(np.abs(h), axis=(-1, -2)) ** 2, 1e-30)
@@ -467,22 +463,20 @@ def phi_relation_residual(immersion, fld, point):
     fr = frame_at(immersion, point, order=2)
     wt = _w_tensor(rj, fr)
     sup = support_at(immersion, point, frame=fr)
-    tau = np.stack([c.value for c in rj.tau], axis=-1)
-    dtau = np.stack([c.grad for c in rj.tau], axis=-2)
-    ddtau = np.stack([c.hess for c in rj.tau], axis=-3)
+    tau, dtau, ddtau = stacked(rj.tau, (0, 1, 2))
 
     pos, tang = fr.position, fr.tangents
-    phi = np.einsum("...a,...a->...", pos, tau)
-    dphi = (np.einsum("...ai,...a->...i", tang, tau)
-            + np.einsum("...a,...ai->...i", pos, dtau))
-    ddphi = (np.einsum("...aij,...a->...ij", fr.d2, tau)
-             + np.einsum("...ai,...aj->...ij", tang, dtau)
-             + np.einsum("...aj,...ai->...ij", tang, dtau)
-             + np.einsum("...a,...aij->...ij", pos, ddtau))
-    phi_hess = ddphi - np.einsum("...kij,...k->...ij", fr.christoffels, dphi)
+    phi = contract("...a,...a->...", pos, tau)
+    dphi = (contract("...ai,...a->...i", tang, tau)
+            + contract("...a,...ai->...i", pos, dtau))
+    ddphi = (contract("...aij,...a->...ij", fr.d2, tau)
+             + contract("...ai,...aj->...ij", tang, dtau)
+             + contract("...aj,...ai->...ij", tang, dtau)
+             + contract("...a,...aij->...ij", pos, ddtau))
+    phi_hess = ddphi - contract("...kij,...k->...ij", fr.christoffels, dphi)
 
-    grad_pair = np.einsum("...i,...ij,...j->...",
-                          dphi, fr.metric_inv, sup.grad_rho)
+    grad_pair = contract("...i,...ij,...j->...",
+                         dphi, fr.metric_inv, sup.grad_rho)
     nu = 2.0 * (phi - grad_pair)
     mu = sup.mu
 
@@ -495,12 +489,11 @@ def phi_relation_residual(immersion, fld, point):
 
     # b = tau - Y x r should equal g^{ij} phi_i r_j + (phi - grad phi .
     # grad rho) / mu * n wherever mu is not degenerate
-    y = _hodge(rj.rotation()[0])
-    b_vec = tau - np.cross(y, pos)
+    b_vec = tau - contract("...ab,...b->...a", rj.rotation()[0], pos)
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = np.where(skipped, 0.0, (phi - grad_pair)
                         / np.where(skipped, 1.0, mu))
-    recon = (np.einsum("...ij,...j,...ai->...a", fr.metric_inv, dphi, tang)
+    recon = (contract("...ij,...j,...ai->...a", fr.metric_inv, dphi, tang)
              + beta[..., None] * fr.normal)
     b_res = np.max(np.abs(b_vec - recon), axis=-1)
     b_res = np.where(skipped, 0.0, b_res)
@@ -538,7 +531,7 @@ def closed_one_form_residual(immersion, tau_field, e_field, grid=(48, 48)):
             f"E is not an admissible field: dr . dE residual {pre:.3e}")
 
     rot = rotation_data(immersion, tau_field, pts)
-    omega = np.einsum("...ka,...a->...k", rot.dy, e_fj.value)
+    omega = contract("...ka,...a->...k", rot.dy, e_fj.value)
 
     spacings = [float(pts[1, 0, 0] - pts[0, 0, 0]),
                 float(pts[0, 1, 1] - pts[0, 0, 1])]

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .expressions import evaluate_jet
-from .jets import RigidlabError
+from .jets import RigidlabError, batch_first, stacked
+from .linalg import cofactor, contract
 from .quadrature import invert_antiderivative, spectral_derivative
 
 __all__ = [
@@ -106,7 +107,8 @@ class PointFrame:
 
     Arrays are batched: ``point`` of shape (..., n) yields e.g. ``metric``
     of shape (..., n, n).  ``christoffels[..., k, i, j]`` is Gamma^k_ij and
-    ``dmetric[..., k, i, j]`` is d_k g_ij.
+    ``dmetric[..., k, i, j]`` is d_k g_ij.  Every field but ``point`` is a
+    batch-first view whose points axis is innermost in memory.
     """
 
     point: np.ndarray
@@ -140,28 +142,25 @@ def frame_at(immersion, point, order=2):
     if order < 2:
         raise ValueError("frames need jets of order >= 2")
     pts, jts = _component_jets(immersion, point, order)
-    position = np.stack([j.value for j in jts], axis=-1)
-    tangents = np.stack([j.grad for j in jts], axis=-2)
-    d2 = np.stack([j.hess for j in jts], axis=-3)
-    d3 = np.stack([j.third for j in jts], axis=-4) if order >= 3 else None
+    position, tangents, d2, *d3 = stacked(jts, range(order + 1))
     metric, det_metric, metric_inv, dmetric, christoffels = _connection(
         immersion, tangents, d2)
 
     normal = _cross_normal(tangents)
-    nrm = np.linalg.norm(normal, axis=-1, keepdims=True)
-    normal = normal / nrm
+    nrm = np.sqrt(contract("...a,...a->...", normal, normal))
     if immersion.orientation == "inward":
-        normal = -normal
+        nrm = -nrm
+    normal = normal / nrm[..., None]
 
-    second_form = np.einsum("...aij,...a->...ij", d2, normal)
-    curvature = np.linalg.det(second_form) / det_metric
+    second_form = contract("...aij,...a->...ij", d2, normal)
+    curvature = cofactor(second_form, adjugate=False)[0] / det_metric
 
     return PointFrame(
         point=pts, position=position, tangents=tangents, d2=d2,
         normal=normal, metric=metric, metric_inv=metric_inv,
         det_metric=det_metric, second_form=second_form,
         christoffels=christoffels, dmetric=dmetric, curvature=curvature,
-        order=order, d3=d3, jets=jts)
+        order=order, d3=d3[0] if d3 else None, jets=jts)
 
 
 def _connection(immersion, tangents, d2):
@@ -172,23 +171,22 @@ def _connection(immersion, tangents, d2):
     ``1e-12 * (max tangent norm)^(2n)``.
     """
     n = tangents.shape[-1]
-    metric = np.einsum("...ai,...aj->...ij", tangents, tangents)
-    det_metric = np.linalg.det(metric)
-    norms2 = np.einsum("...ai,...ai->...i", tangents, tangents)
-    scale = np.max(norms2, axis=-1) ** n
+    metric = contract("...ai,...aj->...ij", tangents, tangents)
+    det_metric, adj_metric = cofactor(metric)
+    scale = np.max(np.diagonal(metric, axis1=-2, axis2=-1), axis=-1) ** n
     if np.any(det_metric <= DEGENERACY_RTOL * scale):
         raise DegenerateFrameError(
             f"immersion {immersion.name}: degenerate tangent frame "
             f"(min det g = {np.min(det_metric):.3e})")
-    metric_inv = np.linalg.inv(metric)
+    metric_inv = adj_metric / det_metric[..., None, None]
 
-    dmetric = np.einsum("...aik,...aj->...kij", d2, tangents)
+    dmetric = contract("...aik,...aj->...kij", d2, tangents)
     dmetric = dmetric + np.swapaxes(dmetric, -1, -2)
     # Gamma^l_ij = 1/2 g^{lk} (d_i g_jk + d_j g_ik - d_k g_ij)
     bracket = (np.einsum("...ijk->...kij", dmetric)
                + np.einsum("...jik->...kij", dmetric)
                - dmetric)
-    christoffels = 0.5 * np.einsum("...lk,...kij->...lij", metric_inv, bracket)
+    christoffels = 0.5 * contract("...lk,...kij->...lij", metric_inv, bracket)
     return metric, det_metric, metric_inv, dmetric, christoffels
 
 
@@ -196,19 +194,21 @@ def _christoffels_at(immersion, point):
     """Gamma^k_ij at ``point`` from the order-2 jets alone: no normal,
     second form or curvature."""
     _, jts = _component_jets(immersion, point, 2)
-    return _connection(immersion, np.stack([j.grad for j in jts], axis=-2),
-                       np.stack([j.hess for j in jts], axis=-3))[-1]
+    return _connection(immersion, *stacked(jts, (1, 2)))[-1]
 
 
 def _cross_normal(tangents):
-    """Generalized cross product of the tangent columns, shape (..., A)."""
-    a_dim = tangents.shape[-2]
-    comps = []
-    for a in range(a_dim):
-        rows = [b for b in range(a_dim) if b != a]
-        minor = tangents[..., rows, :]
-        comps.append((-1.0) ** a * np.linalg.det(minor))
-    return np.stack(comps, axis=-1)
+    """Generalized cross product of the tangent columns, shape (..., A):
+    component a is (-1)^a det of the tangents without row a."""
+    a_dim, n = tangents.shape[-2:]
+    batch = tangents.ndim - 2
+    rows = [[b for b in range(a_dim) if b != a] for a in range(a_dim)]
+    # (A, n, n, ...) minors, viewed as (A, ..., n, n) for the cofactor
+    minors = tangents.transpose((batch, batch + 1) + tuple(range(batch)))[rows]
+    det = cofactor(minors.transpose(
+        (0,) + tuple(range(3, batch + 3)) + (1, 2)), adjugate=False)[0]
+    sign = np.array([(-1.0) ** a for a in range(a_dim)])
+    return batch_first(det * sign.reshape((a_dim,) + (1,) * batch), 1)
 
 
 def covariant_hessian(immersion, scalar_field, point, frame=None):
@@ -216,7 +216,7 @@ def covariant_hessian(immersion, scalar_field, point, frame=None):
     expression field on the surface."""
     fr = frame if frame is not None else frame_at(immersion, point, order=2)
     jet = evaluate_jet(scalar_field, fr.point, order=2)
-    return jet.hess - np.einsum("...kij,...k->...ij", fr.christoffels, jet.grad)
+    return jet.hess - contract("...kij,...k->...ij", fr.christoffels, jet.grad)
 
 
 def second_form_derivatives(immersion, point, frame=None):
@@ -229,12 +229,14 @@ def second_form_derivatives(immersion, point, frame=None):
     fr = frame if frame is not None else frame_at(immersion, point, order=3)
     if fr.order < 3 or fr.d3 is None:
         raise ValueError("second_form_derivatives needs an order-3 frame")
-    h_mixed = np.einsum("...lm,...mk->...lk", fr.metric_inv, fr.second_form)
-    dnormal = -np.einsum("...lk,...al->...ak", h_mixed, fr.tangents)
-    dh = (np.einsum("...aijk,...a->...kij", fr.d3, fr.normal)
-          + np.einsum("...aij,...ak->...kij", fr.d2, dnormal))
-    corr = np.einsum("...lki,...lj->...kij", fr.christoffels, fr.second_form)
-    return dh - corr - np.swapaxes(corr, -1, -2)
+    h_mixed = contract("...lm,...mk->...lk", fr.metric_inv, fr.second_form)
+    dnormal = -contract("...lk,...al->...ak", h_mixed, fr.tangents)
+    dh = contract("...aijk,...a->...kij", fr.d3, fr.normal)
+    dh += contract("...aij,...ak->...kij", fr.d2, dnormal)
+    corr = contract("...lki,...lj->...kij", fr.christoffels, fr.second_form)
+    dh -= corr
+    dh -= np.swapaxes(corr, -1, -2)
+    return dh
 
 
 def codazzi_residual(immersion, point, frame=None):
@@ -245,16 +247,15 @@ def codazzi_residual(immersion, point, frame=None):
     return np.max(np.abs(asym), axis=(-1, -2, -3)) / scale
 
 
-def second_metric_derivatives(frame):
-    """d_k d_l g_ij from third-order jets; shape (..., k, l, i, j)."""
+def second_metric_derivative(frame, k, l, i, j):
+    """d_k d_l g_ij from third-order jets, shape (...)."""
     if frame.d3 is None:
         raise ValueError("needs an order-3 frame")
     d3, d2, tang = frame.d3, frame.d2, frame.tangents
-    out = (np.einsum("...aikl,...aj->...klij", d3, tang)
-           + np.einsum("...aik,...ajl->...klij", d2, d2)
-           + np.einsum("...ail,...ajk->...klij", d2, d2)
-           + np.einsum("...ai,...ajkl->...klij", tang, d3))
-    return out
+    return (contract("...a,...a->...", d3[..., i, k, l], tang[..., j])
+            + contract("...a,...a->...", d2[..., i, k], d2[..., j, l])
+            + contract("...a,...a->...", d2[..., i, l], d2[..., j, k])
+            + contract("...a,...a->...", tang[..., i], d3[..., j, k, l]))
 
 
 def brioschi_curvature(immersion, point, frame=None):
@@ -267,15 +268,14 @@ def brioschi_curvature(immersion, point, frame=None):
         raise GeometryError("the intrinsic curvature formula is for n = 2")
     fr = frame if frame is not None else frame_at(immersion, point, order=3)
     dg = fr.dmetric                   # (..., k, i, j)
-    ddg = second_metric_derivatives(fr)
 
     E, F, G = fr.metric[..., 0, 0], fr.metric[..., 0, 1], fr.metric[..., 1, 1]
     E_u, E_v = dg[..., 0, 0, 0], dg[..., 1, 0, 0]
     F_u, F_v = dg[..., 0, 0, 1], dg[..., 1, 0, 1]
     G_u, G_v = dg[..., 0, 1, 1], dg[..., 1, 1, 1]
-    E_vv = ddg[..., 1, 1, 0, 0]
-    G_uu = ddg[..., 0, 0, 1, 1]
-    F_uv = ddg[..., 0, 1, 0, 1]
+    E_vv = second_metric_derivative(fr, 1, 1, 0, 0)
+    G_uu = second_metric_derivative(fr, 0, 0, 1, 1)
+    F_uv = second_metric_derivative(fr, 0, 1, 0, 1)
 
     zero = np.zeros_like(E)
     m1 = _det3(
@@ -369,8 +369,8 @@ class GeodesicChart:
 
 def _metric_at(immersion, pts):
     jts = [evaluate_jet(c, pts, order=1) for c in immersion.components]
-    tang = np.stack([j.grad for j in jts], axis=-2)
-    return np.einsum("...ai,...aj->...ij", tang, tang)
+    tang, = stacked(jts, (1,))
+    return contract("...ai,...aj->...ij", tang, tang)
 
 
 def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flex import rotation_jets
-from .jets import RigidlabError
-from .linalg import null_space, numerical_rank
+from .jets import RigidlabError, stacked
+from .linalg import contract, null_space, numerical_rank
 
 __all__ = [
     "HighDimError",
@@ -109,10 +109,11 @@ def decompose_rotation_bivector(immersion, fld, point):
     rj = rotation_jets(immersion, fld, point, order=2)
     y_val, y_der = rj.rotation()
 
-    # frame expansion: dY_k = E (2 W_k) E^T with E = [tangents | normal]
-    frame_inv = np.linalg.inv(rj.frame())
-    w_frame = 0.5 * np.einsum("...pa,...kab,...qb->...kpq",
-                              frame_inv, y_der, frame_inv)
+    # frame expansion: dY_k = E (2 W_k) E^T with E = [r_1 .. r_n | n],
+    # whose inverse has the rows t^1 .. t^n, n (t^i = g^{ij} r_j)
+    frame_inv, = stacked([*rj.dual, rj.normal], (0,))
+    left = contract("...pa,...kab->...kpb", frame_inv, y_der)
+    w_frame = 0.5 * contract("...kpb,...qb->...kpq", left, frame_inv)
 
     tang_res = np.max(np.abs(w_frame[..., :, :n, :n]), axis=(-1, -2, -3))
     w_sym, _ = rj.w()

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["Jet", "RigidlabError", "JetDomainError", "sin", "cos", "tan",
-           "exp", "log", "sqrt", "derivative_view"]
+           "exp", "log", "sqrt", "derivative_view", "stacked", "batch_first"]
 
 # entries (index pairs x points) in one block of a product: bounds its
 # temporaries without adding numpy calls per index pair
@@ -98,10 +98,46 @@ def _product(a, b, table):
     return terms[:outputs].take(unsort, axis=0)
 
 
+def batch_first(storage, k):
+    """View of ``storage``, whose ``k`` leading axes are components and the
+    rest the batch, with the component axes moved behind the batch: shape
+    S + components, the points axis still innermost in memory."""
+    return storage.transpose(tuple(range(k, storage.ndim)) + tuple(range(k)))
+
+
+def stacked(jets, degrees):
+    """Derivatives of each of ``degrees`` of one jet or a nested list of
+    jets of one shape, with the list axes leading the storage: for a list
+    of lists [i][a] and degree d, a read-only array of shape
+    S + (i, a) + (n,) * d, a :func:`batch_first` view of storage
+    (i, a, n.., S)."""
+    outer, first = [], jets
+    while isinstance(first, (list, tuple)):
+        outer.append(len(first))
+        first = first[0]
+    flat = [jets]
+    for _ in outer:
+        flat = [c for row in flat for c in row]
+    out = []
+    for d in degrees:
+        rows, fact = _full_index(first.nvars, d)
+        part = np.empty((len(flat), len(rows), first.coef.shape[1]))
+        for jet, dest in zip(flat, part):
+            jet.coef.take(rows, axis=0, out=dest)
+        if d >= 2:
+            part *= fact[:, None]
+        part = part.reshape(tuple(outer) + (first.nvars,) * d
+                            + first.batch_shape)
+        part.flags.writeable = False
+        out.append(batch_first(part, len(outer) + d))
+    return out
+
+
 class Jet:
     """Value and partial derivatives up to ``order`` (0..3) in ``nvars``
     variables: packed coefficients ``coef`` (rows, prod(S)) over the batch
-    shape S = ``batch_shape``, read as read-only C-contiguous arrays:
+    shape S = ``batch_shape``, read as read-only arrays of batch-first shape
+    whose points axis is innermost in memory (:func:`batch_first` views):
     value : ndarray, ``S`` (a view of ``coef``)
     grad  : ndarray, ``S + (n,)`` or None when order < 1
     hess  : ndarray, ``S + (n, n)``, symmetric, or None when order < 2
@@ -151,13 +187,7 @@ class Jet:
 
     def _part(self, degree):
         """The derivatives of one degree as a batch-first symmetric tensor."""
-        if degree > self.order:
-            return None
-        rows, fact = _full_index(self.nvars, degree)
-        part = np.ascontiguousarray(self.coef[rows].T)
-        part *= fact
-        part.flags.writeable = False
-        return part.reshape(self.batch_shape + (self.nvars,) * degree)
+        return None if degree > self.order else stacked(self, (degree,))[0]
 
     value = property(lambda self: self.coef[0].reshape(self.batch_shape))
     grad = property(lambda self: self._part(1))

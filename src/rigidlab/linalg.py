@@ -1,15 +1,23 @@
 """Dense linear algebra wrappers: singular values, numerical rank, null
-spaces."""
+spaces, and closed-form determinants and adjugates of small pointwise
+matrices."""
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg
+
+from .jets import batch_first
 
 __all__ = [
     "singular_values",
     "numerical_rank",
     "null_space",
+    "cofactor",
+    "contract",
 ]
 
 
@@ -33,7 +41,160 @@ def null_space(matrix, rel_tol=1e-10):
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("null_space: matrix has non-finite entries")
-    _, s, vt = scipy.linalg.svd(a, full_matrices=True)
+    # zero rows up to the column count keep the null space and let the
+    # economy SVD return all of V^T without an m x m left factor
+    rows, cols = a.shape
+    padded = np.zeros((max(rows, cols), cols))
+    padded[:rows] = a
+    _, s, vt = scipy.linalg.svd(padded, full_matrices=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > rel_tol * smax)) if smax > 0 else 0
     return vt[rank:]
+
+
+@lru_cache(maxsize=None)
+def _laplace_tables(n, adjugate):
+    """Gather tables of the Laplace expansion of an n x n determinant and,
+    with ``adjugate``, of all its (n - 1) x (n - 1) minors.
+
+    Level k (2..n) holds the k x k minors minor(R, C) on the row sets R it
+    needs (the last k rows; for the adjugate also the last k rows of every
+    set of all rows but one) and every k-subset C of columns; each expands
+    along its first row, minor(R, C) = sum_t (-1)^t m[R_0, C_t]
+    minor(R - R_0, C - C_t).  A level is the flat entry index R_0 n + C_t
+    and the index of each sub-minor in the level below, both (pairs, k);
+    level 1 is the flat matrix.  The adjugate adj[j, i] = (-1)^(i + j)
+    minor(all - i, all - j) is read from level n - 1 (the single empty
+    minor, 1, when n = 1)."""
+    full = tuple(range(n))
+    drop = [full[:i] + full[i + 1:] for i in full]
+    row_sets = [full] + (drop if adjugate else [])
+    index = below = {((i,), (j,)): i * n + j for i in full for j in full}
+    levels = []
+    for k in range(2, n + 1):
+        pairs = [(r, c) for r in sorted({rows[len(rows) - k:]
+                                         for rows in row_sets
+                                         if len(rows) >= k})
+                 for c in itertools.combinations(full, k)]
+        entry = np.array([[r[0] * n + c[t] for t in range(k)]
+                          for r, c in pairs], dtype=np.intp)
+        sub = np.array([[index[(r[1:], c[:t] + c[t + 1:])] for t in range(k)]
+                        for r, c in pairs], dtype=np.intp)
+        levels.append((entry, sub))
+        below, index = index, {p: q for q, p in enumerate(pairs)}
+    if not adjugate:
+        return levels, None, None
+    adj = np.array([below[(drop[i], drop[j])] if n > 1 else 0
+                    for j in full for i in full], dtype=np.intp)
+    sign = np.array([(-1.0) ** (i + j) for j in full for i in full])
+    return levels, adj, sign
+
+
+def cofactor(matrix, adjugate=True):
+    """Determinant and adjugate of square matrices ``matrix`` (..., n, n) in
+    closed form (Laplace expansion), for any n.
+
+    Works entry by entry over the batch, so a matrix gives bitwise the same
+    result alone or in any batch, and keeps the points axis innermost in
+    memory when the input has it there.  Returns ``det`` (...) and ``adj``
+    (..., n, n) with adj @ matrix = det I, so the inverse is
+    ``adj / det[..., None, None]``; ``adj`` is None without ``adjugate``.
+    """
+    m = np.asarray(matrix, dtype=float)
+    n, batch = m.shape[-1], m.shape[:-2]
+    levels, adj_index, sign = _laplace_tables(n, adjugate)
+    # (n, n, ...) view, then the entries flat as level 1: (n * n, ...)
+    comp = m.transpose((m.ndim - 2, m.ndim - 1) + tuple(range(m.ndim - 2)))
+    flat = comp.reshape((n * n,) + batch)
+    below = minors = flat
+    for entry, sub in levels:
+        terms = flat[entry] * minors[sub]
+        acc = terms[:, 0]
+        for t in range(1, entry.shape[1]):
+            acc = acc - terms[:, t] if t % 2 else acc + terms[:, t]
+        below, minors = minors, acc
+    if not adjugate:
+        return minors[0], None
+    if n == 1:
+        below = np.ones((1,) + batch)
+    adj = below[adj_index] * sign.reshape((n * n,) + (1,) * len(batch))
+    return minors[0], batch_first(adj.reshape((n, n) + batch), 2)
+
+
+@lru_cache(maxsize=None)
+def _subscript_labels(subscripts):
+    inputs, output = subscripts.replace("...", "").split("->")
+    return tuple(inputs.split(",")), output
+
+
+@lru_cache(maxsize=None)
+def _contraction_terms(subscripts, label_shapes, batch_dims):
+    """One entry per value of the summed labels (in order of first
+    appearance, lexicographic), with one step per operand: the basic index
+    that fixes its summed labels and adds the output labels it lacks as new
+    axes, or, when its other labels run out of output order, the index
+    that fixes the summed labels, the transpose into output order and the
+    index that adds the missing axes."""
+    inputs, output = _subscript_labels(subscripts)
+    sizes = {label: size for labels, shape in zip(inputs, label_shapes)
+             for label, size in zip(labels, shape)}
+    summed = [label for label in dict.fromkeys("".join(inputs))
+              if label not in output]
+    terms = []
+    for values in itertools.product(*(range(sizes[s]) for s in summed)):
+        fixed = dict(zip(summed, values))
+        steps = []
+        for labels, nb in zip(inputs, batch_dims):
+            kept = [label for label in labels if label not in fixed]
+            order = [label for label in output if label in kept]
+            if order == kept:
+                index, pos = [Ellipsis], 0
+                for label in labels:
+                    if label in kept:
+                        while output[pos] != label:
+                            index.append(None)
+                            pos += 1
+                        pos += 1
+                    index.append(fixed.get(label, slice(None)))
+                index += [None] * (len(output) - pos)
+                steps.append((tuple(index), None, None))
+                continue
+            steps.append((
+                (Ellipsis,) + tuple(fixed.get(label, slice(None))
+                                    for label in labels),
+                tuple(range(nb)) + tuple(nb + kept.index(label)
+                                         for label in order),
+                (Ellipsis,) + tuple(slice(None) if label in kept else None
+                                    for label in output)))
+        terms.append(steps)
+    return terms
+
+
+def contract(subscripts, *operands):
+    """``np.einsum(subscripts, *operands)`` for batch-first operands
+    (``...`` leads every operand and the output), summed term by term over
+    the summed labels with elementwise products and sums in one fixed
+    order.  A point's result is therefore bitwise the same alone or in any
+    batch, whatever the memory layout, where einsum's own reduction loops
+    change with the strides."""
+    inputs, _ = _subscript_labels(subscripts)
+    terms = _contraction_terms(
+        subscripts,
+        tuple(op.shape[op.ndim - len(labels):]
+              for op, labels in zip(operands, inputs)),
+        tuple(op.ndim - len(labels) for op, labels in zip(operands, inputs)))
+    total = None
+    for steps in terms:
+        term = None
+        for op, (index, axes, expand) in zip(operands, steps):
+            part = op[index]
+            if axes is not None:
+                part = part.transpose(axes)[expand]
+            term = part if term is None else term * part
+        if total is None:
+            total = term
+        elif len(operands) > 1:       # a product: ``total`` is our own
+            total += term
+        else:
+            total = total + term
+    return total

@@ -29,6 +29,7 @@ import numpy as np
 from .darboux import support_at
 from .geometry import frame_at, sample_grid, second_form_derivatives
 from .jets import RigidlabError
+from .linalg import cofactor, contract
 from .quadrature import gauss_legendre_nodes
 
 __all__ = [
@@ -78,6 +79,7 @@ class DifferenceTensors:
     mu: np.ndarray
     mu_tilde: np.ndarray
     det_residual: np.ndarray      # |det h~ - det h|
+    phi_hess: np.ndarray          # Phi_{i,j} = rho~_{i,j} - rho_{i,j}
 
 
 def check_isometric(pair, grid=(48, 24)):
@@ -101,26 +103,26 @@ def difference_tensors(pair, point, frames=None):
     s2 = support_at(pair.second, point, frame=f2)
     w = f2.second_form - f1.second_form
     hbar = f2.second_form + f1.second_form
-    det_res = np.abs(np.linalg.det(f2.second_form)
-                     - np.linalg.det(f1.second_form))
+    det_res = np.abs(cofactor(f2.second_form, adjugate=False)[0]
+                     - cofactor(f1.second_form, adjugate=False)[0])
     return DifferenceTensors(phi=s2.rho - s1.rho, w_diff=w, h_bar=hbar,
-                             mu=s1.mu, mu_tilde=s2.mu, det_residual=det_res)
+                             mu=s1.mu, mu_tilde=s2.mu, det_residual=det_res,
+                             phi_hess=s2.rho_hess - s1.rho_hess)
 
 
-def verify_w_formula(pair, point, frames=None):
+def verify_w_formula(pair, point, frames=None, difference=None):
     """Residual of W_ij (mu + mu~) - 2 Phi_{i,j} - hbar_ij (mu - mu~),
     relative to the size of its terms.  Phi_{i,j} is the covariant Hessian
-    of the support difference in the shared metric."""
-    f1, f2 = frames if frames is not None else _pair_frames(pair, point)
-    s1 = support_at(pair.first, point, frame=f1)
-    s2 = support_at(pair.second, point, frame=f2)
-    d = difference_tensors(pair, point, frames=(f1, f2))
+    of the support difference in the shared metric.  ``difference`` is the
+    :func:`difference_tensors` result at ``point``, when the caller has
+    it."""
+    d = difference if difference is not None else difference_tensors(
+        pair, point, frames=frames)
     mu_sum = d.mu + d.mu_tilde
     if np.any(np.abs(mu_sum) < 1e-8):
         raise PairError("mu + mu~ vanishes; the W formula divides by it")
-    phi_hess = s2.rho_hess - s1.rho_hess
     lhs = d.w_diff * mu_sum[..., None, None]
-    rhs = 2.0 * phi_hess + d.h_bar * (d.mu - d.mu_tilde)[..., None, None]
+    rhs = 2.0 * d.phi_hess + d.h_bar * (d.mu - d.mu_tilde)[..., None, None]
     scale = np.maximum(1.0, np.maximum(
         np.max(np.abs(lhs), axis=(-1, -2)), np.max(np.abs(rhs), axis=(-1, -2))))
     return np.max(np.abs(lhs - rhs), axis=(-1, -2)) / scale
@@ -133,19 +135,22 @@ def _cofactor_trace(hbar, w):
             - 2.0 * hbar[..., 0, 1] * w[..., 0, 1])
 
 
-def verify_gauss_trace_and_codazzi(pair, point, frames=None):
+def verify_gauss_trace_and_codazzi(pair, point, frames=None,
+                                   difference=None):
     """(trace residual, Codazzi residual) of the difference form W.
 
     The trace uses hbar^{ij} W_ij when hbar is safely invertible and the
     equivalent cofactor form otherwise.  Codazzi compares the covariant
     derivatives W_{ij,k} and W_{ik,j}, each surface differentiating its own
-    second form.  ``frames`` must be of order 3.
+    second form.  ``frames`` must be of order 3; ``difference`` is as in
+    :func:`verify_w_formula`.
     """
     f1, f2 = frames if frames is not None else _pair_frames(pair, point, 3)
-    d = difference_tensors(pair, point, frames=(f1, f2))
+    d = difference if difference is not None else difference_tensors(
+        pair, point, frames=(f1, f2))
 
     hbar = d.h_bar
-    det_hbar = np.linalg.det(hbar)
+    det_hbar = cofactor(hbar, adjugate=False)[0]
     scale_h = np.max(np.abs(hbar), axis=(-1, -2)) ** 2
     singular = np.abs(det_hbar) <= SINGULAR_HBAR_RTOL * np.maximum(scale_h, 1.0)
     cof = _cofactor_trace(hbar, d.w_diff)
@@ -174,20 +179,23 @@ def _tensor_field_values(alpha, points, frame):
     return np.broadcast_to(arr, points.shape[:-1] + arr.shape[-2:])
 
 
-def energy_integrand(pair, points, alpha_values, beta_values=None, frames=None):
+def energy_integrand(pair, points, alpha_values, beta_values=None, frames=None,
+                     difference=None):
     """Pointwise integrand of the energy pairing (without the volume factor):
     det(hbar)/det(g) hbar^{ij} hbar^{kl} a_ik b_jl (mu + mu~).
 
     For a = b this equals det(hbar)/det(g) tr((hbar^{-1} a)^2) (mu + mu~),
     which is non-negative whenever det(hbar) > 0 and mu + mu~ > 0.
+    ``difference`` is as in :func:`verify_w_formula`.
     """
     f1, f2 = frames if frames is not None else _pair_frames(pair, points)
-    d = difference_tensors(pair, points, frames=(f1, f2))
+    d = difference if difference is not None else difference_tensors(
+        pair, points, frames=(f1, f2))
     beta_values = alpha_values if beta_values is None else beta_values
-    det_hbar = np.linalg.det(d.h_bar)
-    hbar_inv = np.linalg.inv(d.h_bar)
-    contraction = np.einsum("...ij,...kl,...ik,...jl->...",
-                            hbar_inv, hbar_inv, alpha_values, beta_values)
+    det_hbar, adj_hbar = cofactor(d.h_bar)
+    hbar_inv = adj_hbar / det_hbar[..., None, None]
+    contraction = contract("...ij,...kl,...ik,...jl->...",
+                           hbar_inv, hbar_inv, alpha_values, beta_values)
     return (det_hbar / f1.det_metric) * contraction * (d.mu + d.mu_tilde)
 
 
@@ -220,7 +228,7 @@ def energy_inner_product(pair, alpha, beta, grid=(64, 8), nodes=16):
 
     f1, f2 = _pair_frames(pair, pts)
     d = difference_tensors(pair, pts, frames=(f1, f2))
-    det_hbar = np.linalg.det(d.h_bar)
+    det_hbar = cofactor(d.h_bar, adjugate=False)[0]
     mu_sum = d.mu + d.mu_tilde
     if np.any(det_hbar <= 0.0) or np.any(mu_sum <= 0.0):
         raise EnergyPositivityError(
@@ -230,7 +238,8 @@ def energy_inner_product(pair, alpha, beta, grid=(64, 8), nodes=16):
 
     av = _tensor_field_values(alpha, pts, f1)
     bv = _tensor_field_values(beta, pts, f1)
-    integrand = energy_integrand(pair, pts, av, bv, frames=(f1, f2))
+    integrand = energy_integrand(pair, pts, av, bv, frames=(f1, f2),
+                                 difference=d)
     return float(np.sum(integrand * np.sqrt(f1.det_metric) * w2d))
 
 
@@ -250,14 +259,14 @@ def cofactor_divergence_identity(h_bar, w):
     """
     hb = np.asarray(h_bar, dtype=float)
     ww = np.asarray(w, dtype=float)
-    det = np.linalg.det(hb)
+    det, adj = cofactor(hb)
     if np.any(np.abs(det) < 1e-14):
         raise PairError("h_bar must be invertible")
     trace = _cofactor_trace(hb, ww) / det
     scale = np.maximum(1.0, np.max(np.abs(ww), axis=(-1, -2)))
     if np.any(np.abs(trace) > 1e-9 * scale):
         raise PairError("w is not trace-free with respect to h_bar")
-    hb_inv = np.linalg.inv(hb)
+    hb_inv = adj / det[..., None, None]
     lhs = det[..., None, None] * (hb_inv @ ww @ hb_inv)
     rhs = np.empty_like(lhs)
     rhs[..., 0, 0] = -ww[..., 1, 1]

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidlab import surfaces as sf
+from rigidlab.darboux import darboux_residual, support_at
 from rigidlab.expressions import parse_expression
 from rigidlab.geometry import (DegenerateFrameError, GeodesicChartError,
                                Immersion, brioschi_curvature,
                                codazzi_residual, covariant_hessian, frame_at,
                                geodesic_boundary_chart, interior_points,
                                second_form_derivatives)
+from rigidlab.linalg import cofactor
 from rigidlab.quadrature import gauss_legendre
 
 CATALOG = [sf.sphere(1.0), sf.sphere(2.0), sf.ellipsoid(), sf.cylinder(1.0),
@@ -149,3 +153,71 @@ def test_geodesic_leaves_domain_raises():
 def test_open_edge_rejected():
     with pytest.raises(GeodesicChartError):
         geodesic_boundary_chart(sf.saddle(), (1, "lo"), depth=0.1)
+
+
+# -- points-innermost frame layout ------------------------------------------
+
+FRAME_FIELDS = ("position", "tangents", "d2", "d3", "normal", "metric",
+                "metric_inv", "det_metric", "second_form", "christoffels",
+                "dmetric", "curvature")
+
+
+def _pointwise_results(imm, pts):
+    fr = frame_at(imm, pts, order=3)
+    sup = support_at(imm, pts, frame=fr)
+    out = {name: getattr(fr, name) for name in FRAME_FIELDS}
+    out.update({f"support.{name}": getattr(sup, name)
+                for name in ("rho", "grad_rho", "rho_hess", "mu",
+                             "norm_residual", "position_residual")})
+    out["codazzi"] = codazzi_residual(imm, pts, frame=fr)
+    out["brioschi"] = brioschi_curvature(imm, pts, frame=fr)
+    out["darboux"] = darboux_residual(imm, pts, frame=fr)
+    return out
+
+
+def test_point_alone_matches_the_same_point_in_a_large_batch():
+    imm = sf.ellipsoid()
+    pts = interior_points(imm, 100_000, np.random.default_rng(8))
+    batch = _pointwise_results(imm, pts)
+    for k in np.linspace(0, len(pts) - 1, 40).astype(int):
+        for alone in (pts[k], pts[k:k + 1]):
+            single = _pointwise_results(imm, alone)
+            for name, values in batch.items():
+                assert np.array_equal(
+                    np.reshape(single[name], values.shape[1:]), values[k]), \
+                    (name, k, alone.shape)
+
+
+def test_frame_batch_axis_has_unit_stride():
+    fr = frame_at(sf.ellipsoid(), interior_points(
+        sf.ellipsoid(), 500, np.random.default_rng(2)), order=3)
+    for name in FRAME_FIELDS:
+        values = getattr(fr, name)
+        assert values.shape[0] == 500
+        assert values.strides[0] == values.itemsize, name
+    for name in ("position", "tangents", "d2", "d3"):
+        assert not getattr(fr, name).flags.writeable, name
+
+
+@st.composite
+def _well_conditioned(draw):
+    """A batch of n x n matrices I * scale + a perturbation of norm < 1/2
+    (so every singular value is at least scale / 2), n in 1..4."""
+    n = draw(st.integers(1, 4))
+    batch = draw(st.integers(1, 5))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=batch * n * n,
+                            max_size=batch * n * n))
+    scale = draw(st.floats(0.1, 10.0))
+    noise = np.reshape(entries, (batch, n, n)) / (2.0 * n)
+    return scale * (np.eye(n) + noise)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_well_conditioned())
+def test_cofactor_matches_numpy_linalg(mats):
+    det, adj = cofactor(mats)
+    assert det == pytest.approx(np.linalg.det(mats), rel=1e-12)
+    inv = adj / det[..., None, None]
+    assert np.max(np.abs(inv - np.linalg.inv(mats))) <= 1e-12 * max(
+        1.0, np.max(np.abs(np.linalg.inv(mats))))
+    assert np.array_equal(cofactor(mats, adjugate=False)[0], det)

@@ -7,10 +7,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab import cli
+from rigidlab import cli, darboux, pairs
 from rigidlab.linalg import null_space, numerical_rank, singular_values
 from rigidlab.quadrature import (gauss_legendre, gauss_legendre_nodes,
                                  periodic_trapezoid, rk4_path)
@@ -72,6 +73,23 @@ def test_singular_values_descending():
     assert s.shape == (30,)
     assert np.all(np.diff(s) <= 0)
     assert np.linalg.norm(s) == pytest.approx(np.linalg.norm(mat), rel=1e-12)
+
+
+def _full_svd_null_space(mat, rel_tol=1e-10):
+    """The null space from the full SVD (m x m left factor included)."""
+    _, s, vt = scipy.linalg.svd(mat, full_matrices=True)
+    rank = int(np.sum(s > rel_tol * s[0])) if s.size and s[0] > 0 else 0
+    return vt[rank:]
+
+
+@pytest.mark.parametrize("rows, cols, rank", [
+    (400, 15, 11), (12, 12, 7), (5, 12, 5), (3, 9, 1), (20, 6, 6)])
+def test_null_space_matches_the_full_svd(rows, cols, rank):
+    rng = np.random.default_rng(rows * cols + rank)
+    mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    basis, full = null_space(mat), _full_svd_null_space(mat)
+    assert basis.shape == full.shape == (cols - rank, cols)
+    assert np.max(np.abs(basis.T @ basis - full.T @ full)) < 1e-12
 
 
 def test_svd_rejects_non_finite():
@@ -164,6 +182,34 @@ def test_cli_pair_check_packaged_example(tmp_path):
                      "--report", str(report)]) == 0
     checks = json.loads(report.read_text())["checks"]
     assert checks and all(c["verdict"] == "pass" for c in checks)
+
+
+def _count_calls(monkeypatch, module, name, owners):
+    """Wrap ``module.name`` (and the references ``owners`` hold) so that
+    the returned list records one entry per call."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for owner in (module, *owners):
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cli_builds_support_and_difference_data_once(tmp_path, monkeypatch):
+    support = _count_calls(monkeypatch, darboux, "support_at", [pairs])
+    difference = _count_calls(monkeypatch, pairs, "difference_tensors", [])
+    path = importlib.resources.files("rigidlab") / "data" / \
+        "flat_cylinder_pair.json"
+    assert cli.main(["pair-check", str(path), "--points", "100",
+                     "--report", str(tmp_path / "pair.json")]) == 0
+    assert (len(difference), len(support)) == (1, 2)
+    support.clear()
+    assert cli.main(["check-surface", "ellipsoid", "--points", "100",
+                     "--report", str(tmp_path / "surface.json")]) == 0
+    assert len(support) == 1
 
 
 def test_package_sources_are_ascii():
