@@ -277,7 +277,7 @@ def dong_conditions(source, tol=1e-6, depth=0.1, n_s=64, n_t=64):
 
     flux = flux_ok = None
     if chart is not None:
-        K = chart.curvature_grid()
+        K = chart.frame.curvature
         dt = chart.t[1] - chart.t[0]
         Kt = _one_sided_derivative(K, dt)
         Bt = _one_sided_derivative(chart.B, dt)
@@ -326,7 +326,7 @@ def lemma_hh_check(source, depth=0.1, n_s=32, n_t=64,
         immersion, edge = source
         chart = geodesic_boundary_chart(immersion, edge, depth=depth,
                                         n_s=n_s, n_t=n_t)
-    K = chart.curvature_grid()
+    K = chart.frame.curvature
     k_scale = max(1.0, float(np.max(np.abs(K))))
     if float(np.max(np.abs(K[:, 0]))) > k_boundary_tol * k_scale:
         raise BoundaryError(

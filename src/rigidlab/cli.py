@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -39,11 +40,10 @@ class _UsageError(Exception):
 
 
 def _grid(text):
-    try:
-        a, b = text.lower().split("x")
-        return int(a), int(b)
-    except ValueError as exc:
-        raise _UsageError(f"bad grid {text!r}, expected e.g. 64x32") from exc
+    a, sep, b = text.lower().partition("x")
+    if not (sep and a.isdecimal() and b.isdecimal()):
+        raise _UsageError(f"bad grid {text!r}, expected e.g. 64x32")
+    return int(a), int(b)
 
 
 def _count(text):
@@ -191,12 +191,16 @@ def run_check_surface(args):
 def _load_pair(path):
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    if "surfaces" not in spec or len(spec["surfaces"]) != 2:
+    surfaces = spec.get("surfaces") if isinstance(spec, dict) else None
+    if not isinstance(surfaces, list) or len(surfaces) != 2:
         raise _UsageError("pair file needs a two-element 'surfaces' list")
-    first = sf.load_surface(spec["surfaces"][0])
-    second = sf.load_surface(spec["surfaces"][1])
-    return pr.IsometricPair(first, second,
-                            tolerance=float(spec.get("tolerance", 1e-10)))
+    tolerance = spec.get("tolerance", 1e-10)
+    if type(tolerance) not in (int, float) or not 0 <= tolerance < math.inf:
+        raise _UsageError(f"bad pair tolerance {tolerance!r}, expected a "
+                          "finite number >= 0")
+    return pr.IsometricPair(sf.load_surface(surfaces[0]),
+                            sf.load_surface(surfaces[1]),
+                            tolerance=float(tolerance))
 
 
 def run_pair_check(args):
@@ -309,6 +313,8 @@ def _parse_h(args):
                                   "matrix") from exc
     else:
         raise _UsageError("pointwise-gauss needs --h or --h-file")
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise _UsageError(f"h must be a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise _UsageError("h has non-finite entries")
     return h

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import frame_at
+from .geometry import _relative_residual, frame_at
 from .linalg import cofactor, contract
 
 __all__ = [
@@ -97,10 +97,7 @@ def verify_shape_identity(immersion, point, frame=None, support=None):
     fr = frame if frame is not None else frame_at(immersion, point, order=2)
     sup = support if support is not None else support_at(immersion, point,
                                                          frame=fr)
-    lhs = fr.second_form * sup.mu[..., None, None]
-    rhs = sup.rho_hess - fr.metric
-    scale = np.maximum(1.0, np.maximum(
-        np.max(np.abs(lhs), axis=(-1, -2)), np.max(np.abs(rhs), axis=(-1, -2))))
-    res = np.max(np.abs(lhs - rhs), axis=(-1, -2)) / scale
+    res = _relative_residual(fr.second_form * sup.mu[..., None, None],
+                             sup.rho_hess - fr.metric)
     skipped = np.abs(sup.mu) < SUPPORT_DEGENERATE_TOL
     return ShapeIdentityResult(max_residual=res, skipped=skipped)

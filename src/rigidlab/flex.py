@@ -38,7 +38,8 @@ import scipy.sparse
 from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
 from .expressions import evaluate_jet, parse_expression
-from .geometry import frame_at, sample_grid
+from .geometry import (_codazzi_defect, _component_jets, _covariant_derivative,
+                       _relative_residual, frame_at, sample_grid)
 from .jets import Jet, RigidlabError, batch_first, derivative_view, stacked
 from .linalg import cofactor, contract, singular_values
 
@@ -53,7 +54,6 @@ __all__ = [
     "ClosednessResult",
     "FlexOperator",
     "KernelReport",
-    "field_jets",
     "first_order_residual",
     "rotation_jets",
     "rotation_data",
@@ -158,49 +158,31 @@ def load_field(source, dim):
     raise FlexError("field definition needs 'trivial' or 'components'")
 
 
-@dataclass
-class FieldJets:
-    """Stacked jets of an ambient vector field along the chart."""
-
-    value: np.ndarray             # (..., A)
-    grad: np.ndarray              # (..., A, n)
-    hess: Optional[np.ndarray]    # (..., A, n, n)
-    third: Optional[np.ndarray]
-
-
-def field_jets(immersion, fld, point, order=2):
-    """Evaluate a deformation field with derivatives along the chart."""
-    pts = np.asarray(point, dtype=float)
+def _field_jets(fld, pts, r):
+    """Jets of the deformation field ``fld`` at ``pts``, at the order of the
+    chart jets ``r`` the caller holds: a trivial motion A r + b is built
+    from ``r``, an expression field from its components."""
     if isinstance(fld, TrivialMotion):
-        comp = [evaluate_jet(c, pts, order=order) for c in immersion.components]
-        a, b = fld.matrix, fld.vector
-        value = np.stack([j.value for j in comp], axis=-1) @ a.T + b
-        grad = np.einsum("ab,...bi->...ai",
-                         a, np.stack([j.grad for j in comp], axis=-2))
-        hess = third = None
-        if order >= 2:
-            hess = np.einsum("ab,...bij->...aij",
-                             a, np.stack([j.hess for j in comp], axis=-3))
-        if order >= 3:
-            third = np.einsum("ab,...bijk->...aijk",
-                              a, np.stack([j.third for j in comp], axis=-4))
-        return FieldJets(value, grad, hess, third)
+        return [reduce(operator.add,
+                       (m * c for m, c in zip(row, r) if m != 0.0),
+                       Jet.constant(b, r[0].nvars, r[0].order, pts.shape[:-1]))
+                for row, b in zip(fld.matrix, fld.vector)]
     if isinstance(fld, ExpressionField):
-        comp = [evaluate_jet(c, pts, order=order) for c in fld.components]
-        return FieldJets(
-            np.stack([j.value for j in comp], axis=-1),
-            np.stack([j.grad for j in comp], axis=-2),
-            np.stack([j.hess for j in comp], axis=-3) if order >= 2 else None,
-            np.stack([j.third for j in comp], axis=-4) if order >= 3 else None)
+        return [evaluate_jet(c, pts, order=r[0].order) for c in fld.components]
     raise FlexError(f"unknown field type {type(fld)!r}")
+
+
+def _first_order(r, tau):
+    """r_i . tau_j + r_j . tau_i from chart and field jets, and tau_i."""
+    (tangents,), (dtau,) = stacked(r, (1,)), stacked(tau, (1,))
+    s = contract("...ai,...aj->...ij", tangents, dtau)
+    return s + np.swapaxes(s, -1, -2), dtau
 
 
 def first_order_residual(immersion, fld, point):
     """Symmetric residual r_i . tau_j + r_j . tau_i; zero for flexes."""
-    fr = frame_at(immersion, point, order=2)
-    fj = field_jets(immersion, fld, point, order=1)
-    s = contract("...ai,...aj->...ij", fr.tangents, fj.grad)
-    return s + np.swapaxes(s, -1, -2)
+    pts, r = _component_jets(immersion, point, 1)
+    return _first_order(r, _field_jets(fld, pts, r))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +277,13 @@ def rotation_jets(immersion, fld, point, order):
     is the unique skew solution of dtau = Y dr when ``fld`` is a flex;
     otherwise :meth:`RotationJets.flex_residual` measures the failure.
     """
-    pts = np.asarray(point, dtype=float)
-    r = [evaluate_jet(c, pts, order=order) for c in immersion.components]
-    if isinstance(fld, TrivialMotion):
-        tau = [reduce(operator.add,
-                      (m * c for m, c in zip(row, r) if m != 0.0),
-                      Jet.constant(b, r[0].nvars, order, pts.shape[:-1]))
-               for row, b in zip(fld.matrix, fld.vector)]
-    else:
-        tau = [evaluate_jet(c, pts, order=order) for c in fld.components]
+    return _rotation_from(immersion, fld,
+                          *_component_jets(immersion, point, order))
+
+
+def _rotation_from(immersion, fld, pts, r):
+    """:func:`rotation_jets` from the chart jets ``r`` at ``pts``."""
+    tau = _field_jets(fld, pts, r)
     n, a_dim = immersion.dim, len(r)
     ri = [[derivative_view(c, i) for c in r] for i in range(n)]
     taui = [[derivative_view(c, i) for c in tau] for i in range(n)]
@@ -345,10 +325,10 @@ def rotation_jets(immersion, fld, point, order):
                         dual=dual, y=y, tau=tau)
 
 
-def _surface_rotation(immersion, fld, point, order):
+def _surface_rotation(immersion, fld, pts, r):
     if immersion.dim != 2:
         raise FlexError("rotation data is defined for surfaces (n = 2)")
-    return rotation_jets(immersion, fld, point, order)
+    return _rotation_from(immersion, fld, pts, r)
 
 
 @dataclass
@@ -377,7 +357,11 @@ def rotation_data(immersion, fld, point):
     tensor a_k^l.  Non-flex inputs are flagged through ``is_flex`` and the
     rotation residual instead of raising; each point is judged on its own
     scale, so a verdict does not depend on the rest of the batch."""
-    rj = _surface_rotation(immersion, fld, point, 2)
+    return _rotation_data(_surface_rotation(
+        immersion, fld, *_component_jets(immersion, point, 2)))
+
+
+def _rotation_data(rj):
     y_mat, dy_mat = rj.rotation()
     y, dy = _hodge(y_mat), _hodge(dy_mat)
     n_val, = stacked(rj.normal, (0,))
@@ -409,8 +393,8 @@ def w_tensor(immersion, fld, point):
     covariant derivatives and the trace/Codazzi health residuals.  w is
     taken against the oriented normal, so it changes sign with the
     orientation."""
-    return _w_tensor(_surface_rotation(immersion, fld, point, 3),
-                     frame_at(immersion, point, order=2))
+    fr = frame_at(immersion, point, order=3)
+    return _w_tensor(_surface_rotation(immersion, fld, fr.point, fr.jets), fr)
 
 
 def _w_tensor(rj, fr):
@@ -421,9 +405,7 @@ def _w_tensor(rj, fr):
     sym_res = np.abs(w_val[..., 0, 1] - w_val[..., 1, 0])
     w_sym = 0.5 * (w_val + np.swapaxes(w_val, -1, -2))
 
-    gamma = fr.christoffels
-    corr = contract("...lki,...lj->...kij", gamma, w_sym)
-    w_cov = dw - corr - np.swapaxes(corr, -1, -2)
+    w_cov = _covariant_derivative(dw, fr.christoffels, w_sym)
 
     h = fr.second_form
     det_h = cofactor(h, adjugate=False)[0]
@@ -436,11 +418,9 @@ def _w_tensor(rj, fr):
     w_scale = np.maximum(1.0, np.max(np.abs(w_sym), axis=(-1, -2)))
     trace_res = np.abs(trace) / w_scale
 
-    asym = w_cov - np.swapaxes(w_cov, -3, -2)
-    cz_scale = np.maximum(1.0, np.max(np.abs(w_cov), axis=(-1, -2, -3)))
-    codazzi = np.max(np.abs(asym), axis=(-1, -2, -3)) / cz_scale
     return WTensor(w=w_sym, w_cov=w_cov, symmetry_residual=sym_res,
-                   trace_residual=trace_res, codazzi_residual=codazzi)
+                   trace_residual=trace_res,
+                   codazzi_residual=_codazzi_defect(w_cov))
 
 
 @dataclass
@@ -459,8 +439,8 @@ def phi_relation_residual(immersion, fld, point):
     Also verifies the normal decomposition of b = tau - Y x r.  Points with
     |mu| < 1e-8 are flagged skipped.
     """
-    rj = _surface_rotation(immersion, fld, point, 3)
-    fr = frame_at(immersion, point, order=2)
+    fr = frame_at(immersion, point, order=3)
+    rj = _surface_rotation(immersion, fld, fr.point, fr.jets)
     wt = _w_tensor(rj, fr)
     sup = support_at(immersion, point, frame=fr)
     tau, dtau, ddtau = stacked(rj.tau, (0, 1, 2))
@@ -480,11 +460,9 @@ def phi_relation_residual(immersion, fld, point):
     nu = 2.0 * (phi - grad_pair)
     mu = sup.mu
 
-    lhs = wt.w * (mu**2)[..., None, None] + phi_hess * mu[..., None, None]
-    rhs = 0.5 * fr.second_form * nu[..., None, None]
-    scale = np.maximum(1.0, np.maximum(
-        np.max(np.abs(lhs), axis=(-1, -2)), np.max(np.abs(rhs), axis=(-1, -2))))
-    res = np.max(np.abs(lhs - rhs), axis=(-1, -2)) / scale
+    res = _relative_residual(
+        wt.w * (mu**2)[..., None, None] + phi_hess * mu[..., None, None],
+        0.5 * fr.second_form * nu[..., None, None])
     skipped = np.abs(mu) < SUPPORT_DEGENERATE_TOL
 
     # b = tau - Y x r should equal g^{ij} phi_i r_j + (phi - grad phi .
@@ -522,16 +500,24 @@ def closed_one_form_residual(immersion, tau_field, e_field, grid=(48, 48)):
     nodes otherwise.
     """
     pts = sample_grid(immersion, grid, margin=0.02)
-    e_res = first_order_residual(immersion, e_field, pts)
-    e_fj = field_jets(immersion, e_field, pts, order=1)
-    e_scale = max(1.0, float(np.max(np.abs(e_fj.grad))))
+    # one order-2 evaluation of the chart serves E and the rotation of tau
+    _, r = _component_jets(immersion, pts, 2)
+    e_jets = _field_jets(e_field, pts, r)
+    e_res, e_grad = _first_order(r, e_jets)
+    e_scale = max(1.0, float(np.max(np.abs(e_grad))))
     pre = float(np.max(np.abs(e_res))) / e_scale
     if pre > FLEX_RESIDUAL_TOL:
         raise FlexError(
             f"E is not an admissible field: dr . dE residual {pre:.3e}")
 
-    rot = rotation_data(immersion, tau_field, pts)
-    omega = contract("...ka,...a->...k", rot.dy, e_fj.value)
+    if isinstance(e_field, TrivialMotion):
+        # the matmul of FlexOperator.evaluate_field, on the chart values
+        e_val = (np.stack([c.value for c in r], axis=-1) @ e_field.matrix.T
+                 + e_field.vector)
+    else:
+        e_val, = stacked(e_jets, (0,))
+    rot = _rotation_data(_surface_rotation(immersion, tau_field, pts, r))
+    omega = contract("...ka,...a->...k", rot.dy, e_val)
 
     spacings = [float(pts[1, 0, 0] - pts[0, 0, 0]),
                 float(pts[0, 1, 1] - pts[0, 0, 1])]
@@ -648,9 +634,14 @@ class FlexOperator:
 
     def evaluate_field(self, fld):
         """Coordinates of a deformation field on the grid (reduced basis
-        when a pole restriction is active)."""
-        fj = field_jets(self.immersion, fld, self.nodes, order=1)
-        return self.reduce_vector(fj.value.reshape(-1))
+        when a pole restriction is active); a trivial motion is read off
+        the grid positions."""
+        if isinstance(fld, TrivialMotion):
+            values = self.positions @ fld.matrix.T + fld.vector
+        else:
+            values = np.stack([evaluate_jet(c, self.nodes, order=0).value
+                               for c in fld.components], axis=-1)
+        return self.reduce_vector(values.reshape(-1))
 
     def apply(self, vector):
         if self.basis is not None:
@@ -823,10 +814,7 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
                 key = (off, 0) if axis == 0 else (0, off)
                 if key not in resolved:
                     resolved[key] = _neighbor_indices(immersion, grid, *key)
-                nb = resolved[key]
-                if nb is None:
-                    raise FlexError("stencil does not fit the grid")
-                d_r[axis][mask] += coeff * flat_r[nb[mask]]
+                d_r[axis][mask] += coeff * flat_r[resolved[key][mask]]
 
     rows, cols, vals = [], [], []
     pair_list = [(0, 0), (0, 1), (1, 1)]

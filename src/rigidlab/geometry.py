@@ -233,18 +233,37 @@ def second_form_derivatives(immersion, point, frame=None):
     dnormal = -contract("...lk,...al->...ak", h_mixed, fr.tangents)
     dh = contract("...aijk,...a->...kij", fr.d3, fr.normal)
     dh += contract("...aij,...ak->...kij", fr.d2, dnormal)
-    corr = contract("...lki,...lj->...kij", fr.christoffels, fr.second_form)
-    dh -= corr
-    dh -= np.swapaxes(corr, -1, -2)
-    return dh
+    return _covariant_derivative(dh, fr.christoffels, fr.second_form)
+
+
+def _covariant_derivative(partial, christoffels, t):
+    """t_{ij,k} = d_k t_ij - Gamma^l_ki t_lj - Gamma^l_kj t_il of a
+    symmetric 2-tensor t, shape (..., k, i, j), from its partial
+    derivatives ``partial[..., k, i, j] = d_k t_ij``."""
+    corr = contract("...lki,...lj->...kij", christoffels, t)
+    return partial - corr - np.swapaxes(corr, -1, -2)
+
+
+def _codazzi_defect(nabla):
+    """Max over components of |t_{ij,k} - t_{kj,i}| for ``nabla[..., k, i,
+    j] = t_{ij,k}`` (which covers all pairs), relative to max(1, |nabla|)."""
+    asym = nabla - np.swapaxes(nabla, -3, -2)
+    scale = np.maximum(1.0, np.max(np.abs(nabla), axis=(-1, -2, -3)))
+    return np.max(np.abs(asym), axis=(-1, -2, -3)) / scale
+
+
+def _relative_residual(lhs, rhs):
+    """max |lhs - rhs| over the trailing (n, n) axes, relative to
+    max(1, max |lhs|, max |rhs|)."""
+    scale = np.maximum(1.0, np.maximum(
+        np.max(np.abs(lhs), axis=(-1, -2)), np.max(np.abs(rhs), axis=(-1, -2))))
+    return np.max(np.abs(lhs - rhs), axis=(-1, -2)) / scale
 
 
 def codazzi_residual(immersion, point, frame=None):
     """Max over components of |h_{ij,k} - h_{ik,j}|, relative to |h| scale."""
-    nh = second_form_derivatives(immersion, point, frame=frame)
-    asym = nh - np.swapaxes(nh, -3, -2)   # h_{ij,k} - h_{kj,i} covers all pairs
-    scale = np.maximum(1.0, np.max(np.abs(nh), axis=(-1, -2, -3)))
-    return np.max(np.abs(asym), axis=(-1, -2, -3)) / scale
+    return _codazzi_defect(second_form_derivatives(immersion, point,
+                                                   frame=frame))
 
 
 def second_metric_derivative(frame, k, l, i, j):
@@ -334,6 +353,8 @@ class GeodesicChart:
     ``points[i, j]`` is the original-chart position of (s_i, t_j);
     ``B[i, j]`` the induced metric satisfies g = dt^2 + B^2 ds^2.  ``kg``
     stores B_t(s, 0) (inward-t convention; -1 on the flat unit disk).
+    ``frame`` is the order-2 :class:`PointFrame` of ``points``; its
+    ``curvature`` is K on the (s, t) grid.
     """
 
     immersion: Immersion
@@ -349,28 +370,16 @@ class GeodesicChart:
     max_offdiag: float
     max_gtt_error: float
     max_b0_error: float
-
-    def curvature_grid(self):
-        fr = frame_at(self.immersion, self.points, order=2)
-        return fr.curvature
+    frame: PointFrame = field(repr=False)
 
     def second_form_grid(self):
         """Pulled-back second fundamental form components (L, M, N) on the
         (s, t) grid, i.e. h(F_s, F_s), h(F_s, F_t), h(F_t, F_t)."""
-        fr = frame_at(self.immersion, self.points, order=2)
-        Fs = self.dpoints_ds
-        Ft = self.velocities
-        h = fr.second_form
+        Fs, Ft, h = self.dpoints_ds, self.velocities, self.frame.second_form
         L = np.einsum("...ij,...i,...j->...", h, Fs, Fs)
         M = np.einsum("...ij,...i,...j->...", h, Fs, Ft)
         N = np.einsum("...ij,...i,...j->...", h, Ft, Ft)
         return L, M, N
-
-
-def _metric_at(immersion, pts):
-    jts = [evaluate_jet(c, pts, order=1) for c in immersion.components]
-    tang, = stacked(jts, (1,))
-    return contract("...ai,...aj->...ij", tang, tang)
 
 
 def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
@@ -405,7 +414,9 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
         return pt
 
     def speed(sigma):
-        g = _metric_at(immersion, curve_point(sigma))
+        _, jts = _component_jets(immersion, curve_point(sigma), 1)
+        tang, = stacked(jts, (1,))
+        g = contract("...ai,...aj->...ij", tang, tang)
         return np.sqrt(g[..., other, other])
 
     # equal-arclength parameter values and the total boundary length from
@@ -452,7 +463,8 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
     ramp[..., other] = (period / length) * s_nodes[:, None]
     Fs = spectral_derivative(pts - ramp, length, axis=0)
     Fs[..., other] += period / length
-    g_grid = _metric_at(immersion, pts)
+    frame = frame_at(immersion, pts, order=2)
+    g_grid = frame.metric
     Ft = vel
     g_ss = np.einsum("...i,...ij,...j->...", Fs, g_grid, Fs)
     g_st = np.einsum("...i,...ij,...j->...", Fs, g_grid, Ft)
@@ -466,7 +478,7 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
         points=pts, velocities=vel, dpoints_ds=Fs, B=B, kg=kg, length=length,
         max_offdiag=float(np.max(np.abs(g_st))),
         max_gtt_error=float(np.max(np.abs(g_tt - 1.0))),
-        max_b0_error=float(np.max(np.abs(B[:, 0] - 1.0))))
+        max_b0_error=float(np.max(np.abs(B[:, 0] - 1.0))), frame=frame)
 
 
 def _edge_kg(fr0, other, nu):

@@ -146,35 +146,17 @@ class Jet:
 
     __slots__ = ("nvars", "order", "coef", "batch_shape")
 
-    def __init__(self, value, grad=None, hess=None, third=None, *, nvars, order):
-        if not 0 <= order <= 3:
-            raise ValueError(f"jet order must be in 0..3, got {order}")
-        value = np.asarray(value, dtype=float)
-        coef = np.empty((_first(nvars, order + 1), value.size))
-        for d, part in enumerate((value, grad, hess, third)[:order + 1]):
-            rows, fact = _full_index(nvars, d)
-            _, cols = np.unique(rows, return_index=True)
-            full = np.broadcast_to(part, value.shape + (nvars,) * d)
-            coef[rows[cols]] = (full.reshape(value.size, -1)[:, cols]
-                                / fact[cols]).T
-        self._set(coef, int(nvars), int(order), value.shape)
-
-    def _set(self, coef, nvars, order, batch_shape):
+    def __init__(self, coef, nvars, order, batch_shape):
         coef.flags.writeable = False
         self.nvars, self.order, self.coef, self.batch_shape = (
             nvars, order, coef, batch_shape)
-        return self
-
-    @classmethod
-    def _packed(cls, coef, nvars, order, batch_shape):
-        return cls.__new__(cls)._set(coef, nvars, order, batch_shape)
 
     @classmethod
     def constant(cls, value, nvars, order, batch_shape=()):
         batch_shape = tuple(batch_shape)
         coef = np.zeros((_first(nvars, order + 1), math.prod(batch_shape)))
         coef[0] = np.broadcast_to(value, batch_shape).reshape(-1)
-        return cls._packed(coef, nvars, order, batch_shape)
+        return cls(coef, nvars, order, batch_shape)
 
     @classmethod
     def variable(cls, values, index, nvars, order):
@@ -183,7 +165,7 @@ class Jet:
         coef = np.zeros((_first(nvars, order + 1), v.size))
         coef[0] = v.reshape(-1)
         coef[1 + index:2 + index] = 1.0       # the gradient row, if any
-        return cls._packed(coef, nvars, order, v.shape)
+        return cls(coef, nvars, order, v.shape)
 
     def _part(self, degree):
         """The derivatives of one degree as a batch-first symmetric tensor."""
@@ -195,7 +177,7 @@ class Jet:
     third = property(lambda self: self._part(3))
 
     def _like(self, coef):
-        return Jet._packed(coef, self.nvars, self.order, self.batch_shape)
+        return Jet(coef, self.nvars, self.order, self.batch_shape)
 
     def _coerce(self, other):
         """``other`` as a jet like this one, or a plain scalar (0-d arrays
@@ -214,8 +196,8 @@ class Jet:
         """View of this jet at a lower order (coefficients are shared)."""
         if order > self.order:
             raise ValueError("truncate cannot raise the order")
-        return Jet._packed(self.coef[:_first(self.nvars, order + 1)],
-                           self.nvars, order, self.batch_shape)
+        return Jet(self.coef[:_first(self.nvars, order + 1)],
+                   self.nvars, order, self.batch_shape)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -369,5 +351,5 @@ def derivative_view(jet, index, order=None):
     if new_order > jet.order - 1:
         raise ValueError("derivative view cannot raise the order")
     rows, weight = _shift(jet.nvars, new_order, index)
-    return Jet._packed(jet.coef[rows] * weight[:, None], jet.nvars, new_order,
-                       jet.batch_shape)
+    return Jet(jet.coef[rows] * weight[:, None], jet.nvars, new_order,
+               jet.batch_shape)

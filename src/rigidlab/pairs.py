@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import support_at
-from .geometry import frame_at, sample_grid, second_form_derivatives
+from .geometry import (_codazzi_defect, _relative_residual, frame_at,
+                       sample_grid, second_form_derivatives)
 from .jets import RigidlabError
 from .linalg import cofactor, contract
 from .quadrature import gauss_legendre_nodes
@@ -121,11 +122,9 @@ def verify_w_formula(pair, point, frames=None, difference=None):
     mu_sum = d.mu + d.mu_tilde
     if np.any(np.abs(mu_sum) < 1e-8):
         raise PairError("mu + mu~ vanishes; the W formula divides by it")
-    lhs = d.w_diff * mu_sum[..., None, None]
-    rhs = 2.0 * d.phi_hess + d.h_bar * (d.mu - d.mu_tilde)[..., None, None]
-    scale = np.maximum(1.0, np.maximum(
-        np.max(np.abs(lhs), axis=(-1, -2)), np.max(np.abs(rhs), axis=(-1, -2))))
-    return np.max(np.abs(lhs - rhs), axis=(-1, -2)) / scale
+    return _relative_residual(
+        d.w_diff * mu_sum[..., None, None],
+        2.0 * d.phi_hess + d.h_bar * (d.mu - d.mu_tilde)[..., None, None])
 
 
 def _cofactor_trace(hbar, w):
@@ -160,11 +159,9 @@ def verify_gauss_trace_and_codazzi(pair, point, frames=None,
     w_scale = np.maximum(1.0, np.max(np.abs(d.w_diff), axis=(-1, -2)))
     trace_res = np.abs(trace) / w_scale
 
-    nabla_w = (second_form_derivatives(pair.second, point, frame=f2)
-               - second_form_derivatives(pair.first, point, frame=f1))
-    asym = nabla_w - np.swapaxes(nabla_w, -3, -2)
-    nw_scale = np.maximum(1.0, np.max(np.abs(nabla_w), axis=(-1, -2, -3)))
-    codazzi_res = np.max(np.abs(asym), axis=(-1, -2, -3)) / nw_scale
+    codazzi_res = _codazzi_defect(
+        second_form_derivatives(pair.second, point, frame=f2)
+        - second_form_derivatives(pair.first, point, frame=f1))
     return trace_res, codazzi_res
 
 

@@ -149,13 +149,28 @@ def load_surface(source):
     for key in ("name", "dim", "components", "domain", "periodic"):
         if key not in source:
             raise GeometryError(f"surface definition misses key {key!r}")
-    closed = source.get("closed_poles")
-    return _immersion(
-        source["name"], source["components"],
-        [tuple(map(float, d)) for d in source["domain"]],
-        [bool(p) for p in source["periodic"]],
-        orientation=source.get("orientation", "outward"),
-        closed_poles=tuple(closed) if closed else None)
+    components = source["components"]
+    if not (isinstance(components, (list, tuple))
+            and all(isinstance(c, str) for c in components)):
+        raise GeometryError("surface components must be a list of "
+                            f"expression strings, got {components!r}")
+    try:
+        domain = [(float(lo), float(hi)) for lo, hi in source["domain"]]
+        periodic = [bool(p) for p in source["periodic"]]
+        closed = source.get("closed_poles")
+        closed = tuple(closed) if closed else None
+    except (TypeError, ValueError) as exc:
+        raise GeometryError("surface domain must hold [lo, hi] number "
+                            "pairs, periodic and closed_poles flags") from exc
+    if not all(-math.inf < lo < hi < math.inf for lo, hi in domain):
+        raise GeometryError(f"surface domain {domain!r} needs finite lo < hi")
+    if source["dim"] != len(domain) or not domain:
+        raise GeometryError(f"surface dim {source['dim']!r} must equal its "
+                            f"number of domain intervals ({len(domain)}) "
+                            "and be at least 1")
+    return _immersion(source["name"], components, domain, periodic,
+                      orientation=source.get("orientation", "outward"),
+                      closed_poles=closed)
 
 
 def surface_to_dict(immersion):

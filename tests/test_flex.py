@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from rigidlab import surfaces as sf
+from rigidlab.boundary import dong_conditions, lemma_hh_check
 from rigidlab.expressions import evaluate_jet, parse_expression
 from rigidlab.flex import (ExpressionField, FlexError, TrivialMotion,
                            assemble_flex_operator, boundary_adapted_field,
@@ -9,7 +12,7 @@ from rigidlab.flex import (ExpressionField, FlexError, TrivialMotion,
                            kernel_dimension, phi_relation_residual,
                            random_trivial_motion, rotation_data,
                            trivial_motion_count, w_tensor)
-from rigidlab.geometry import interior_points
+from rigidlab.geometry import geodesic_boundary_chart, interior_points
 from rigidlab.highdim import decompose_rotation_bivector
 
 
@@ -152,24 +155,68 @@ def test_phi_relation_skips_support_degenerate_points():
     assert res.skipped.all()
 
 
-def test_phi_relation_evaluates_each_chart_jet_once(monkeypatch):
-    from rigidlab import flex, geometry
-
+def _count_jet_evaluations(monkeypatch):
+    """Orders of every evaluate_jet call any rigidlab module makes."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("order"))
         return evaluate_jet(*args, **kwargs)
 
-    monkeypatch.setattr(flex, "evaluate_jet", counted)
-    monkeypatch.setattr(geometry, "evaluate_jet", counted)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("rigidlab.")
+                and getattr(module, "evaluate_jet", None) is evaluate_jet):
+            monkeypatch.setattr(module, "evaluate_jet", counted)
+    return calls
+
+
+def test_phi_relation_evaluates_each_chart_jet_once(monkeypatch):
+    calls = _count_jet_evaluations(monkeypatch)
     surf = sf.ellipsoid()
     pts = interior_points(surf, 10, np.random.default_rng(5))
     res = phi_relation_residual(surf, random_trivial_motion(
         np.random.default_rng(6)), pts)
-    # three order-3 jets for the rotation, three order-2 ones for the frame
-    assert sorted(calls) == [2, 2, 2, 3, 3, 3]
+    # one order-3 frame serves the rotation, w and the support data
+    assert sorted(calls) == [3, 3, 3]
     assert np.max(res.max_residual) < 1e-8
+
+
+def _chart_jet_consumers():
+    surf = sf.ellipsoid()
+    pts = interior_points(surf, 10, np.random.default_rng(5))
+    motion = random_trivial_motion(np.random.default_rng(6))
+    op = assemble_flex_operator(sf.sphere(), grid=(8, 6))
+    chart = geodesic_boundary_chart(sf.quartic_cap_polar(), (1, "hi"),
+                                    depth=0.1, n_s=32, n_t=64)
+    spin = TrivialMotion.from_axis((0.0, 0.0, 1.0))
+    return {
+        "w_tensor": lambda: w_tensor(surf, motion, pts),
+        "first_order_residual": lambda: first_order_residual(
+            surf, motion, pts),
+        "closed_one_form_residual": lambda: closed_one_form_residual(
+            sf.sphere(), motion, spin, grid=(12, 8)),
+        "evaluate_field": lambda: op.evaluate_field(motion),
+        "lemma_hh_check": lambda: lemma_hh_check(chart),
+        "dong_conditions": lambda: dong_conditions(chart),
+    }
+
+
+@pytest.mark.parametrize("consumer, orders", [
+    ("w_tensor", [3, 3, 3]),
+    ("first_order_residual", [1, 1, 1]),
+    ("closed_one_form_residual", [2, 2, 2]),
+    # trivial-motion coordinates come from the operator's grid positions
+    ("evaluate_field", []),
+    # the geodesic chart keeps the frame of its points
+    ("lemma_hh_check", []),
+    ("dong_conditions", []),
+])
+def test_chart_jets_are_evaluated_once_per_point_set(monkeypatch, consumer,
+                                                      orders):
+    run = _chart_jet_consumers()[consumer]
+    calls = _count_jet_evaluations(monkeypatch)
+    run()
+    assert calls == orders
 
 
 # -- closed one-form ----------------------------------------------------------

@@ -338,10 +338,30 @@ def test_cli_usage_errors(tmp_path, capsys):
     nan_h.write_text('{"h": [[1, 0, 0], [0, NaN, 0], [0, 0, 1]]}')
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"surfaces": ["sphere", "sphere"]}))
+    surface = {"name": "x", "dim": 2, "components": ["x1", "x2", "x3"],
+               "domain": [[0, 1], [0, 1]], "periodic": [False, False]}
     bad_variable = tmp_path / "bad_variable.json"
-    bad_variable.write_text(json.dumps({
-        "name": "x", "dim": 2, "components": ["x1", "x2", "x3"],
-        "domain": [[0, 1], [0, 1]], "periodic": [False, False]}))
+    bad_variable.write_text(json.dumps(surface))
+    bad_bound = tmp_path / "bad_bound.json"
+    bad_bound.write_text(json.dumps({**surface, "domain": [["a", 1], [0, 1]]}))
+    bad_domains = []
+    for k, change in enumerate(({"domain": [[1, 0], [0, 1]]},
+                                {"domain": [[0, math.inf], [0, 1]]},
+                                {"dim": 3}, {"dim": 0, "domain": []})):
+        bad_domains.append(tmp_path / f"bad_domain_{k}.json")
+        bad_domains[-1].write_text(json.dumps({**surface, **change}))
+    bad_component = tmp_path / "bad_component.json"
+    bad_component.write_text(json.dumps({**surface,
+                                         "components": [0, "x2", "0"]}))
+    pair_files = []
+    for k, spec in enumerate((
+            {"surfaces": 5}, 5,
+            {"surfaces": ["sphere", "sphere"], "tolerance": "abc"},
+            {"surfaces": ["sphere", "sphere"], "tolerance": None})):
+        pair_files.append(tmp_path / f"bad_pair_{k}.json")
+        pair_files[-1].write_text(json.dumps(spec))
+    scalar_h = tmp_path / "scalar_h.json"
+    scalar_h.write_text('{"h": 5}')
     for argv in (
             ["no-such-command"],
             ["check-surface", "missing.json"],
@@ -365,7 +385,15 @@ def test_cli_usage_errors(tmp_path, capsys):
             ["flex-kernel", "sphere", "--grid", "8x6", "--svd-tol", "nan"],
             ["flex-kernel", "sphere", "--grid", "8x6", "--svd-tol", "inf"],
             ["pointwise-gauss", "--h", "1,2,3", "--rank-tol", "nan"],
-            ["pointwise-gauss", "--h", "1,2,3", "--rank-tol", "-1"]):
+            ["pointwise-gauss", "--h", "1,2,3", "--rank-tol", "-1"],
+            ["check-surface", "plane", "--grid", "1x-2"],
+            *(["pair-check", str(path)] for path in pair_files),
+            ["check-surface", str(bad_bound)],
+            ["flex-kernel", str(bad_bound)],
+            *(["check-surface", str(path)] for path in bad_domains),
+            ["check-surface", str(bad_component)],
+            ["flex-kernel", str(bad_component)],
+            ["pointwise-gauss", "--h-file", str(scalar_h)]):
         assert cli.main(argv) == 64, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
@@ -442,11 +470,21 @@ def test_module_entry_point():
     assert "catalog-sphere" in proc.stdout
 
 
-def test_cli_reports_are_byte_stable(tmp_path):
+_PACKAGED_PAIR = str(importlib.resources.files("rigidlab") / "data"
+                    / "flat_cylinder_pair.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-surface", "ellipsoid", "--points", "50", "--grid", "8x8"],
+    ["pair-check", _PACKAGED_PAIR, "--points", "50"],
+    ["flex-kernel", "ellipsoid", "--grid", "16x8"],     # deflated route
+    ["pointwise-gauss", "--h", "1,2,3"],
+    ["boundary", "--kg", "1 + 0.3*cos(2*x1)", "--f", "sin(2*x1)"],
+    ["catalog"],
+], ids=lambda argv: argv[0])
+def test_cli_reports_are_byte_stable(tmp_path, argv):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):
-        code = cli.main(["boundary", "--kg", "1 + 0.3*cos(2*x1)",
-                         "--f", "sin(2*x1)", "--seed", "7",
-                         "--report", str(target)])
+        code = cli.main(argv + ["--seed", "7", "--report", str(target)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
