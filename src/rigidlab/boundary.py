@@ -32,6 +32,7 @@ module certifies numerically.  (The cot integration by parts produces the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -69,6 +70,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ADMISSIBLE_TOL = 1e-8
+# the boundary ODE keeps its stage table, the tabulated f and the path:
+# peak RSS grows by about 490 bytes per RK4 step (100k and 200k steps)
+MAX_ODE_BYTES = 2**30
+ODE_BYTES_PER_STEP = 512
 
 
 class BoundaryError(RigidlabError):
@@ -81,20 +86,36 @@ class InadmissibleError(BoundaryError):
         self.residuals = residuals
 
 
-def _as_theta_function(f):
+def _as_theta_function(f, name):
     """Normalize a profile input: callable, expression text/AST, or a
-    constant, into a vectorized function of theta."""
-    if f is None:
-        return lambda theta: np.zeros_like(np.asarray(theta, dtype=float))
+    constant (None reads 0), into a vectorized function of theta whose
+    samples are refused, as ``name``, unless finite."""
     if callable(f):
-        return lambda theta: np.asarray(f(np.asarray(theta, dtype=float)),
-                                        dtype=float)
-    if isinstance(f, (int, float)):
-        return lambda theta: np.full_like(np.asarray(theta, dtype=float),
-                                          float(f))
-    ast = parse_expression(f, 1) if isinstance(f, str) else f
-    return lambda theta: evaluate_jet(
-        ast, np.asarray(theta, dtype=float)[..., None], order=0).value
+        fn = f
+    elif f is None or isinstance(f, (int, float)):
+        fn = functools.partial(np.full_like,
+                               fill_value=0.0 if f is None else float(f))
+    else:
+        ast = parse_expression(f, 1) if isinstance(f, str) else f
+
+        def fn(theta):
+            return evaluate_jet(ast, theta[..., None], order=0).value
+
+    def samples(theta):
+        with np.errstate(all="ignore"):      # non-finite values are refused
+            vals = np.asarray(fn(np.asarray(theta, dtype=float)), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise BoundaryError(f"{name} has non-finite samples")
+        return vals
+
+    return samples
+
+
+def _positive_kg(kg_vals):
+    """k_g samples, refused unless finite and positive (NaN fails both)."""
+    if not np.all((kg_vals > 0.0) & (kg_vals < np.inf)):
+        raise BoundaryError("k_g must be finite and positive everywhere")
+    return kg_vals
 
 
 @dataclass
@@ -114,12 +135,9 @@ class BoundaryProfile:
     def from_theta(cls, kg, n_grid=2048):
         """Profile from k_g as a function of the turning angle; the total
         turning is 2 pi by construction."""
-        fn = _as_theta_function(kg)
+        fn = _as_theta_function(kg, "k_g")
         theta = TWO_PI * np.arange(n_grid) / n_grid
-        kg_vals = fn(theta)
-        if np.any(kg_vals <= 0.0):
-            raise BoundaryError("k_g must be positive for the turning-angle "
-                                "parametrization")
+        kg_vals = _positive_kg(fn(theta))
         inv = 1.0 / kg_vals
         s_vals = periodic_antiderivative(inv, TWO_PI)
         length = float(periodic_trapezoid(inv, TWO_PI))
@@ -141,18 +159,15 @@ class BoundaryProfile:
                 return trig_interpolate(kg, length, s)
         else:
             samples = n_grid
-            fn = _as_theta_function(kg)
+            fn = _as_theta_function(kg, "k_g")
 
         def density(s):
-            kg_vals = fn(s)
-            if np.any(kg_vals <= 0.0):
-                raise BoundaryError("k_g must be positive everywhere")
-            return kg_vals
+            return _positive_kg(fn(s))
 
         s_of_theta, turning = invert_antiderivative(density, length, n_grid,
                                                     samples)
         theta = turning * np.arange(n_grid) / n_grid
-        kg_theta = fn(np.mod(s_of_theta, length))
+        kg_theta = density(np.mod(s_of_theta, length))
         return cls(theta=theta, kg_theta=kg_theta, s_of_theta=s_of_theta,
                    length=float(length), total_turning=turning, kg_s=fn)
 
@@ -179,8 +194,9 @@ class BoundaryProfile:
         if params.size < 4:
             raise BoundaryError("profile CSV needs at least four samples")
         step = params[1] - params[0]
-        if np.max(np.abs(np.diff(params) - step)) > 1e-9 * abs(step):
+        if not np.all(np.abs(np.diff(params) - step) <= 1e-9 * abs(step)):
             raise BoundaryError("profile CSV samples must be uniform")
+        _positive_kg(values)
         period = params.size * step
         if header[0] == "theta":
             if abs(period - TWO_PI) > 1e-9:
@@ -201,9 +217,9 @@ class BoundaryProfile:
         if n == self.theta.size:
             return self.theta, self.kg_theta
         theta = TWO_PI * np.arange(n) / n
-        if self.kg_fn is not None:
-            return theta, self.kg_fn(theta)
-        return theta, trig_interpolate(self.kg_theta, TWO_PI, theta)
+        kg = (self.kg_fn(theta) if self.kg_fn is not None
+              else trig_interpolate(self.kg_theta, TWO_PI, theta))
+        return theta, _positive_kg(kg)
 
 
 def _antiderivative_half_step(integrand_aligned, theta_aligned):
@@ -374,9 +390,17 @@ def solve_boundary_ode(profile, f, c1=0.0, c2=0.0, n_steps=4096):
     closed form built from u = int f sin, v = int f cos.
 
     f is evaluated once, on the table of RK4 stage angles (a callable f
-    must accept an array of angles); the stepper then reads it by angle."""
+    must accept an array of angles); the stepper then reads it by angle.
+    Step counts whose tables would pass ``MAX_ODE_BYTES`` are refused
+    before anything is allocated."""
+    if n_steps * ODE_BYTES_PER_STEP > MAX_ODE_BYTES:
+        raise BoundaryError(
+            f"{n_steps} ODE steps would need about "
+            f"{n_steps * ODE_BYTES_PER_STEP / 2**20:.0f} MiB, over the "
+            f"{MAX_ODE_BYTES / 2**20:.0f} MiB budget")
     stages = rk4_stage_times(0.0, TWO_PI, n_steps)[2].ravel()
-    f_vals = np.broadcast_to(_as_theta_function(f)(stages), stages.shape)
+    f_vals = np.broadcast_to(_as_theta_function(f, "f")(stages),
+                             stages.shape)
     f_at = dict(zip(stages.tolist(), f_vals.tolist()))
 
     def rhs(theta, y):
@@ -405,6 +429,7 @@ def solve_boundary_ode(profile, f, c1=0.0, c2=0.0, n_steps=4096):
 @dataclass
 class ReferenceCurve:
     theta: np.ndarray
+    kg: np.ndarray                # k_g samples at theta
     x1: np.ndarray
     x2: np.ndarray
     area: float
@@ -423,7 +448,7 @@ def reference_curve(profile, n_grid=4096):
     gap = math.hypot(float(periodic_trapezoid(dx1, TWO_PI)),
                      float(periodic_trapezoid(dx2, TWO_PI)))
     area = -float(periodic_trapezoid(x2 * dx1, TWO_PI))
-    return ReferenceCurve(theta=theta, x1=x1, x2=x2, area=area,
+    return ReferenceCurve(theta=theta, kg=kg, x1=x1, x2=x2, area=area,
                           closure_gap=gap)
 
 
@@ -431,7 +456,7 @@ def reference_curve(profile, n_grid=4096):
 # admissibility, U/V functions, the energy inequality
 # ---------------------------------------------------------------------------
 
-def _uv_from_f(profile, f_vals, theta):
+def _uv_from_f(f_vals, theta):
     u = periodic_antiderivative(f_vals * np.sin(theta), TWO_PI)
     v = periodic_antiderivative(f_vals * np.cos(theta), TWO_PI)
     return u, v
@@ -444,12 +469,11 @@ def admissibility_residuals(profile, f):
     the first two because the rotation increment closes up, the third because
     phi is single-valued.
     """
-    f_fn = _as_theta_function(f)
     theta, kg = profile.theta_grid(2048)
-    f_vals = f_fn(theta)
+    f_vals = _as_theta_function(f, "f")(theta)
     u_end = float(periodic_trapezoid(f_vals * np.sin(theta), TWO_PI))
     v_end = float(periodic_trapezoid(f_vals * np.cos(theta), TWO_PI))
-    u, v = _uv_from_f(profile, f_vals, theta)
+    u, v = _uv_from_f(f_vals, theta)
     phi_s_free = -np.cos(theta) * u + np.sin(theta) * v
     loop = float(periodic_trapezoid(phi_s_free / kg, TWO_PI))
     return u_end, v_end, loop
@@ -469,6 +493,7 @@ def _require_admissible(profile, f):
 @dataclass
 class UVData:
     theta: np.ndarray
+    f: np.ndarray                 # f samples at theta
     u: np.ndarray
     v: np.ndarray
     big_u: np.ndarray
@@ -476,32 +501,32 @@ class UVData:
     constant: float
     u_zero_residuals: tuple       # (U(0), U(pi))
     slope_identity_residual: float  # max |U' cot - V'| away from {0, pi, 2pi}
+    curve: ReferenceCurve         # X1, X2, k_g and S on the same grid
 
 
 def uv_functions(profile, f, n_grid=4096, exclusion=1e-3):
-    """Shifted antiderivative pair (U, V) and the normalizing constant C.
+    """Shifted antiderivative pair (U, V) and the normalizing constant C,
+    built on the grid of :func:`reference_curve` from its X1, X2.
 
     Requires admissible data.  The identity U'(theta) cot(theta) = V'(theta)
     is checked on the grid away from ``exclusion`` neighborhoods of
     {0, pi, 2 pi}, with derivatives taken spectrally.
     """
     _require_admissible(profile, f)
-    f_fn = _as_theta_function(f)
-    theta, kg = profile.theta_grid(n_grid)
-    f_vals = f_fn(theta)
-    u, v = _uv_from_f(profile, f_vals, theta)
-    x1 = periodic_antiderivative(np.cos(theta) / kg, TWO_PI)
-    x2 = periodic_antiderivative(np.sin(theta) / kg, TWO_PI)
-
     if n_grid % 2:
-        raise BoundaryError("uv_functions needs an even grid size")
+        raise BoundaryError("the U/V chain needs an even grid size")
+    curve = reference_curve(profile, n_grid)
+    theta = curve.theta
+    f_vals = _as_theta_function(f, "f")(theta)
+    u, v = _uv_from_f(f_vals, theta)
+
     half = n_grid // 2          # theta grid hits pi exactly for even n
-    denom = x2[half]
+    denom = curve.x2[half]
     if abs(denom) < 1e-14:
         raise BoundaryError("degenerate normalization: int_0^pi sin/k_g = 0")
     constant = -u[half] / denom
-    big_u = u + constant * x2
-    big_v = v + constant * x1
+    big_u = u + constant * curve.x2
+    big_v = v + constant * curve.x1
 
     # numeric identity check: differentiate the constructed U, V spectrally
     du = spectral_derivative(big_u, TWO_PI)
@@ -512,10 +537,10 @@ def uv_functions(profile, f, n_grid=4096, exclusion=1e-3):
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = du * np.cos(theta) / np.sin(theta) - dv
     residual = float(np.max(np.abs(slope[keep])))
-    return UVData(theta=theta, u=u, v=v, big_u=big_u, big_v=big_v,
+    return UVData(theta=theta, f=f_vals, u=u, v=v, big_u=big_u, big_v=big_v,
                   constant=constant,
                   u_zero_residuals=(float(big_u[0]), float(big_u[half])),
-                  slope_identity_residual=residual)
+                  slope_identity_residual=residual, curve=curve)
 
 
 @dataclass
@@ -523,55 +548,31 @@ class EnergyInequalityResult:
     value_direct: float           # 2 int -v' u dtheta
     value_uv_route: float         # -int (U/sin)^2 - 2 C^2 S
     route_agreement: float
-    area: float
-    constant: float
-
-    @property
-    def value(self):
-        return self.value_direct
+    uv: UVData                    # C = uv.constant, S = uv.curve.area
 
 
 def boundary_energy_inequality(profile, f, n_grid=4096):
     """Evaluate the boundary energy loop integral of phi_s F ds two ways and
-    return both; each is non-positive for admissible data.
+    return both; each is non-positive for admissible data.  Built on
+    :func:`uv_functions` at the same grid.
 
-    The grid is offset so the removable singularities of (U / sin)^2 at
-    {0, pi, 2 pi} are never sampled.
+    The U/V route samples U on the offset grid so the removable
+    singularities of (U / sin)^2 at {0, pi, 2 pi} are never hit.
     """
-    if n_grid % 2:
-        raise BoundaryError("boundary_energy_inequality needs an even grid")
-    _require_admissible(profile, f)
-    f_fn = _as_theta_function(f)
-    n = n_grid
-    theta_nodes = TWO_PI * (np.arange(n) + 0.5) / n
-
-    theta_al, kg_al = profile.theta_grid(n)
-    f_al = f_fn(theta_al)
-    u_al, v_al = _uv_from_f(profile, f_al, theta_al)
-
+    uv = uv_functions(profile, f, n_grid)
+    theta, f_vals, n = uv.theta, uv.f, n_grid
     value_direct = -2.0 * float(periodic_trapezoid(
-        f_al * np.cos(theta_al) * u_al, TWO_PI))
+        f_vals * np.cos(theta) * uv.u, TWO_PI))
 
-    half = n // 2
-    x2_al = periodic_antiderivative(np.sin(theta_al) / kg_al, TWO_PI)
-    denom = x2_al[half]
-    if abs(denom) < 1e-14:
-        raise BoundaryError("degenerate normalization: int_0^pi sin/k_g = 0")
-    constant = -u_al[half] / denom
-    area = reference_curve(profile, n_grid=n).area
-
-    # evaluate U on the offset grid so the removable 0, pi, 2 pi points of
-    # (U / sin)^2 are never hit
-    u_off = _antiderivative_half_step(f_al * np.sin(theta_al), theta_al)
-    x2_off = _antiderivative_half_step(np.sin(theta_al) / kg_al, theta_al)
-    big_u_off = u_off + constant * x2_off
-    ratio = big_u_off / np.sin(theta_nodes)
+    u_off = _antiderivative_half_step(f_vals * np.sin(theta), theta)
+    x2_off = _antiderivative_half_step(np.sin(theta) / uv.curve.kg, theta)
+    big_u_off = u_off + uv.constant * x2_off
+    ratio = big_u_off / np.sin(TWO_PI * (np.arange(n) + 0.5) / n)
     value_uv = -float(periodic_trapezoid(ratio**2, TWO_PI)) \
-        - 2.0 * constant**2 * area
+        - 2.0 * uv.constant**2 * uv.curve.area
     return EnergyInequalityResult(
         value_direct=value_direct, value_uv_route=value_uv,
-        route_agreement=abs(value_direct - value_uv),
-        area=area, constant=constant)
+        route_agreement=abs(value_direct - value_uv), uv=uv)
 
 
 # ---------------------------------------------------------------------------

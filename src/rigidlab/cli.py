@@ -99,7 +99,7 @@ def build_parser():
                                                "rigidity test")
     p.add_argument("--h", help="comma-separated diagonal of h")
     p.add_argument("--h-file", help="JSON file with {\"h\": [[...]]}")
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=_count, default=None)
     p.add_argument("--rank-tol", type=_tolerance, default=1e-10)
     common(p)
 
@@ -302,8 +302,6 @@ def _parse_h(args):
             h = np.diag([float(x) for x in args.h.split(",")])
         except ValueError as exc:
             raise _UsageError(f"bad --h diagonal {args.h!r}") from exc
-        if args.dim is not None and args.dim != len(h):
-            raise _UsageError("--dim does not match the --h diagonal length")
     elif args.h_file:
         with open(args.h_file, "r", encoding="utf-8") as fh:
             try:
@@ -315,6 +313,9 @@ def _parse_h(args):
         raise _UsageError("pointwise-gauss needs --h or --h-file")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise _UsageError(f"h must be a square matrix, got shape {h.shape}")
+    if args.dim is not None and args.dim != len(h):
+        raise _UsageError(f"--dim {args.dim} does not match the {len(h)}x"
+                          f"{len(h)} h")
     if not np.all(np.isfinite(h)):
         raise _UsageError("h has non-finite entries")
     return h
@@ -385,7 +386,8 @@ def run_boundary(args):
         "admissibility", admissible, max(abs(v) for v in res), "boundary",
         "u and v close up and the phi_s loop integral vanishes"))
     if admissible:
-        uv = bd.uv_functions(profile, args.f)
+        energy = bd.boundary_energy_inequality(profile, args.f)
+        uv = energy.uv
         report.add(CheckEntry.residual(
             "uv-roots", max(abs(uv.u_zero_residuals[0]),
                             abs(uv.u_zero_residuals[1])), 1e-10, "boundary",
@@ -393,7 +395,6 @@ def run_boundary(args):
         report.add(CheckEntry.residual(
             "uv-slope-identity", uv.slope_identity_residual, 1e-6,
             "boundary", "U' cot(theta) = V' away from the axis"))
-        energy = bd.boundary_energy_inequality(profile, args.f)
         report.add(CheckEntry.residual(
             "energy-route-agreement", energy.route_agreement, 1e-6,
             "boundary", "direct and U/V evaluations of the boundary "
@@ -405,13 +406,11 @@ def run_boundary(args):
             module="boundary",
             claim="the boundary energy loop integral is non-positive",
             metadata={"uv_route": energy.value_uv_route,
-                      "area": energy.area, "constant": energy.constant}))
+                      "area": uv.curve.area, "constant": uv.constant}))
         if args.csv_dir:
             _write_csv(args.csv_dir, "boundary_series.csv",
                        ["theta", "x1", "x2", "U", "V"],
-                       zip(uv.theta, np.interp(uv.theta, curve.theta,
-                                               curve.x1),
-                           np.interp(uv.theta, curve.theta, curve.x2),
+                       zip(uv.theta, uv.curve.x1, uv.curve.x2,
                            uv.big_u, uv.big_v))
     return report
 

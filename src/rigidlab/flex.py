@@ -38,8 +38,9 @@ import scipy.sparse
 from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
 from .expressions import evaluate_jet, parse_expression
-from .geometry import (_codazzi_defect, _component_jets, _covariant_derivative,
-                       _relative_residual, frame_at, sample_grid)
+from .geometry import (_codazzi_defect, _cofactor_trace, _component_jets,
+                       _covariant_derivative, _relative_residual, frame_at,
+                       sample_grid)
 from .jets import Jet, RigidlabError, batch_first, derivative_view, stacked
 from .linalg import cofactor, contract, singular_values
 
@@ -220,7 +221,6 @@ class RotationJets:
 
     tangents: list                # r_i
     dtau: list                    # tau_i
-    metric: list                  # g_ij
     normal: list                  # oriented unit normal n
     dual: list                    # t^i = g^{ij} r_j
     y: dict                       # (a, b) -> Y_ab, a < b
@@ -321,7 +321,7 @@ def _rotation_from(immersion, fld, pts, r):
                 acc = acc + s * (dual[i][a] * dual[j][b]
                                  - dual[j][a] * dual[i][b])
             y[(a, b)] = acc
-    return RotationJets(tangents=ri, dtau=taui, metric=g, normal=normal,
+    return RotationJets(tangents=ri, dtau=taui, normal=normal,
                         dual=dual, y=y, tau=tau)
 
 
@@ -409,8 +409,7 @@ def _w_tensor(rj, fr):
 
     h = fr.second_form
     det_h = cofactor(h, adjugate=False)[0]
-    cof = (h[..., 0, 0] * w_sym[..., 1, 1] + h[..., 1, 1] * w_sym[..., 0, 0]
-           - 2.0 * h[..., 0, 1] * w_sym[..., 0, 1])
+    cof = _cofactor_trace(h, w_sym)
     h_scale = np.maximum(np.max(np.abs(h), axis=(-1, -2)) ** 2, 1e-30)
     with np.errstate(divide="ignore", invalid="ignore"):
         proper = cof / det_h
@@ -840,22 +839,13 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
 
 def _summed_csr(rows, cols, vals, n):
     """Square CSR matrix of (row, col, value) triplets.  Repeated entries
-    are summed from 0.0 in input order, so every entry has the bits of the
-    sequential scatter-add of the same triplets (sparse conversions sum
-    duplicates in an unspecified order)."""
-    key = rows * n + cols
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
-    rank = np.arange(key.size) - starts[group]
-    data = np.zeros(starts.size)
-    for r in range(int(rank.max()) + 1):
-        sel = rank == r                 # at most one entry per group
-        data[group[sel]] += vals[sel]
-    unique = key[starts]
+    are summed from 0.0 in input order (``np.add.at`` is unbuffered and
+    sequential), so every entry has the bits of the sequential scatter-add
+    of the same triplets (sparse conversions sum duplicates in an
+    unspecified order)."""
+    unique, group = np.unique(rows * n + cols, return_inverse=True)
+    data = np.zeros(unique.size)
+    np.add.at(data, group, vals)
     indptr = np.searchsorted(unique // n, np.arange(n + 1))
     return scipy.sparse.csr_matrix((data, unique % n, indptr), shape=(n, n))
 

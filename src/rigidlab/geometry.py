@@ -260,6 +260,13 @@ def _relative_residual(lhs, rhs):
     return np.max(np.abs(lhs - rhs), axis=(-1, -2)) / scale
 
 
+def _cofactor_trace(h, w):
+    """det(h) h^{ij} w_ij of 2x2 tensors without inverting:
+    h_11 w_22 + h_22 w_11 - 2 h_12 w_12."""
+    return (h[..., 0, 0] * w[..., 1, 1] + h[..., 1, 1] * w[..., 0, 0]
+            - 2.0 * h[..., 0, 1] * w[..., 0, 1])
+
+
 def codazzi_residual(immersion, point, frame=None):
     """Max over components of |h_{ij,k} - h_{ik,j}|, relative to |h| scale."""
     return _codazzi_defect(second_form_derivatives(immersion, point,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import support_at
-from .geometry import (_codazzi_defect, _relative_residual, frame_at,
-                       sample_grid, second_form_derivatives)
+from .geometry import (_codazzi_defect, _cofactor_trace, _relative_residual,
+                       frame_at, sample_grid, second_form_derivatives)
 from .jets import RigidlabError
 from .linalg import cofactor, contract
 from .quadrature import gauss_legendre_nodes
@@ -125,13 +125,6 @@ def verify_w_formula(pair, point, frames=None, difference=None):
     return _relative_residual(
         d.w_diff * mu_sum[..., None, None],
         2.0 * d.phi_hess + d.h_bar * (d.mu - d.mu_tilde)[..., None, None])
-
-
-def _cofactor_trace(hbar, w):
-    """det(hbar) hbar^{ij} w_ij without inverting:
-    hbar_11 w_22 + hbar_22 w_11 - 2 hbar_12 w_12."""
-    return (hbar[..., 0, 0] * w[..., 1, 1] + hbar[..., 1, 1] * w[..., 0, 0]
-            - 2.0 * hbar[..., 0, 1] * w[..., 0, 1])
 
 
 def verify_gauss_trace_and_codazzi(pair, point, frames=None,

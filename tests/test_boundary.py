@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,29 @@ def circle():
 def test_profile_needs_positive_curvature():
     with pytest.raises(BoundaryError):
         BoundaryProfile.from_theta("cos(x1)")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BoundaryProfile.from_theta("1 + 0*exp(800*x1)"),     # NaN
+    lambda: BoundaryProfile.from_theta("exp(800*x1)"),           # inf
+    lambda: BoundaryProfile.from_theta(lambda t: np.where(t > 3, np.nan,
+                                                          1.0)),
+    lambda: BoundaryProfile.from_arclength(
+        np.array([1.0, np.nan, 1.0, 1.0]), TWO_PI),
+], ids=["nan-expression", "inf-expression", "nan-callable", "nan-samples"])
+def test_profile_refuses_non_finite_curvature(build):
+    with pytest.raises(BoundaryError, match="finite"):
+        build()
+
+
+def test_non_finite_f_samples_are_refused(circle):
+    for f in ("exp(800*x1)", lambda t: np.where(t > 3, np.inf, 0.0)):
+        for stage in (lambda: solve_boundary_ode(circle, f, n_steps=8),
+                      lambda: admissibility_residuals(circle, f),
+                      lambda: uv_functions(circle, f),
+                      lambda: boundary_energy_inequality(circle, f)):
+            with pytest.raises(BoundaryError, match="f has non-finite"):
+                stage()
 
 
 def test_arclength_profile_measures_turning(circle):
@@ -106,6 +131,33 @@ def test_ode_evaluates_f_once_per_solve(circle, monkeypatch, n_steps):
         path = np.stack([sol.phi_s, sol.phi_t, sol.u, sol.v], axis=1)
         assert np.array_equal(path, _rk4_reference(f_at, 0.3, -0.7,
                                                    n_steps)), f
+
+
+def test_ode_refuses_step_counts_over_its_memory_budget(circle,
+                                                        monkeypatch):
+    def stage_table(*args):
+        raise AssertionError("the stage table was allocated")
+
+    monkeypatch.setattr(boundary, "rk4_stage_times", stage_table)
+    limit = boundary.MAX_ODE_BYTES // boundary.ODE_BYTES_PER_STEP
+    for n_steps in (limit + 1, 10**8, 10**30):
+        with pytest.raises(BoundaryError, match="MiB budget"):
+            solve_boundary_ode(circle, "sin(2*x1)", n_steps=n_steps)
+    with pytest.raises(AssertionError, match="stage table"):
+        solve_boundary_ode(circle, "sin(2*x1)", n_steps=limit)
+
+
+def test_ode_memory_budget_tracks_the_real_cost(circle):
+    n_steps = 2048
+    tracemalloc.start()
+    try:
+        solve_boundary_ode(circle, "sin(2*x1)", n_steps=n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_step = peak / n_steps
+    assert boundary.ODE_BYTES_PER_STEP / 2 <= per_step \
+        <= boundary.ODE_BYTES_PER_STEP, per_step
 
 
 def test_ode_matches_closed_form_for_sin2(circle):
@@ -202,6 +254,36 @@ def test_energy_nonpositive_on_noncircular_profile():
         res = boundary_energy_inequality(prof, f)
         assert res.value_direct <= 1e-10
         assert res.route_agreement < 1e-6
+
+
+def _assert_same_bits(a, b):
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if dataclasses.is_dataclass(x):
+            _assert_same_bits(x, y)
+        else:
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), \
+                field.name
+
+
+@pytest.mark.parametrize("source", ["expression", "csv"])
+def test_energy_chain_reuses_uv_and_reference_curve(tmp_path, source):
+    kg = "1 + 0.3*cos(2*x1)"
+    if source == "csv":
+        theta = TWO_PI * np.arange(64) / 64
+        path = tmp_path / "kg.csv"
+        path.write_text("theta,kg\n" + "".join(
+            f"{float(t)!r},{float(1 + 0.3 * np.cos(2 * t))!r}\n"
+            for t in theta))
+        prof = BoundaryProfile.from_csv(str(path))
+    else:
+        prof = BoundaryProfile.from_theta(kg)
+    f = "0.8*sin(2*x1)"
+    energy = boundary_energy_inequality(prof, f)
+    _assert_same_bits(energy.uv, uv_functions(prof, f))
+    _assert_same_bits(energy.uv.curve, reference_curve(prof))
+    assert np.array_equal(energy.uv.curve.kg, prof.theta_grid(4096)[1])
 
 
 def test_projection_is_idempotent(circle):

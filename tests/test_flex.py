@@ -12,6 +12,7 @@ from rigidlab.flex import (ExpressionField, FlexError, TrivialMotion,
                            kernel_dimension, phi_relation_residual,
                            random_trivial_motion, rotation_data,
                            trivial_motion_count, w_tensor)
+from rigidlab.flex import _summed_csr
 from rigidlab.geometry import geodesic_boundary_chart, interior_points
 from rigidlab.highdim import decompose_rotation_bivector
 
@@ -458,6 +459,31 @@ def test_kernel_verdicts_on_synthetic_spectra():
     rep = kernel_dimension(good, rel_tol=1e-8)
     assert rep.verdict == "certified-rigid"
     assert rep.gap_ratio > 1e10
+
+
+def test_summed_csr_matches_a_sequential_scatter_add():
+    rng = np.random.default_rng(5)
+    n, m = 8, 500
+    rows = rng.integers(0, n - 1, m)
+    cols = rng.integers(0, n, m)
+    vals = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 17, m)
+    # summed in input order these give 0.0, in reverse order 1.0
+    rows = np.concatenate([rows, [n - 1] * 3])
+    cols = np.concatenate([cols, [2] * 3])
+    vals = np.concatenate([vals, [1.0, 1e16, -1e16]])
+    expected = {}
+    for key in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        expected[key[:2]] = expected.get(key[:2], 0.0) + key[2]
+
+    csr = _summed_csr(rows, cols, vals, n)
+    assert csr.has_canonical_format and csr.shape == (n, n)
+    coo = csr.tocoo()
+    got = dict(zip(zip(coo.row.tolist(), coo.col.tolist()),
+                   coo.data.tolist()))
+    assert got.keys() == expected.keys()
+    assert all(np.float64(got[k]).tobytes() == np.float64(v).tobytes()
+               for k, v in expected.items())
+    assert got[n - 1, 2] == 0.0
 
 
 def test_grid_size_guards():

@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab import cli, darboux, pairs
+from rigidlab import boundary, cli, darboux, pairs
 from rigidlab.linalg import null_space, numerical_rank, singular_values
 from rigidlab.quadrature import (gauss_legendre, gauss_legendre_nodes,
                                  periodic_trapezoid, rk4_path)
@@ -230,6 +230,8 @@ def test_cli_pointwise_gauss_h_file(tmp_path):
         {"h": [[5.0, 0, 0, 0], [0, -3.0, 0, 0], [0, 0, 2.0, 0],
                [0, 0, 0, 0.0]]}))
     assert cli.main(["pointwise-gauss", "--h-file", str(path)]) == 0
+    assert cli.main(["pointwise-gauss", "--h-file", str(path),
+                     "--dim", "4"]) == 0
     assert cli.main(["pointwise-gauss", "--h", "1,2", "--dim", "3"]) == 64
 
 
@@ -292,6 +294,43 @@ def test_cli_boundary_with_csv(tmp_path):
     assert code == 0
     header = (tmp_path / "boundary_series.csv").read_text().splitlines()[0]
     assert header == "theta,x1,x2,U,V"
+
+
+@pytest.mark.parametrize("source", ["expression", "csv"])
+def test_cli_boundary_series_is_the_reference_curve(tmp_path, source,
+                                                    monkeypatch):
+    kg = "1 + 0.3*cos(2*x1)"
+    if source == "csv":
+        theta = 2 * math.pi * np.arange(64) / 64
+        path = tmp_path / "kg.csv"
+        path.write_text("theta,kg\n" + "".join(
+            f"{float(t)!r},{float(1 + 0.3 * np.cos(2 * t))!r}\n"
+            for t in theta))
+        kg = str(path)
+        profile = boundary.BoundaryProfile.from_csv(kg)
+    else:
+        profile = boundary.BoundaryProfile.from_theta(kg)
+    curve = boundary.reference_curve(profile)
+
+    grids = []
+    theta_grid = boundary.BoundaryProfile.theta_grid
+
+    def counted(self, n):
+        grids.append(n)
+        return theta_grid(self, n)
+
+    monkeypatch.setattr(boundary.BoundaryProfile, "theta_grid", counted)
+    admissibility = _count_calls(monkeypatch, boundary,
+                                 "admissibility_residuals", [])
+    assert cli.main(["boundary", "--kg", kg, "--f", "sin(2*x1)",
+                     "--csv-dir", str(tmp_path)]) == 0
+    # k_g on the 4096 grid: the reported curve and the U/V chain's curve
+    assert grids.count(4096) == 2 and len(admissibility) == 2
+    table = np.loadtxt(tmp_path / "boundary_series.csv", delimiter=",",
+                       skiprows=1)
+    for column, expected in zip(table.T[:3],
+                                (curve.theta, curve.x1, curve.x2)):
+        assert np.array_equal(column, expected)
 
 
 def test_cli_boundary_inadmissible_fails():
@@ -362,6 +401,12 @@ def test_cli_usage_errors(tmp_path, capsys):
         pair_files[-1].write_text(json.dumps(spec))
     scalar_h = tmp_path / "scalar_h.json"
     scalar_h.write_text('{"h": 5}')
+    h4 = tmp_path / "h4.json"
+    h4.write_text(json.dumps({"h": np.diag([1.0, 2.0, 3.0, 4.0]).tolist()}))
+    nan_row = tmp_path / "nan_row.csv"
+    nan_row.write_text("theta,kg\n" + "".join(
+        f"{2 * math.pi * k / 8!r},{'nan' if k == 3 else '1.0'}\n"
+        for k in range(8)))
     for argv in (
             ["no-such-command"],
             ["check-surface", "missing.json"],
@@ -393,7 +438,15 @@ def test_cli_usage_errors(tmp_path, capsys):
             *(["check-surface", str(path)] for path in bad_domains),
             ["check-surface", str(bad_component)],
             ["flex-kernel", str(bad_component)],
-            ["pointwise-gauss", "--h-file", str(scalar_h)]):
+            ["pointwise-gauss", "--h-file", str(scalar_h)],
+            ["pointwise-gauss", "--h-file", str(h4), "--dim", "3"],
+            ["pointwise-gauss", "--h-file", str(h4), "--dim", "0"],
+            ["pointwise-gauss", "--h", "1,2,3", "--dim", "-7"],
+            ["boundary", "--kg", "1+0*exp(800*x1)"],         # NaN k_g
+            ["boundary", "--kg", str(nan_row)],
+            ["boundary", "--kg", "exp(800*x1)"],             # inf k_g
+            ["boundary", "--f", "exp(800*x1)"],              # inf f
+            ["boundary", "--steps", "100000000"]):           # ~49 GiB
         assert cli.main(argv) == 64, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
