@@ -70,6 +70,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ADMISSIBLE_TOL = 1e-8
+THETA_SAMPLES = 4096          # turning angles of every profile; even: hits pi
+S_SAMPLES = 2048              # k_g(s) samples of a callable arclength profile
+UV_EXCLUSION = 1e-3           # U/V slope identity skips this near 0, pi, 2 pi
 # the boundary ODE keeps its stage table, the tabulated f and the path:
 # peak RSS grows by about 490 bytes per RK4 step (100k and 200k steps)
 MAX_ODE_BYTES = 2**30
@@ -123,29 +126,27 @@ class BoundaryProfile:
     """Positive periodic geodesic-curvature data with its two natural
     parametrizations (arclength s and turning angle theta)."""
 
-    theta: np.ndarray             # uniform grid on [0, 2 pi), no endpoint
+    theta: np.ndarray             # uniform grid on [0, total turning)
     kg_theta: np.ndarray          # k_g at those turning angles
     s_of_theta: np.ndarray
     length: float
     total_turning: float
     kg_s: Optional[Callable] = None
-    kg_fn: Optional[Callable] = None     # k_g as a function of theta
 
     @classmethod
-    def from_theta(cls, kg, n_grid=2048):
+    def from_theta(cls, kg):
         """Profile from k_g as a function of the turning angle; the total
         turning is 2 pi by construction."""
-        fn = _as_theta_function(kg, "k_g")
-        theta = TWO_PI * np.arange(n_grid) / n_grid
-        kg_vals = _positive_kg(fn(theta))
+        theta = TWO_PI * np.arange(THETA_SAMPLES) / THETA_SAMPLES
+        kg_vals = _positive_kg(_as_theta_function(kg, "k_g")(theta))
         inv = 1.0 / kg_vals
         s_vals = periodic_antiderivative(inv, TWO_PI)
         length = float(periodic_trapezoid(inv, TWO_PI))
         return cls(theta=theta, kg_theta=kg_vals, s_of_theta=s_vals,
-                   length=length, total_turning=TWO_PI, kg_s=None, kg_fn=fn)
+                   length=length, total_turning=TWO_PI)
 
     @classmethod
-    def from_arclength(cls, kg, length, n_grid=2048):
+    def from_arclength(cls, kg, length):
         """Profile from k_g as a periodic function of arclength on
         [0, length); the total turning is measured, not assumed.
 
@@ -158,21 +159,21 @@ class BoundaryProfile:
             def fn(s):
                 return trig_interpolate(kg, length, s)
         else:
-            samples = n_grid
+            samples = S_SAMPLES
             fn = _as_theta_function(kg, "k_g")
 
         def density(s):
             return _positive_kg(fn(s))
 
-        s_of_theta, turning = invert_antiderivative(density, length, n_grid,
-                                                    samples)
-        theta = turning * np.arange(n_grid) / n_grid
+        s_of_theta, turning = invert_antiderivative(density, length,
+                                                    THETA_SAMPLES, samples)
+        theta = turning * np.arange(THETA_SAMPLES) / THETA_SAMPLES
         kg_theta = density(np.mod(s_of_theta, length))
         return cls(theta=theta, kg_theta=kg_theta, s_of_theta=s_of_theta,
                    length=float(length), total_turning=turning, kg_s=fn)
 
     @classmethod
-    def from_csv(cls, path, n_grid=2048):
+    def from_csv(cls, path):
         """Profile from a two-column CSV of uniform periodic samples.
 
         Header ``theta,kg`` gives k_g over one full turn of the turning
@@ -202,24 +203,16 @@ class BoundaryProfile:
             if abs(period - TWO_PI) > 1e-9:
                 raise BoundaryError("theta samples must cover one full turn")
             return cls.from_theta(
-                lambda x: trig_interpolate(values, period, x), n_grid=n_grid)
-        return cls.from_arclength(values, period, n_grid=n_grid)
+                lambda x: trig_interpolate(values, period, x))
+        return cls.from_arclength(values, period)
 
     @classmethod
-    def from_chart(cls, chart: GeodesicChart, n_grid=2048):
+    def from_chart(cls, chart: GeodesicChart):
         """Profile of a geodesic boundary chart.  The chart stores
         k_g = B_t(s, 0) with inward t; the boundary profile uses the
         classical orientation, which flips the sign (a convex cap then has
         positive k_g)."""
-        return cls.from_arclength(-chart.kg, chart.length, n_grid=n_grid)
-
-    def theta_grid(self, n):
-        if n == self.theta.size:
-            return self.theta, self.kg_theta
-        theta = TWO_PI * np.arange(n) / n
-        kg = (self.kg_fn(theta) if self.kg_fn is not None
-              else trig_interpolate(self.kg_theta, TWO_PI, theta))
-        return theta, _positive_kg(kg)
+        return cls.from_arclength(-chart.kg, chart.length)
 
 
 def _antiderivative_half_step(integrand_aligned, theta_aligned):
@@ -281,8 +274,7 @@ def dong_conditions(source, tol=1e-6, depth=0.1, n_s=64, n_t=64):
     turning_residual = abs(profile.total_turning - TWO_PI)
 
     if profile.kg_s is not None:
-        m = 2048
-        s_grid = profile.length * np.arange(m) / m
+        s_grid = profile.length * np.arange(S_SAMPLES) / S_SAMPLES
         kg_vals = profile.kg_s(s_grid)
         theta_of_s = periodic_antiderivative(kg_vals, profile.length)
         closure = periodic_trapezoid(np.exp(1j * theta_of_s), profile.length)
@@ -436,11 +428,13 @@ class ReferenceCurve:
     closure_gap: float
 
 
-def reference_curve(profile, n_grid=4096):
-    """Planar curve with curvature k_g(theta) and unit-speed-in-theta/k_g
-    parametrization; returns the enclosed area S = -loop x2 dx1 (positive
-    for closing profiles) and the endpoint gap."""
-    theta, kg = profile.theta_grid(n_grid)
+def reference_curve(profile):
+    """Planar curve with curvature k_g(theta), the profile's samples read
+    over one full turn, in the unit-speed-in-theta/k_g parametrization;
+    returns the area S = -loop x2 dx1 (positive for closing profiles) and
+    the endpoint gap."""
+    theta = TWO_PI * np.arange(THETA_SAMPLES) / THETA_SAMPLES
+    kg = profile.kg_theta
     dx1 = np.cos(theta) / kg
     dx2 = np.sin(theta) / kg
     x1 = periodic_antiderivative(dx1, TWO_PI)
@@ -456,10 +450,22 @@ def reference_curve(profile, n_grid=4096):
 # admissibility, U/V functions, the energy inequality
 # ---------------------------------------------------------------------------
 
-def _uv_from_f(f_vals, theta):
-    u = periodic_antiderivative(f_vals * np.sin(theta), TWO_PI)
-    v = periodic_antiderivative(f_vals * np.cos(theta), TWO_PI)
-    return u, v
+def _sample_uv(profile, f):
+    """f sampled once on the turning angles of :func:`reference_curve`, the
+    antiderivatives u = int f sin, v = int f cos, and from them the
+    admissibility residuals (u(2pi), v(2pi), loop integral of phi_s ds)."""
+    theta = TWO_PI * np.arange(THETA_SAMPLES) / THETA_SAMPLES
+    f_vals = _as_theta_function(f, "f")(theta)
+    f_sin = f_vals * np.sin(theta)
+    f_cos = f_vals * np.cos(theta)
+    u = periodic_antiderivative(f_sin, TWO_PI)
+    v = periodic_antiderivative(f_cos, TWO_PI)
+    phi_s_free = -np.cos(theta) * u + np.sin(theta) * v
+    residuals = (float(periodic_trapezoid(f_sin, TWO_PI)),
+                 float(periodic_trapezoid(f_cos, TWO_PI)),
+                 float(periodic_trapezoid(phi_s_free / profile.kg_theta,
+                                          TWO_PI)))
+    return f_vals, u, v, residuals
 
 
 def admissibility_residuals(profile, f):
@@ -469,25 +475,7 @@ def admissibility_residuals(profile, f):
     the first two because the rotation increment closes up, the third because
     phi is single-valued.
     """
-    theta, kg = profile.theta_grid(2048)
-    f_vals = _as_theta_function(f, "f")(theta)
-    u_end = float(periodic_trapezoid(f_vals * np.sin(theta), TWO_PI))
-    v_end = float(periodic_trapezoid(f_vals * np.cos(theta), TWO_PI))
-    u, v = _uv_from_f(f_vals, theta)
-    phi_s_free = -np.cos(theta) * u + np.sin(theta) * v
-    loop = float(periodic_trapezoid(phi_s_free / kg, TWO_PI))
-    return u_end, v_end, loop
-
-
-def _require_admissible(profile, f):
-    res = admissibility_residuals(profile, f)
-    names = ("u(2pi)", "v(2pi)", "loop phi_s ds")
-    for name, value in zip(names, res):
-        if abs(value) > ADMISSIBLE_TOL:
-            raise InadmissibleError(
-                f"inadmissible boundary data: {name} = {value:.3e}",
-                residuals=dict(zip(names, res)))
-    return res
+    return _sample_uv(profile, f)[3]
 
 
 @dataclass
@@ -502,25 +490,29 @@ class UVData:
     u_zero_residuals: tuple       # (U(0), U(pi))
     slope_identity_residual: float  # max |U' cot - V'| away from {0, pi, 2pi}
     curve: ReferenceCurve         # X1, X2, k_g and S on the same grid
+    admissibility: tuple          # the residuals the admissibility guard passed
 
 
-def uv_functions(profile, f, n_grid=4096, exclusion=1e-3):
+def uv_functions(profile, f):
     """Shifted antiderivative pair (U, V) and the normalizing constant C,
     built on the grid of :func:`reference_curve` from its X1, X2.
 
-    Requires admissible data.  The identity U'(theta) cot(theta) = V'(theta)
-    is checked on the grid away from ``exclusion`` neighborhoods of
-    {0, pi, 2 pi}, with derivatives taken spectrally.
+    Requires admissible data: the u, v it builds on also give the residuals
+    of :func:`admissibility_residuals`, refused past ``ADMISSIBLE_TOL``.
+    The identity U'(theta) cot(theta) = V'(theta) is checked on the grid
+    away from ``UV_EXCLUSION`` of {0, pi, 2 pi}, derivatives spectral.
     """
-    _require_admissible(profile, f)
-    if n_grid % 2:
-        raise BoundaryError("the U/V chain needs an even grid size")
-    curve = reference_curve(profile, n_grid)
+    f_vals, u, v, residuals = _sample_uv(profile, f)
+    names = ("u(2pi)", "v(2pi)", "loop phi_s ds")
+    for name, value in zip(names, residuals):
+        if abs(value) > ADMISSIBLE_TOL:
+            raise InadmissibleError(
+                f"inadmissible boundary data: {name} = {value:.3e}",
+                residuals=dict(zip(names, residuals)))
+    curve = reference_curve(profile)
     theta = curve.theta
-    f_vals = _as_theta_function(f, "f")(theta)
-    u, v = _uv_from_f(f_vals, theta)
 
-    half = n_grid // 2          # theta grid hits pi exactly for even n
+    half = theta.size // 2      # the even grid hits pi exactly
     denom = curve.x2[half]
     if abs(denom) < 1e-14:
         raise BoundaryError("degenerate normalization: int_0^pi sin/k_g = 0")
@@ -533,14 +525,15 @@ def uv_functions(profile, f, n_grid=4096, exclusion=1e-3):
     dv = spectral_derivative(big_v, TWO_PI)
     keep = np.ones_like(theta, dtype=bool)
     for point in (0.0, math.pi, TWO_PI):
-        keep &= np.abs(theta - point) > exclusion
+        keep &= np.abs(theta - point) > UV_EXCLUSION
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = du * np.cos(theta) / np.sin(theta) - dv
     residual = float(np.max(np.abs(slope[keep])))
     return UVData(theta=theta, f=f_vals, u=u, v=v, big_u=big_u, big_v=big_v,
                   constant=constant,
                   u_zero_residuals=(float(big_u[0]), float(big_u[half])),
-                  slope_identity_residual=residual, curve=curve)
+                  slope_identity_residual=residual, curve=curve,
+                  admissibility=residuals)
 
 
 @dataclass
@@ -551,16 +544,16 @@ class EnergyInequalityResult:
     uv: UVData                    # C = uv.constant, S = uv.curve.area
 
 
-def boundary_energy_inequality(profile, f, n_grid=4096):
+def boundary_energy_inequality(profile, f):
     """Evaluate the boundary energy loop integral of phi_s F ds two ways and
     return both; each is non-positive for admissible data.  Built on
-    :func:`uv_functions` at the same grid.
+    :func:`uv_functions`, on the same grid.
 
     The U/V route samples U on the offset grid so the removable
     singularities of (U / sin)^2 at {0, pi, 2 pi} are never hit.
     """
-    uv = uv_functions(profile, f, n_grid)
-    theta, f_vals, n = uv.theta, uv.f, n_grid
+    uv = uv_functions(profile, f)
+    theta, f_vals, n = uv.theta, uv.f, uv.theta.size
     value_direct = -2.0 * float(periodic_trapezoid(
         f_vals * np.cos(theta) * uv.u, TWO_PI))
 

@@ -365,28 +365,29 @@ def run_boundary(args):
         "tangent-loop-closure", dong.closure_residual, 1e-6, "boundary",
         "the unit tangent loop integral closes"))
 
-    curve = bd.reference_curve(profile)
+    sol = bd.solve_boundary_ode(profile, args.f, c1=1.0, c2=0.5,
+                                n_steps=args.steps)
+    # the chain decides admissibility, and refuses before building its curve
+    try:
+        energy = bd.boundary_energy_inequality(profile, args.f)
+        curve, residuals = energy.uv.curve, energy.uv.admissibility
+    except bd.InadmissibleError as exc:
+        energy = None
+        curve, residuals = bd.reference_curve(profile), exc.residuals.values()
     report.add(CheckEntry.residual(
         "reference-curve-closure", curve.closure_gap, 1e-6, "boundary",
         "the curvature-k_g planar curve closes"))
     report.add(CheckEntry.condition(
         "reference-curve-area", curve.area > 0, curve.area, "boundary",
         "the enclosed area is positive"))
-
-    sol = bd.solve_boundary_ode(profile, args.f, c1=1.0, c2=0.5,
-                                n_steps=args.steps)
     report.add(CheckEntry.residual(
         "ode-vs-closed-form", sol.max_deviation, 1e-8, "boundary",
         "time stepping matches the quadrature solution of the boundary "
         "system"))
-
-    res = bd.admissibility_residuals(profile, args.f)
-    admissible = max(abs(v) for v in res) <= bd.ADMISSIBLE_TOL
     report.add(CheckEntry.condition(
-        "admissibility", admissible, max(abs(v) for v in res), "boundary",
-        "u and v close up and the phi_s loop integral vanishes"))
-    if admissible:
-        energy = bd.boundary_energy_inequality(profile, args.f)
+        "admissibility", energy is not None, max(map(abs, residuals)),
+        "boundary", "u and v close up and the phi_s loop integral vanishes"))
+    if energy is not None:
         uv = energy.uv
         report.add(CheckEntry.residual(
             "uv-roots", max(abs(uv.u_zero_residuals[0]),
@@ -446,8 +447,8 @@ _RUNNERS = {
 }
 
 
-_INPUT_ERRORS = (_UsageError, FileNotFoundError, json.JSONDecodeError,
-                 RigidlabError)
+_INPUT_ERRORS = (_UsageError, OSError, UnicodeDecodeError,
+                 json.JSONDecodeError, RigidlabError)
 
 
 def main(argv=None):
@@ -455,6 +456,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         report = _RUNNERS[args.command](args)
+        if args.report:
+            report.write(args.report)
     except _INPUT_ERRORS as exc:
         print(f"rigidlab: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -462,8 +465,6 @@ def main(argv=None):
         tol = "" if entry.tolerance is None else f" (tol {entry.tolerance:g})"
         print(f"[{entry.verdict.upper():>13}] {entry.name}: "
               f"{entry.value:.6g}{tol}")
-    if args.report:
-        report.write(args.report)
     return report.exit_code()
 
 

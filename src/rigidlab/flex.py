@@ -771,8 +771,8 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     Fourier sectors on charts of revolution; on other charts it tries the
     deflated certificate and falls back to a dense SVD.  A grid whose
     route would allocate more than ``MAX_SPECTRUM_BYTES`` (the dense SVD,
-    charged in full because it stays the fallback) is refused here, before
-    anything large is built.
+    charged in full because it stays the fallback) is refused here, and one
+    that neither route could take before anything grid-sized is built.
     """
     if immersion.dim != 2:
         raise FlexError("the flex operator is assembled for surfaces (n = 2)")
@@ -782,25 +782,22 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     n_nodes = ns * nt
     n_unknowns = 3 * n_nodes
     s_axis, t_axis = _grid_axes(immersion, grid)
+    # each pole-adjacent ring keeps 3 of its ns unknowns per component
+    n_cols = n_unknowns - 3 * (ns - 3) * len(_pole_rings(immersion, grid))
+    need = {"dense SVD": 2 * n_unknowns * n_cols * 8,
+            # ring-0 rows, their DFT and its product with u (8 + 16 + 16
+            # bytes per entry), plus one complex block
+            "Fourier-sector": 40 * 3 * nt * n_unknowns + 16 * (3 * nt) ** 2}
+    _charge_spectrum(" or ".join(need), min(need.values()), n_unknowns)
     mesh = np.stack(np.meshgrid(s_axis, t_axis, indexing="ij"), axis=-1)
     positions = np.stack(
         [evaluate_jet(c, mesh, order=0).value for c in immersion.components],
         axis=-1)
     _validate_pole_wrap(immersion, grid, mesh, positions)
     rotation = _grid_rotation(immersion, grid, positions)
+    route = "dense SVD" if rotation is None else "Fourier-sector"
+    _charge_spectrum(route, need[route], n_unknowns)
     basis = _pole_ring_basis(immersion, grid, s_axis)
-    n_cols = n_unknowns if basis is None else basis.shape[1]
-    if rotation is None:
-        route, need = "dense SVD", 2 * n_unknowns * n_cols * 8
-    else:
-        # ring-0 rows, their DFT and its product with u (8 + 16 + 16 bytes
-        # per entry), plus one complex block
-        route = "Fourier-sector"
-        need = 40 * 3 * nt * n_unknowns + 16 * (3 * nt) ** 2
-    if need > MAX_SPECTRUM_BYTES:
-        raise FlexError(f"the {route} spectrum of {n_unknowns} unknowns "
-                        f"needs {need} bytes, which exceeds the limit "
-                        f"{MAX_SPECTRUM_BYTES}")
     flat_r = positions.reshape(n_nodes, 3)
 
     # per-direction stencil groups and the difference of r they induce
@@ -835,6 +832,13 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     return FlexOperator(operator=csr, basis=basis, rotation=rotation,
                         immersion=immersion, grid=grid, nodes=mesh,
                         positions=positions, unknown_count=n_cols)
+
+
+def _charge_spectrum(route, need, n_unknowns):
+    if need > MAX_SPECTRUM_BYTES:
+        raise FlexError(f"the {route} spectrum of {n_unknowns} unknowns "
+                        f"needs {need} bytes, which exceeds the limit "
+                        f"{MAX_SPECTRUM_BYTES}")
 
 
 def _summed_csr(rows, cols, vals, n):

@@ -194,14 +194,13 @@ def test_reference_curve_perturbed_profile_closes():
 
 def test_reference_curve_curvature_reconstruction():
     prof = BoundaryProfile.from_theta("1 + 0.3*cos(2*x1)")
-    curve = reference_curve(prof, n_grid=2048)
+    curve = reference_curve(prof)
     x1p = spectral_derivative(curve.x1, TWO_PI)
     x2p = spectral_derivative(curve.x2, TWO_PI)
     x1pp = spectral_derivative(x1p, TWO_PI)
     x2pp = spectral_derivative(x2p, TWO_PI)
     kappa = (x1p * x2pp - x2p * x1pp) / (x1p**2 + x2p**2) ** 1.5
-    _, kg = prof.theta_grid(2048)
-    assert np.max(np.abs(kappa - kg)) < 1e-6
+    assert np.max(np.abs(kappa - prof.kg_theta)) < 1e-6
 
 
 # -- admissibility and the energy inequality ----------------------------------
@@ -283,7 +282,20 @@ def test_energy_chain_reuses_uv_and_reference_curve(tmp_path, source):
     energy = boundary_energy_inequality(prof, f)
     _assert_same_bits(energy.uv, uv_functions(prof, f))
     _assert_same_bits(energy.uv.curve, reference_curve(prof))
-    assert np.array_equal(energy.uv.curve.kg, prof.theta_grid(4096)[1])
+    assert np.array_equal(energy.uv.curve.kg, prof.kg_theta)
+    assert np.array(energy.uv.admissibility).tobytes() == \
+        np.array(admissibility_residuals(prof, f)).tobytes()
+
+
+def test_inadmissible_error_carries_the_admissibility_residuals():
+    prof = BoundaryProfile.from_theta("1 + 0.3*cos(2*x1)")
+    f = "0.4 + 0.8*sin(2*x1)"
+    with pytest.raises(InadmissibleError) as err:
+        uv_functions(prof, f)
+    residuals = tuple(err.value.residuals.values())
+    assert np.array(residuals).tobytes() == \
+        np.array(admissibility_residuals(prof, f)).tobytes()
+    assert max(map(abs, residuals)) > boundary.ADMISSIBLE_TOL
 
 
 def test_projection_is_idempotent(circle):
@@ -418,7 +430,7 @@ def test_sampled_arclength_profiles_invert_on_twice_their_samples(
         assert sample_counts == [2 * samples.size]
         full, _ = inverted(
             lambda x: trig_interpolate(samples, prof.length, x),
-            prof.length, 2048, 2048)
+            prof.length, prof.theta.size, 2048)
         assert np.max(np.abs(prof.s_of_theta - full)) < 1e-13
         theta = _exact_turning(samples, prof.length, prof.s_of_theta)
         assert np.max(np.abs(theta - prof.theta)) < 1e-12

@@ -501,3 +501,15 @@ def test_pole_wrap_validated_against_the_chart():
         "periodic": [True, False], "closed_poles": [True, True]})
     with pytest.raises(FlexError, match="wrap"):
         assemble_flex_operator(bogus, grid=(16, 8))
+
+
+@pytest.mark.parametrize("motion", ["trivial", "dilation"])
+def test_flex_pointwise_pipeline_does_not_depend_on_the_batch(
+        motion, assert_batch_invariant):
+    ellipsoid = sf.ellipsoid()
+    fld = (random_trivial_motion(np.random.default_rng(4))
+           if motion == "trivial" else ExpressionField(ellipsoid.components))
+    pts = interior_points(ellipsoid, 3000, np.random.default_rng(5))
+    for check in (rotation_data, w_tensor, phi_relation_residual,
+                  decompose_rotation_bivector):
+        assert_batch_invariant(lambda p: check(ellipsoid, fld, p), pts)

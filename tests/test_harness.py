@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab import boundary, cli, darboux, pairs
+from rigidlab import boundary, cli, darboux, flex, pairs
 from rigidlab.linalg import null_space, numerical_rank, singular_values
 from rigidlab.quadrature import (gauss_legendre, gauss_legendre_nodes,
                                  periodic_trapezoid, rk4_path)
@@ -312,20 +312,32 @@ def test_cli_boundary_series_is_the_reference_curve(tmp_path, source,
         profile = boundary.BoundaryProfile.from_theta(kg)
     curve = boundary.reference_curve(profile)
 
-    grids = []
-    theta_grid = boundary.BoundaryProfile.theta_grid
+    sampled = []
+    as_theta_function = boundary._as_theta_function
 
-    def counted(self, n):
-        grids.append(n)
-        return theta_grid(self, n)
+    def counted_function(fn, name):
+        samples = as_theta_function(fn, name)
 
-    monkeypatch.setattr(boundary.BoundaryProfile, "theta_grid", counted)
-    admissibility = _count_calls(monkeypatch, boundary,
-                                 "admissibility_residuals", [])
-    assert cli.main(["boundary", "--kg", kg, "--f", "sin(2*x1)",
-                     "--csv-dir", str(tmp_path)]) == 0
-    # k_g on the 4096 grid: the reported curve and the U/V chain's curve
-    assert grids.count(4096) == 2 and len(admissibility) == 2
+        def counted(theta):
+            sampled.append(name)
+            return samples(theta)
+
+        return counted
+
+    monkeypatch.setattr(boundary, "_as_theta_function", counted_function)
+    curves = _count_calls(monkeypatch, boundary, "reference_curve", [])
+    admissibility = _count_calls(monkeypatch, boundary, "_sample_uv", [])
+    # k_g once (the profile), f twice (the ODE stage table and the chain),
+    # one curve and one set of admissibility residuals: the chain's, or on
+    # inadmissible data the refusal's residuals and the curve the chain
+    # never reached
+    for f, code in (("sin(2*x1)", 0), ("0.4 + sin(2*x1)", 2)):
+        for calls in (sampled, curves, admissibility):
+            calls.clear()
+        assert cli.main(["boundary", "--kg", kg, "--f", f,
+                         "--csv-dir", str(tmp_path)]) == code
+        assert (sampled.count("k_g"), sampled.count("f")) == (1, 2)
+        assert (len(curves), len(admissibility)) == (1, 1)
     table = np.loadtxt(tmp_path / "boundary_series.csv", delimiter=",",
                        skiprows=1)
     for column, expected in zip(table.T[:3],
@@ -335,6 +347,22 @@ def test_cli_boundary_series_is_the_reference_curve(tmp_path, source,
 
 def test_cli_boundary_inadmissible_fails():
     assert cli.main(["boundary", "--kg", "1", "--f", "1"]) == 2
+
+
+def test_cli_boundary_reports_a_profile_that_turns_twice(tmp_path):
+    # k_g = 2 over one arclength period of 2 pi turns by 4 pi: the turning
+    # check fails, and the energy chain still reads the samples over one
+    # full turn instead of refusing the profile
+    path = tmp_path / "twice.csv"
+    path.write_text("s,kg\n" + "".join(
+        f"{2 * math.pi * k / 64!r},2.0\n" for k in range(64)))
+    report = tmp_path / "twice.json"
+    assert cli.main(["boundary", "--kg", str(path), "--f", "sin(2*x1)",
+                     "--report", str(report)]) == 2
+    verdicts = {c["name"]: c["verdict"]
+                for c in json.loads(report.read_text())["checks"]}
+    assert verdicts.pop("turning-angle") == "fail"
+    assert set(verdicts.values()) == {"pass"} and len(verdicts) == 9
 
 
 def test_cli_boundary_accepts_csv_profile(tmp_path):
@@ -407,6 +435,12 @@ def test_cli_usage_errors(tmp_path, capsys):
     nan_row.write_text("theta,kg\n" + "".join(
         f"{2 * math.pi * k / 8!r},{'nan' if k == 3 else '1.0'}\n"
         for k in range(8)))
+    binary = {}
+    for name in ("binary.json", "binary.csv"):
+        binary[name] = tmp_path / name
+        binary[name].write_bytes(b"\xff\xfe\x00\x81")
+    existing = tmp_path / "existing_file"
+    existing.write_text("")
     for argv in (
             ["no-such-command"],
             ["check-surface", "missing.json"],
@@ -446,11 +480,38 @@ def test_cli_usage_errors(tmp_path, capsys):
             ["boundary", "--kg", str(nan_row)],
             ["boundary", "--kg", "exp(800*x1)"],             # inf k_g
             ["boundary", "--f", "exp(800*x1)"],              # inf f
-            ["boundary", "--steps", "100000000"]):           # ~49 GiB
+            ["boundary", "--steps", "100000000"],            # ~49 GiB
+            ["check-surface", str(tmp_path)],                # a directory
+            ["pair-check", str(tmp_path)],
+            ["pointwise-gauss", "--h-file", str(tmp_path)],
+            ["check-surface", str(binary["binary.json"])],   # not UTF-8
+            ["pair-check", str(binary["binary.json"])],
+            ["boundary", "--kg", str(binary["binary.csv"])],
+            ["boundary", "--csv-dir", str(existing)],
+            ["flex-kernel", "sphere", "--grid", "8x6", "--csv-dir",
+             str(existing)],
+            ["boundary", "--report", str(tmp_path / "missing" / "r.json")]):
         assert cli.main(argv) == 64, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+
+
+def test_cli_refuses_an_oversized_flex_grid_before_its_mesh(monkeypatch,
+                                                           capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("built a grid-sized array")
+
+    monkeypatch.setattr(flex.np, "meshgrid", refused)
+    monkeypatch.setattr(flex, "evaluate_jet", refused)
+    assert cli.main(["flex-kernel", "sphere", "--grid", "100000x100000"]) \
+        == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "rigidlab: the dense SVD or Fourier-sector spectrum of 30000000000 "
+        "unknowns needs 360001440000000000 bytes, which exceeds the limit "
+        f"{flex.MAX_SPECTRUM_BYTES}"]
 
 
 _FUZZ_NUMBER = st.one_of(

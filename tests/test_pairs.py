@@ -1,3 +1,6 @@
+import importlib.resources
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,14 @@ from rigidlab.pairs import (EnergyPositivityError, IsometricPair, PairError,
                             difference_tensors, energy_inner_product,
                             energy_integrand, verify_gauss_trace_and_codazzi,
                             verify_w_formula)
+
+
+def shipped_flat_cylinder_pair():
+    path = importlib.resources.files("rigidlab") / "data" / \
+        "flat_cylinder_pair.json"
+    spec = json.loads(path.read_text())
+    return IsometricPair(*map(sf.load_surface, spec["surfaces"]),
+                         tolerance=spec["tolerance"])
 
 
 def cylinder_pair():
@@ -190,3 +201,11 @@ def test_cofactor_identity_property(w11, w12, w22, d1, d2, offdiag):
                    [offdiag * np.sqrt(d1 * d2), d2]])
     w = _tracefree_projection(hb, np.array([[w11, w12], [w12, w22]]))
     assert cofactor_divergence_identity(hb, w) < 1e-12
+
+
+def test_pair_checks_do_not_depend_on_the_batch(assert_batch_invariant):
+    pair = shipped_flat_cylinder_pair()
+    pts = interior_points(pair.first, 3000, np.random.default_rng(6))
+    for check in (difference_tensors, verify_w_formula,
+                  verify_gauss_trace_and_codazzi):
+        assert_batch_invariant(lambda p: check(pair, p), pts)
