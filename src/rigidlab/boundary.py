@@ -41,7 +41,7 @@ import numpy as np
 
 from .expressions import evaluate_jet, parse_expression
 from .geometry import GeodesicChart, geodesic_boundary_chart
-from .jets import RigidlabError
+from .jets import RigidlabError, read_input
 from .quadrature import (invert_antiderivative, periodic_antiderivative,
                          periodic_trapezoid, rk4_path, rk4_stage_times,
                          spectral_derivative, trig_interpolate)
@@ -179,9 +179,9 @@ class BoundaryProfile:
         Header ``theta,kg`` gives k_g over one full turn of the turning
         angle; header ``s,kg`` gives k_g over one boundary period in
         arclength (no duplicated endpoint in either case)."""
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().lower().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+        first, *lines = read_input(path).splitlines() or [""]
+        header = first.strip().lower().split(",")
+        rows = [line.strip().split(",") for line in lines if line.strip()]
         if len(header) != 2 or header[1] != "kg" or \
                 header[0] not in ("theta", "s"):
             raise BoundaryError("profile CSV needs header 'theta,kg' or "

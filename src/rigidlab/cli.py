@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ from . import geometry as gm
 from . import highdim as hd
 from . import pairs as pr
 from . import surfaces as sf
-from .jets import RigidlabError
+from .jets import RigidlabError, read_input
 from .linalg import contract
 from .report import CheckEntry, Report
 
@@ -189,8 +188,7 @@ def run_check_surface(args):
 
 
 def _load_pair(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = read_input(path, as_json=True)
     surfaces = spec.get("surfaces") if isinstance(spec, dict) else None
     if not isinstance(surfaces, list) or len(surfaces) != 2:
         raise _UsageError("pair file needs a two-element 'surfaces' list")
@@ -303,12 +301,12 @@ def _parse_h(args):
         except ValueError as exc:
             raise _UsageError(f"bad --h diagonal {args.h!r}") from exc
     elif args.h_file:
-        with open(args.h_file, "r", encoding="utf-8") as fh:
-            try:
-                h = np.asarray(json.load(fh)["h"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _UsageError(f"{args.h_file}: needs a numeric 'h' "
-                                  "matrix") from exc
+        spec = read_input(args.h_file, as_json=True)
+        try:
+            h = np.asarray(spec["h"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _UsageError(f"{args.h_file}: needs a numeric 'h' "
+                              "matrix") from exc
     else:
         raise _UsageError("pointwise-gauss needs --h or --h-file")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -367,26 +365,32 @@ def run_boundary(args):
 
     sol = bd.solve_boundary_ode(profile, args.f, c1=1.0, c2=0.5,
                                 n_steps=args.steps)
-    # the chain decides admissibility, and refuses before building its curve
-    try:
-        energy = bd.boundary_energy_inequality(profile, args.f)
-        curve, residuals = energy.uv.curve, energy.uv.admissibility
-    except bd.InadmissibleError as exc:
-        energy = None
-        curve, residuals = bd.reference_curve(profile), exc.residuals.values()
+    # the chain decides admissibility, and refuses before building its
+    # curve; a profile that does not turn once describes no closed curve
+    energy, skip = None, not dong.turning_ok
+    gap = area = worst = math.nan
+    if not skip:
+        try:
+            energy = bd.boundary_energy_inequality(profile, args.f)
+            curve, residuals = energy.uv.curve, energy.uv.admissibility
+        except bd.InadmissibleError as exc:
+            curve = bd.reference_curve(profile)
+            residuals = exc.residuals.values()
+        gap, area = curve.closure_gap, curve.area
+        worst = max(map(abs, residuals))
     report.add(CheckEntry.residual(
-        "reference-curve-closure", curve.closure_gap, 1e-6, "boundary",
-        "the curvature-k_g planar curve closes"))
+        "reference-curve-closure", gap, 1e-6, "boundary",
+        "the curvature-k_g planar curve closes", skip=skip))
     report.add(CheckEntry.condition(
-        "reference-curve-area", curve.area > 0, curve.area, "boundary",
-        "the enclosed area is positive"))
+        "reference-curve-area", area > 0, area, "boundary",
+        "the enclosed area is positive", skip=skip))
     report.add(CheckEntry.residual(
         "ode-vs-closed-form", sol.max_deviation, 1e-8, "boundary",
         "time stepping matches the quadrature solution of the boundary "
         "system"))
     report.add(CheckEntry.condition(
-        "admissibility", energy is not None, max(map(abs, residuals)),
-        "boundary", "u and v close up and the phi_s loop integral vanishes"))
+        "admissibility", energy is not None, worst, "boundary",
+        "u and v close up and the phi_s loop integral vanishes", skip=skip))
     if energy is not None:
         uv = energy.uv
         report.add(CheckEntry.residual(
@@ -447,8 +451,7 @@ _RUNNERS = {
 }
 
 
-_INPUT_ERRORS = (_UsageError, OSError, UnicodeDecodeError,
-                 json.JSONDecodeError, RigidlabError)
+_INPUT_ERRORS = (_UsageError, OSError, RigidlabError)
 
 
 def main(argv=None):

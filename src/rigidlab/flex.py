@@ -525,17 +525,10 @@ def closed_one_form_residual(immersion, tau_field, e_field, grid=(48, 48)):
                                  immersion.periodic[0])
     d2_omega1 = _grid_derivative(omega[..., 0], 1, spacings[1],
                                  immersion.periodic[1])
-    curl = d1_omega2 - d2_omega1
     # restrict to nodes where both stencils were applied
-    mask = np.ones(curl.shape, dtype=bool)
-    for axis_idx, per in enumerate(immersion.periodic):
-        if not per:
-            sl = [slice(None)] * curl.ndim
-            sl[axis_idx] = slice(2, -2)
-            keep = np.zeros(curl.shape, dtype=bool)
-            keep[tuple(sl)] = True
-            mask &= keep
-    max_curl = float(np.max(np.abs(curl[mask]))) if np.any(mask) else 0.0
+    curl = (d1_omega2 - d2_omega1)[tuple(
+        slice(None) if per else slice(2, -2) for per in immersion.periodic)]
+    max_curl = float(np.max(np.abs(curl))) if curl.size else 0.0
     return ClosednessResult(max_curl=max_curl, precondition_residual=pre,
                             omega_scale=float(np.max(np.abs(omega))))
 
@@ -587,13 +580,17 @@ def boundary_adapted_field(n1, n2, mu1, mu2):
 class FlexOperator:
     """Sparse assembled linearized-isometry operator over grid unknowns.
 
-    Rows: for every node and index pair (i <= j), the shared-stencil
-    residual D_i r . D_j tau + D_j r . D_i tau, where D is the sum of a
-    4th-order centered difference (where its 5-point window fits) and a
-    2-point one-sided difference (forward where possible, else backward).
-    Sharing the stencils between r and tau makes every trivial motion an
-    exact kernel vector; the one-sided part removes the checkerboard modes
-    centered stencils cannot see.  Row 3 (i nt + j) + p and column
+    Rows: for every node and index pair p = (a, b), a <= b, the
+    shared-stencil residual D_a r . D_b tau + D_b r . D_a tau.  Along each
+    axis D sums the 4th-order centered difference where its 5-point window
+    fits, the 2-point forward difference where it fits, else the backward
+    one, and on ring 0 of a closed bottom pole the backward difference
+    through that pole.  Neighbours wrap on a periodic axis, are mirrored
+    through a closed pole (ring -1 - j below, 2 nt - 1 - j above, half a
+    period round in s) and do not exist past an open edge.  Sharing the
+    stencils between r and tau makes every trivial motion an exact kernel
+    vector; the one-sided part removes the checkerboard modes centered
+    stencils cannot see.  Row 3 (i nt + j) + p and column
     3 (i nt + j) + alpha belong to node (i, j).
 
     On pole-closed charts the unknowns of the pole-adjacent rings are
@@ -649,14 +646,18 @@ class FlexOperator:
 
 
 def _grid_axes(immersion, grid):
+    """Node coordinates and spacing of both axes, as ((s, h_s), (t, h_t)):
+    one node per period on a periodic axis, endpoints included on an open
+    one, and offset half a spacing from the ends on the pole axis of a chart
+    with ``closed_poles``."""
     ns, nt = grid
     (slo, shi), (tlo, thi) = immersion.domain
     if not immersion.periodic[0] and immersion.periodic[1]:
         raise FlexError("grids expect the periodic axis first when present")
     if immersion.periodic[0]:
-        s_axis = slo + (shi - slo) * np.arange(ns) / ns
+        s_axis = (slo + (shi - slo) * np.arange(ns) / ns, (shi - slo) / ns)
     else:
-        s_axis = np.linspace(slo, shi, ns)
+        s_axis = (np.linspace(slo, shi, ns), (shi - slo) / (ns - 1))
     closed = immersion.closed_poles
     if closed and any(closed):
         if not immersion.periodic[0]:
@@ -664,99 +665,57 @@ def _grid_axes(immersion, grid):
         if ns % 2:
             raise FlexError("pole closure needs an even periodic node count")
         h = (thi - tlo) / nt
-        t_axis = tlo + (np.arange(nt) + 0.5) * h
+        t_axis = (tlo + (np.arange(nt) + 0.5) * h, h)
     else:
-        t_axis = np.linspace(tlo, thi, nt)
+        t_axis = (np.linspace(tlo, thi, nt),
+                  (thi - tlo) / (nt if immersion.periodic[1] else nt - 1))
     return s_axis, t_axis
 
 
-def _neighbor_indices(immersion, grid, di, dj):
-    """Vectorized neighbor lookup (i+di, j+dj) honoring periodic wrap and
-    pole closure; out-of-range indices on bounded axes are clamped (the
-    stencil group masks guarantee they are never used)."""
-    ns, nt = grid
-    ii, jj = np.meshgrid(np.arange(ns), np.arange(nt), indexing="ij")
-    i2 = ii + di
-    j2 = jj + dj
-    if immersion.periodic[0]:
-        i2 = np.mod(i2, ns)
-    else:
-        i2 = np.clip(i2, 0, ns - 1)
-    closed = immersion.closed_poles or (False, False)
-    if immersion.periodic[1]:
-        j2 = np.mod(j2, nt)
-    else:
-        below = j2 < 0
-        above = j2 > nt - 1
-        if np.any(below) and closed[0]:
-            j2 = np.where(below, -1 - j2, j2)
-            i2 = np.where(below, np.mod(i2 + ns // 2, ns), i2)
-        if np.any(above) and closed[1]:
-            j2 = np.where(above, 2 * nt - 1 - j2, j2)
-            i2 = np.where(above, np.mod(i2 + ns // 2, ns), i2)
-        j2 = np.clip(j2, 0, nt - 1)
-    return (i2 * nt + j2).reshape(-1)
-
-
-def _direction_stencils(immersion, grid, axis):
-    """Per-direction stencil entry groups: list of (mask, entries) where
-    entries are (offset, coeff) pairs and mask flags the nodes the group
-    applies to.  Offsets are along ``axis``."""
-    ns, nt = grid
-    m = (ns, nt)[axis]
-    (lo, hi) = immersion.domain[axis]
-    periodic = immersion.periodic[axis]
-    closed = immersion.closed_poles or (False, False)
-    if periodic or (axis == 1 and any(closed)):
-        spacing = (hi - lo) / m        # node-per-period / pole-offset grid
-    else:
-        spacing = (hi - lo) / (m - 1)
-
-    idx = np.arange(m)
-    ones = np.ones(m, dtype=bool)
-
-    def broadcast(mask_1d):
-        full = np.zeros((ns, nt), dtype=bool)
-        if axis == 0:
-            full[mask_1d, :] = True
-        else:
-            full[:, mask_1d] = True
-        return full.reshape(-1)
-
-    centered = [(-2, 1.0 / (12 * spacing)), (-1, -8.0 / (12 * spacing)),
-                (1, 8.0 / (12 * spacing)), (2, -1.0 / (12 * spacing))]
-    forward = [(0, -1.0 / spacing), (1, 1.0 / spacing)]
-    backward = [(-1, -1.0 / spacing), (0, 1.0 / spacing)]
-
-    groups = []
+def _difference_1d(m, h, periodic, closed=(False, False)):
+    """The difference D of ``FlexOperator`` along one axis of ``m`` nodes
+    spaced ``h``, as sparse (m x m) parts (within, through): ``through``
+    reaches the neighbors mirrored through a closed pole.  The backward
+    difference through the bottom pole on ring 0 pins cap modes that
+    oscillate across it, as the forward one does across the top pole."""
+    # coefficients at the offsets -2..2
+    centered = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
+    forward = np.array([0.0, 0.0, -1.0, 1.0, 0.0]) / h
+    backward = np.array([0.0, -1.0, 1.0, 0.0, 0.0]) / h
+    bottom, top = (bool(c) and not periodic for c in closed)
+    node = np.arange(m)[:, None]
+    k = node + np.arange(-2, 3)
+    below, above = k < 0, k >= m
+    through = (below & bottom) | (above & top)
     if periodic:
-        groups.append((broadcast(ones), centered))
-        groups.append((broadcast(ones), forward))
-    elif axis == 1 and any(closed):
-        # stencils may cross a closed pole but not an open edge
-        fit_c = np.ones(m, dtype=bool)
-        if not closed[0]:
-            fit_c &= idx >= 2
-        if not closed[1]:
-            fit_c &= idx <= m - 3
-        fit_f = np.ones(m, dtype=bool) if closed[1] else idx <= m - 2
-        groups.append((broadcast(fit_c), centered))
-        groups.append((broadcast(fit_f), forward))
-        if np.any(~fit_f):
-            groups.append((broadcast(~fit_f), backward))
-        if closed[0]:
-            # the forward difference reaches through the top pole on the
-            # last ring but nothing short reaches through the bottom pole;
-            # add the through-pole backward difference on the first ring to
-            # pin cap modes that oscillate across it
-            groups.append((broadcast(idx == 0), backward))
+        col = k % m
     else:
-        fit_c = (idx >= 2) & (idx <= m - 3)
-        fit_f = idx <= m - 2
-        groups.append((broadcast(fit_c), centered))
-        groups.append((broadcast(fit_f), forward))
-        groups.append((broadcast(~fit_f), backward))
-    return groups
+        col = np.where(below, -1 - k, np.where(above, 2 * m - 1 - k, k))
+        col[(below | above) & ~through] = -1      # past an open edge
+    # a stencil fits at a node when every offset it weighs reaches a node
+    fit_c, fit_f = (np.all((col >= 0) | (st == 0.0), axis=1, keepdims=True)
+                    for st in (centered, forward))
+    coef = (fit_c * centered + fit_f * forward
+            + (~fit_f | ((node == 0) & bottom)) * backward)
+    rows = np.broadcast_to(node, k.shape)
+    return [scipy.sparse.csr_matrix((coef[sel], (rows[sel], col[sel])),
+                                    shape=(m, m))
+            for sel in ((coef != 0.0) & ~through, (coef != 0.0) & through)]
+
+
+def _difference_matrices(immersion, grid, h_s, h_t):
+    """Sparse (nodes x nodes) differences D_0 along s and D_1 along t, node
+    i nt + j at (i, j): D_0 = D_s (x) I, and D_1 = I (x) D_t within the axis
+    plus the half-period shift (x) D_t through the poles."""
+    ns, nt = grid
+    d_s, _ = _difference_1d(ns, h_s, immersion.periodic[0])
+    d_t, d_pole = _difference_1d(nt, h_t, immersion.periodic[1],
+                                 immersion.closed_poles or (False, False))
+    eye_s = scipy.sparse.identity(ns, format="csr")
+    half_turn = eye_s[np.roll(np.arange(ns), -(ns // 2))]
+    return [scipy.sparse.kron(d_s, scipy.sparse.identity(nt), format="csr"),
+            scipy.sparse.kron(eye_s, d_t, format="csr")
+            + scipy.sparse.kron(half_turn, d_pole, format="csr")]
 
 
 def assemble_flex_operator(immersion, grid=(64, 32)):
@@ -781,54 +740,36 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
         raise FlexError(f"grid {ns}x{nt} too coarse for the 5-point stencil")
     n_nodes = ns * nt
     n_unknowns = 3 * n_nodes
-    s_axis, t_axis = _grid_axes(immersion, grid)
+    (s_axis, h_s), (t_axis, h_t) = _grid_axes(immersion, grid)
     # each pole-adjacent ring keeps 3 of its ns unknowns per component
     n_cols = n_unknowns - 3 * (ns - 3) * len(_pole_rings(immersion, grid))
-    need = {"dense SVD": 2 * n_unknowns * n_cols * 8,
-            # ring-0 rows, their DFT and its product with u (8 + 16 + 16
-            # bytes per entry), plus one complex block
-            "Fourier-sector": 40 * 3 * nt * n_unknowns + 16 * (3 * nt) ** 2}
+    need = {"dense SVD": 2 * n_unknowns * n_cols * 8}
+    if _turns_once(immersion):
+        # ring-0 rows, their DFT and its product with u (8 + 16 + 16 bytes
+        # per entry), plus one complex block
+        need["Fourier-sector"] = 40 * 3 * nt * n_unknowns + 16 * (3 * nt) ** 2
     _charge_spectrum(" or ".join(need), min(need.values()), n_unknowns)
     mesh = np.stack(np.meshgrid(s_axis, t_axis, indexing="ij"), axis=-1)
     positions = np.stack(
         [evaluate_jet(c, mesh, order=0).value for c in immersion.components],
         axis=-1)
-    _validate_pole_wrap(immersion, grid, mesh, positions)
+    _validate_pole_wrap(immersion, grid, mesh, positions, h_t)
     rotation = _grid_rotation(immersion, grid, positions)
     route = "dense SVD" if rotation is None else "Fourier-sector"
     _charge_spectrum(route, need[route], n_unknowns)
     basis = _pole_ring_basis(immersion, grid, s_axis)
-    flat_r = positions.reshape(n_nodes, 3)
 
-    # per-direction stencil groups and the difference of r they induce
-    groups = [_direction_stencils(immersion, grid, axis) for axis in range(2)]
-    d_r = [np.zeros((n_nodes, 3)) for _ in range(2)]
-    resolved = {}
-    for axis in range(2):
-        for mask, entries in groups[axis]:
-            for off, coeff in entries:
-                key = (off, 0) if axis == 0 else (0, off)
-                if key not in resolved:
-                    resolved[key] = _neighbor_indices(immersion, grid, *key)
-                d_r[axis][mask] += coeff * flat_r[resolved[key][mask]]
-
-    rows, cols, vals = [], [], []
-    pair_list = [(0, 0), (0, 1), (1, 1)]
-    node_ids = np.arange(n_nodes)
-    for pair_idx, (a, b) in enumerate(pair_list):
-        # row = D_a r . D_b tau + D_b r . D_a tau
-        for da, db in ((a, b), (b, a)):
-            for mask, entries in groups[db]:
-                active = node_ids[mask]
-                for off, coeff in entries:
-                    key = (off, 0) if db == 0 else (0, off)
-                    nb = resolved[key][mask]
-                    for alpha in range(3):
-                        rows.append(3 * active + pair_idx)
-                        cols.append(3 * nb + alpha)
-                        vals.append(coeff * d_r[da][active, alpha])
-    csr = _summed_csr(np.concatenate(rows), np.concatenate(cols),
-                      np.concatenate(vals), n_unknowns)
+    # the block of pair (a, b) and component alpha is
+    # diag(D_a r_alpha) D_b + diag(D_b r_alpha) D_a; interleaving puts row
+    # p N + k at 3 k + p and column alpha N + k at 3 k + alpha
+    d = _difference_matrices(immersion, grid, h_s, h_t)
+    d_r = [dk @ positions.reshape(n_nodes, 3) for dk in d]
+    blocks = [[scipy.sparse.diags(d_r[a][:, alpha]) @ d[b]
+               + scipy.sparse.diags(d_r[b][:, alpha]) @ d[a]
+               for alpha in range(3)] for a, b in ((0, 0), (0, 1), (1, 1))]
+    order = np.arange(n_unknowns).reshape(3, n_nodes).T.ravel()
+    csr = scipy.sparse.bmat(blocks, format="csr")[order][:, order]
+    csr.sort_indices()
     return FlexOperator(operator=csr, basis=basis, rotation=rotation,
                         immersion=immersion, grid=grid, nodes=mesh,
                         positions=positions, unknown_count=n_cols)
@@ -839,19 +780,6 @@ def _charge_spectrum(route, need, n_unknowns):
         raise FlexError(f"the {route} spectrum of {n_unknowns} unknowns "
                         f"needs {need} bytes, which exceeds the limit "
                         f"{MAX_SPECTRUM_BYTES}")
-
-
-def _summed_csr(rows, cols, vals, n):
-    """Square CSR matrix of (row, col, value) triplets.  Repeated entries
-    are summed from 0.0 in input order (``np.add.at`` is unbuffered and
-    sequential), so every entry has the bits of the sequential scatter-add
-    of the same triplets (sparse conversions sum duplicates in an
-    unspecified order)."""
-    unique, group = np.unique(rows * n + cols, return_inverse=True)
-    data = np.zeros(unique.size)
-    np.add.at(data, group, vals)
-    indptr = np.searchsorted(unique // n, np.arange(n + 1))
-    return scipy.sparse.csr_matrix((data, unique % n, indptr), shape=(n, n))
 
 
 def _pole_rings(immersion, grid):
@@ -886,19 +814,16 @@ def _pole_ring_basis(immersion, grid, s_axis):
                                format="csr")
 
 
-def _validate_pole_wrap(immersion, grid, mesh, positions):
+def _validate_pole_wrap(immersion, grid, mesh, positions, h):
+    """Check that the ghost ring half a spacing ``h`` past each closed pole
+    is the pole-adjacent ring turned by half a period."""
     closed = immersion.closed_poles or (False, False)
-    if not any(closed):
-        return
     ns, nt = grid
     (tlo, thi) = immersion.domain[1]
-    h = (thi - tlo) / nt
-    checks = []
-    if closed[0]:
-        checks.append((tlo - 0.5 * h, 0))
-    if closed[1]:
-        checks.append((thi + 0.5 * h, nt - 1))
-    for t_ghost, j_real in checks:
+    for t_ghost, j_real, flag in ((tlo - 0.5 * h, 0, closed[0]),
+                                  (thi + 0.5 * h, nt - 1, closed[1])):
+        if not flag:
+            continue
         ghost_pts = np.stack(
             [mesh[:, 0, 0], np.full(ns, t_ghost)], axis=-1)
         ghost_pos = np.stack(
@@ -915,18 +840,23 @@ def _validate_pole_wrap(immersion, grid, mesh, positions):
 # sector decomposition for charts of revolution
 # ---------------------------------------------------------------------------
 
+def _turns_once(immersion):
+    """Whether the first axis is periodic over one full turn: what a grid
+    rotation needs before any sample is taken."""
+    lo, hi = immersion.domain[0]
+    return (immersion.periodic[0]
+            and abs((hi - lo) - 2.0 * math.pi) <= 1e-12)
+
+
 def _grid_rotation(immersion, grid, positions, tol=1e-12):
     """Rotation R about the ambient z-axis with r(i+1, j) = R r(i, j) for
     the whole grid, or None.  Shared stencils make the assembled operator
     exactly equivariant under (shift in i, conjugation by R) whenever the
     samples satisfy this, which block-diagonalizes it by s-frequency."""
-    if not immersion.periodic[0]:
+    if not _turns_once(immersion):
         return None
     ns = grid[0]
     delta = 2.0 * math.pi / ns
-    lo, hi = immersion.domain[0]
-    if abs((hi - lo) - 2.0 * math.pi) > 1e-12:
-        return None
     c, s = math.cos(delta), math.sin(delta)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     shifted = np.roll(positions, -1, axis=0)

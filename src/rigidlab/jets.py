@@ -12,13 +12,15 @@ ed., ch. 13); both are exact to rounding.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["Jet", "RigidlabError", "JetDomainError", "sin", "cos", "tan",
-           "exp", "log", "sqrt", "derivative_view", "stacked", "batch_first"]
+__all__ = ["Jet", "RigidlabError", "JetDomainError", "read_input", "sin",
+           "cos", "tan", "exp", "log", "sqrt", "derivative_view", "stacked",
+           "batch_first"]
 
 # entries (index pairs x points) in one block of a product: bounds its
 # temporaries without adding numpy calls per index pair
@@ -28,6 +30,16 @@ _BLOCK = 1 << 16
 class RigidlabError(ValueError):
     """Base of every error a bad input raises in this package; the CLI maps
     it to a usage error."""
+
+
+def read_input(path, as_json=False):
+    """Text of the UTF-8 file ``path``, or its JSON when ``as_json``; a file
+    that does not decode raises a RigidlabError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh) if as_json else fh.read()
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RigidlabError(f"{path}: {exc}") from exc
 
 
 class JetDomainError(RigidlabError):

@@ -49,9 +49,11 @@ class CheckEntry:
                    module=module, claim=claim, metadata=dict(metadata))
 
     @classmethod
-    def condition(cls, name, ok, value, module, claim, **metadata):
+    def condition(cls, name, ok, value, module, claim, skip=False,
+                  **metadata):
+        verdict = "skip" if skip else "pass" if ok else "fail"
         return cls(name=name, kind="condition", value=float(value),
-                   tolerance=None, verdict="pass" if ok else "fail",
+                   tolerance=None, verdict=verdict,
                    module=module, claim=claim, metadata=dict(metadata))
 
     def to_dict(self):

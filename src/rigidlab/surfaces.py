@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from .expressions import Binary, Num, parse_expression, to_text
 from .geometry import GeometryError, Immersion
+from .jets import read_input
 
 __all__ = [
     "catalog",
@@ -142,8 +142,7 @@ def load_surface(source):
     if isinstance(source, str) and source in _CATALOG:
         return _CATALOG[source]()
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = json.load(fh)
+        source = read_input(source, as_json=True)
     if not isinstance(source, dict):
         raise GeometryError(f"cannot build a surface from {source!r}")
     for key in ("name", "dim", "components", "domain", "periodic"):

@@ -12,7 +12,6 @@ from rigidlab.flex import (ExpressionField, FlexError, TrivialMotion,
                            kernel_dimension, phi_relation_residual,
                            random_trivial_motion, rotation_data,
                            trivial_motion_count, w_tensor)
-from rigidlab.flex import _summed_csr
 from rigidlab.geometry import geodesic_boundary_chart, interior_points
 from rigidlab.highdim import decompose_rotation_bivector
 
@@ -442,6 +441,110 @@ def test_deflated_route_agrees_with_the_dense_route(surface, grid, route):
             dense.kernel_sigma, dense.next_sigma, dense.gap_ratio)
 
 
+def _sphere_chart(t_domain, closed_poles):
+    return sf.load_surface({
+        "name": "sphere_band", "dim": 2,
+        "components": ["cos(x1)*cos(x2)", "sin(x1)*cos(x2)", "sin(x2)"],
+        "domain": [[0.0, 2 * np.pi], list(t_domain)],
+        "periodic": [True, False], "closed_poles": closed_poles})
+
+
+def _torus():
+    return sf.load_surface({
+        "name": "torus", "dim": 2,
+        "components": ["(2 + 0.5*cos(x2))*cos(x1)",
+                       "(2 + 0.5*cos(x2))*sin(x1)", "0.5*sin(x2)"],
+        "domain": [[0.0, 2 * np.pi], [0.0, 2 * np.pi]],
+        "periodic": [True, True]})
+
+
+def _oracle_operator(immersion, grid, positions):
+    """The operator entry by entry from the FlexOperator docstring, in plain
+    loops: row 3 k + p of node k and pair p = (a, b) is
+    D_a r . D_b tau + D_b r . D_a tau."""
+    ns, nt = grid
+    closed = immersion.closed_poles or (False, False)
+    r = positions.reshape(-1, 3)
+
+    def neighbor(i, j, axis, off):
+        """Node ``off`` steps along ``axis``: wrapped, mirrored through a
+        closed pole, or None past an open edge."""
+        idx = [i, j]
+        idx[axis] += off
+        if immersion.periodic[axis]:
+            idx[axis] %= grid[axis]
+        elif axis == 1 and idx[1] < 0 and closed[0]:
+            idx = [(i + ns // 2) % ns, -1 - idx[1]]
+        elif axis == 1 and idx[1] >= nt and closed[1]:
+            idx = [(i + ns // 2) % ns, 2 * nt - 1 - idx[1]]
+        elif not 0 <= idx[axis] < grid[axis]:
+            return None
+        return idx[0] * nt + idx[1]
+
+    def stencil(i, j, axis):
+        lo, hi = immersion.domain[axis]
+        m = grid[axis]
+        if immersion.periodic[axis] or (axis == 1 and any(closed)):
+            h = (hi - lo) / m
+        else:
+            h = (hi - lo) / (m - 1)
+        centered = {-2: 1 / (12 * h), -1: -8 / (12 * h),
+                   1: 8 / (12 * h), 2: -1 / (12 * h)}
+        forward, backward = {0: -1 / h, 1: 1 / h}, {-1: -1 / h, 0: 1 / h}
+
+        def fits(part):
+            return all(neighbor(i, j, axis, off) is not None for off in part)
+
+        parts = [centered] if fits(centered) else []
+        parts.append(forward if fits(forward) else backward)
+        if axis == 1 and j == 0 and closed[0]:
+            parts.append(backward)              # through the bottom pole
+        out = {}
+        for part in parts:
+            for off, coeff in part.items():
+                k = neighbor(i, j, axis, off)
+                out[k] = out.get(k, 0.0) + coeff
+        return out
+
+    n = 3 * ns * nt
+    dense = np.zeros((n, n))
+    for i in range(ns):
+        for j in range(nt):
+            k = i * nt + j
+            st = [stencil(i, j, axis) for axis in range(2)]
+            d_r = [sum(c * r[nb] for nb, c in s.items()) for s in st]
+            for p, (a, b) in enumerate([(0, 0), (0, 1), (1, 1)]):
+                for da, db in ((a, b), (b, a)):
+                    for nb, c in st[db].items():
+                        for alpha in range(3):
+                            dense[3 * k + p, 3 * nb + alpha] += (
+                                c * d_r[da][alpha])
+    return dense
+
+
+@pytest.mark.parametrize("surface, grid", [
+    (sf.plane(), (12, 12)),                                  # open
+    (sf.saddle(), (16, 8)),
+    (sf.cylinder(1.3), (16, 8)),                             # periodic s
+    (sf.sphere(1.0), (16, 8)),                               # both poles
+    (_sphere_chart([0.0, np.pi / 2], [False, True]), (16, 8)),
+    (_sphere_chart([-np.pi / 2, 0.0], [True, False]), (16, 8)),
+    (_torus(), (16, 8)),                                     # doubly periodic
+], ids=["plane", "saddle", "cylinder", "sphere", "top-pole-hemisphere",
+        "bottom-pole-hemisphere", "torus"])
+def test_operator_matches_its_stencil_definition(surface, grid):
+    op = assemble_flex_operator(surface, grid=grid)
+    got = op.operator.toarray()
+    want = _oracle_operator(surface, grid, op.positions)
+    assert got.shape == want.shape
+    tol = 1e-13 * np.max(np.abs(want))
+    # an entry missing from the operator or extra in it shows as a difference
+    off = np.abs(got - want) > tol
+    assert not off.any(), (f"{np.count_nonzero(off)} entries differ, "
+                           f"{np.count_nonzero(off & (want == 0.0))} of them "
+                           "absent from the stencil")
+
+
 def test_kernel_verdicts_on_synthetic_spectra():
     # a gradual spectrum near the cut never certifies
     vague = np.diag(np.concatenate([np.full(6, 1e-9),
@@ -459,31 +562,6 @@ def test_kernel_verdicts_on_synthetic_spectra():
     rep = kernel_dimension(good, rel_tol=1e-8)
     assert rep.verdict == "certified-rigid"
     assert rep.gap_ratio > 1e10
-
-
-def test_summed_csr_matches_a_sequential_scatter_add():
-    rng = np.random.default_rng(5)
-    n, m = 8, 500
-    rows = rng.integers(0, n - 1, m)
-    cols = rng.integers(0, n, m)
-    vals = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 17, m)
-    # summed in input order these give 0.0, in reverse order 1.0
-    rows = np.concatenate([rows, [n - 1] * 3])
-    cols = np.concatenate([cols, [2] * 3])
-    vals = np.concatenate([vals, [1.0, 1e16, -1e16]])
-    expected = {}
-    for key in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        expected[key[:2]] = expected.get(key[:2], 0.0) + key[2]
-
-    csr = _summed_csr(rows, cols, vals, n)
-    assert csr.has_canonical_format and csr.shape == (n, n)
-    coo = csr.tocoo()
-    got = dict(zip(zip(coo.row.tolist(), coo.col.tolist()),
-                   coo.data.tolist()))
-    assert got.keys() == expected.keys()
-    assert all(np.float64(got[k]).tobytes() == np.float64(v).tobytes()
-               for k, v in expected.items())
-    assert got[n - 1, 2] == 0.0
 
 
 def test_grid_size_guards():

@@ -351,18 +351,22 @@ def test_cli_boundary_inadmissible_fails():
 
 def test_cli_boundary_reports_a_profile_that_turns_twice(tmp_path):
     # k_g = 2 over one arclength period of 2 pi turns by 4 pi: the turning
-    # check fails, and the energy chain still reads the samples over one
-    # full turn instead of refusing the profile
+    # check fails, and the checks that read the profile as one closed curve
+    # are skipped, with no energy chain and no boundary series
     path = tmp_path / "twice.csv"
     path.write_text("s,kg\n" + "".join(
         f"{2 * math.pi * k / 64!r},2.0\n" for k in range(64)))
     report = tmp_path / "twice.json"
+    series = tmp_path / "series"
     assert cli.main(["boundary", "--kg", str(path), "--f", "sin(2*x1)",
-                     "--report", str(report)]) == 2
+                     "--report", str(report), "--csv-dir", str(series)]) == 2
     verdicts = {c["name"]: c["verdict"]
                 for c in json.loads(report.read_text())["checks"]}
-    assert verdicts.pop("turning-angle") == "fail"
-    assert set(verdicts.values()) == {"pass"} and len(verdicts) == 9
+    assert verdicts == {
+        "turning-angle": "fail", "tangent-loop-closure": "pass",
+        "reference-curve-closure": "skip", "reference-curve-area": "skip",
+        "ode-vs-closed-form": "pass", "admissibility": "skip"}
+    assert not series.exists()
 
 
 def test_cli_boundary_accepts_csv_profile(tmp_path):
@@ -439,6 +443,17 @@ def test_cli_usage_errors(tmp_path, capsys):
     for name in ("binary.json", "binary.csv"):
         binary[name] = tmp_path / name
         binary[name].write_bytes(b"\xff\xfe\x00\x81")
+    binary_pair = tmp_path / "binary_pair.json"
+    binary_pair.write_text(json.dumps(
+        {"surfaces": ["sphere", str(binary["binary.json"])]}))
+    # argv -> the file its message must name
+    undecodable = {
+        ("check-surface", str(binary["binary.json"])): "binary.json",
+        ("pair-check", str(binary["binary.json"])): "binary.json",
+        ("pair-check", str(binary_pair)): "binary.json",
+        ("pointwise-gauss", "--h-file", str(binary["binary.json"])):
+            "binary.json",
+        ("boundary", "--kg", str(binary["binary.csv"])): "binary.csv"}
     existing = tmp_path / "existing_file"
     existing.write_text("")
     for argv in (
@@ -484,9 +499,7 @@ def test_cli_usage_errors(tmp_path, capsys):
             ["check-surface", str(tmp_path)],                # a directory
             ["pair-check", str(tmp_path)],
             ["pointwise-gauss", "--h-file", str(tmp_path)],
-            ["check-surface", str(binary["binary.json"])],   # not UTF-8
-            ["pair-check", str(binary["binary.json"])],
-            ["boundary", "--kg", str(binary["binary.csv"])],
+            *map(list, undecodable),                        # not UTF-8
             ["boundary", "--csv-dir", str(existing)],
             ["flex-kernel", "sphere", "--grid", "8x6", "--csv-dir",
              str(existing)],
@@ -495,6 +508,7 @@ def test_cli_usage_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+        assert undecodable.get(tuple(argv), "") in captured.err, argv
 
 
 def test_cli_refuses_an_oversized_flex_grid_before_its_mesh(monkeypatch,
@@ -511,6 +525,15 @@ def test_cli_refuses_an_oversized_flex_grid_before_its_mesh(monkeypatch,
     assert captured.err.splitlines() == [
         "rigidlab: the dense SVD or Fourier-sector spectrum of 30000000000 "
         "unknowns needs 360001440000000000 bytes, which exceeds the limit "
+        f"{flex.MAX_SPECTRUM_BYTES}"]
+    # a chart whose first axis does not turn once can only take the dense
+    # SVD, so only that route is charged
+    assert cli.main(["flex-kernel", "plane", "--grid", "400000x5"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "rigidlab: the dense SVD spectrum of 6000000 unknowns needs "
+        "576000000000000 bytes, which exceeds the limit "
         f"{flex.MAX_SPECTRUM_BYTES}"]
 
 
