@@ -44,7 +44,7 @@ from .geometry import GeodesicChart, geodesic_boundary_chart
 from .jets import RigidlabError, read_input
 from .quadrature import (invert_antiderivative, periodic_antiderivative,
                          periodic_trapezoid, rk4_path, rk4_stage_times,
-                         spectral_derivative, trig_interpolate)
+                         spectral_derivative, trig_interpolate, trig_resample)
 
 __all__ = [
     "BoundaryError",
@@ -135,10 +135,14 @@ class BoundaryProfile:
 
     @classmethod
     def from_theta(cls, kg):
-        """Profile from k_g as a function of the turning angle; the total
-        turning is 2 pi by construction."""
+        """Profile from k_g as a function of the turning angle, or as a 1-D
+        array of uniform samples over one turn (k_g is then their
+        trigonometric interpolant, resampled by FFT); the total turning is
+        2 pi by construction."""
         theta = TWO_PI * np.arange(THETA_SAMPLES) / THETA_SAMPLES
-        kg_vals = _positive_kg(_as_theta_function(kg, "k_g")(theta))
+        kg_vals = _positive_kg(
+            trig_resample(kg, THETA_SAMPLES) if isinstance(kg, np.ndarray)
+            else _as_theta_function(kg, "k_g")(theta))
         inv = 1.0 / kg_vals
         s_vals = periodic_antiderivative(inv, TWO_PI)
         length = float(periodic_trapezoid(inv, TWO_PI))
@@ -155,9 +159,7 @@ class BoundaryProfile:
         antiderivative is exact to rounding on twice as many samples."""
         if isinstance(kg, np.ndarray):
             samples = 2 * kg.size
-
-            def fn(s):
-                return trig_interpolate(kg, length, s)
+            fn = functools.partial(trig_interpolate, kg, length)
         else:
             samples = S_SAMPLES
             fn = _as_theta_function(kg, "k_g")
@@ -202,8 +204,7 @@ class BoundaryProfile:
         if header[0] == "theta":
             if abs(period - TWO_PI) > 1e-9:
                 raise BoundaryError("theta samples must cover one full turn")
-            return cls.from_theta(
-                lambda x: trig_interpolate(values, period, x))
+            return cls.from_theta(values)
         return cls.from_arclength(values, period)
 
     @classmethod

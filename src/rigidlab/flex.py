@@ -651,13 +651,14 @@ def _grid_axes(immersion, grid):
     one, and offset half a spacing from the ends on the pole axis of a chart
     with ``closed_poles``."""
     ns, nt = grid
-    (slo, shi), (tlo, thi) = immersion.domain
+    tlo, thi = immersion.domain[1]
     if not immersion.periodic[0] and immersion.periodic[1]:
         raise FlexError("grids expect the periodic axis first when present")
-    if immersion.periodic[0]:
-        s_axis = (slo + (shi - slo) * np.arange(ns) / ns, (shi - slo) / ns)
-    else:
-        s_axis = (np.linspace(slo, shi, ns), (shi - slo) / (ns - 1))
+    s_axis, t_axis = (
+        (lo + (hi - lo) * np.arange(m) / m, (hi - lo) / m) if periodic
+        else (np.linspace(lo, hi, m), (hi - lo) / (m - 1))
+        for (lo, hi), m, periodic in zip(immersion.domain, grid,
+                                         immersion.periodic))
     closed = immersion.closed_poles
     if closed and any(closed):
         if not immersion.periodic[0]:
@@ -666,9 +667,6 @@ def _grid_axes(immersion, grid):
             raise FlexError("pole closure needs an even periodic node count")
         h = (thi - tlo) / nt
         t_axis = (tlo + (np.arange(nt) + 0.5) * h, h)
-    else:
-        t_axis = (np.linspace(tlo, thi, nt),
-                  (thi - tlo) / (nt if immersion.periodic[1] else nt - 1))
     return s_axis, t_axis
 
 

@@ -14,11 +14,13 @@ __all__ = [
     "rk4_path",
     "periodic_antiderivative",
     "trig_interpolate",
+    "trig_resample",
     "spectral_derivative",
     "invert_antiderivative",
 ]
 
 TWO_PI = 2.0 * np.pi
+_CHUNK = 4096        # (points x modes) entries per block: 32 KB temporaries
 
 
 def periodic_trapezoid(samples, period=2.0 * np.pi, axis=-1):
@@ -38,12 +40,8 @@ def gauss_legendre_nodes(a, b, cells=8, nodes=16):
         raise ValueError("cells and nodes must be positive")
     x0, w0 = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(a, b, cells + 1)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        xs.append(lo + half * (x0 + 1.0))
-        ws.append(half * w0)
-    return np.concatenate(xs), np.concatenate(ws)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (x0 + 1.0)).ravel(), (half * w0).ravel()
 
 
 def gauss_legendre(f, a, b, cells=8, nodes=16):
@@ -102,19 +100,36 @@ def periodic_antiderivative(values, period):
 
 
 def trig_interpolate(samples, period, points):
-    """Evaluate the trigonometric interpolant of uniform periodic samples.
-
-    One pass per mode keeps the working set at the size of ``points``."""
+    """Evaluate the trigonometric interpolant of uniform periodic samples,
+    in blocks of about ``_CHUNK`` (points x modes) entries: the working set
+    stays bounded and a point's value does not depend on its batch."""
     m = samples.size
-    spectrum = np.fft.rfft(samples) / m
+    k = np.arange(m // 2 + 1)
+    # mode 0 and the unpaired Nyquist mode of an even m once, the rest twice
+    weight = np.where((k == 0) | (2 * k == m), 1.0, 2.0)
+    coef = weight * np.fft.rfft(samples) / m
+    freq = TWO_PI * k
     pts = np.asarray(points, dtype=float)
-    result = np.full(pts.shape, spectrum[0].real)
-    for k in range(1, spectrum.size):
-        weight = 1.0 if (m % 2 == 0 and k == m // 2) else 2.0
-        phase = TWO_PI * k * pts / period
-        result = result + weight * (spectrum[k].real * np.cos(phase)
-                                    - spectrum[k].imag * np.sin(phase))
-    return result
+    flat, out = pts.ravel(), np.empty(pts.size)
+    step = max(1, _CHUNK // k.size)
+    for lo in range(0, flat.size, step):
+        phase = np.multiply.outer(flat[lo:lo + step], freq) / period
+        out[lo:lo + step] = (np.einsum("pk,k->p", np.cos(phase), coef.real)
+                             - np.einsum("pk,k->p", np.sin(phase), coef.imag))
+    return out.reshape(pts.shape)
+
+
+def trig_resample(samples, count):
+    """The trigonometric interpolant of m uniform periodic samples at
+    ``count`` uniform nodes of one period, by FFT: zero-padded to the least
+    multiple of ``count`` not below m (splitting the Nyquist mode of an even
+    m) and decimated, which folds the aliased modes above count / 2."""
+    m = samples.size
+    size = count * -(-m // count)
+    spectrum = np.fft.rfft(samples)
+    if size > m and m % 2 == 0:
+        spectrum[-1] /= 2.0
+    return np.fft.irfft(spectrum, n=size)[::size // count] * (size / m)
 
 
 def spectral_derivative(values, period, axis=0):

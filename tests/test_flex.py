@@ -458,6 +458,24 @@ def _torus():
         "periodic": [True, True]})
 
 
+def test_doubly_periodic_differences_converge():
+    # one node per period on both axes: D = centered + forward is about
+    # 2 d/dt with a first-order error, which halves on the refined grid
+    from rigidlab.flex import _difference_matrices, _grid_axes
+    torus = _torus()
+    errors = []
+    for grid in ((32, 16), (64, 32)):
+        (s, h_s), (t, h_t) = _grid_axes(torus, grid)
+        s, t = (a.ravel() for a in np.meshgrid(s, t, indexing="ij"))
+        r = np.stack([(2 + 0.5 * np.cos(t)) * np.cos(s),
+                      (2 + 0.5 * np.cos(t)) * np.sin(s), 0.5 * np.sin(t)], 1)
+        r_t = 0.5 * np.stack([-np.sin(t) * np.cos(s),
+                              -np.sin(t) * np.sin(s), np.cos(t)], 1)
+        d_t = _difference_matrices(torus, grid, h_s, h_t)[1]
+        errors.append(np.max(np.abs(d_t @ r - 2 * r_t)))
+    assert errors[1] <= 0.55 * errors[0], errors
+
+
 def _oracle_operator(immersion, grid, positions):
     """The operator entry by entry from the FlexOperator docstring, in plain
     loops: row 3 k + p of node k and pair p = (a, b) is

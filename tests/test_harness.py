@@ -4,6 +4,7 @@ import importlib.resources
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from rigidlab import boundary, cli, darboux, flex, pairs
 from rigidlab.linalg import null_space, numerical_rank, singular_values
 from rigidlab.quadrature import (gauss_legendre, gauss_legendre_nodes,
-                                 periodic_trapezoid, rk4_path)
+                                 periodic_trapezoid, rk4_path,
+                                 trig_interpolate, trig_resample)
 from rigidlab.report import CheckEntry, Report
 
 
@@ -49,6 +51,72 @@ def test_rk4_convergence_on_oscillator():
 
     _, path = rk4_path(rhs, np.array([1.0, 0.0]), 0.0, 2 * np.pi, 512)
     assert path[-1] == pytest.approx(np.array([1.0, 0.0]), abs=1e-8)
+
+
+def _per_mode_sum(samples, phase):
+    """The trigonometric interpolant summed one mode at a time: mode 0 and
+    the unpaired Nyquist mode of an even count once, every other mode
+    twice; ``phase(k)`` is mode k's phase at the points."""
+    m = samples.size
+    spectrum = np.fft.rfft(samples) / m
+    result = np.full(np.shape(phase(0)), spectrum[0].real)
+    for k in range(1, spectrum.size):
+        weight = 1.0 if (m % 2 == 0 and k == m // 2) else 2.0
+        result = result + weight * (spectrum[k].real * np.cos(phase(k))
+                                    - spectrum[k].imag * np.sin(phase(k)))
+    return result
+
+
+@pytest.mark.parametrize("m", [4, 5, 64, 65, 4096])
+@pytest.mark.parametrize("shape", [(), (3001,), (7, 13)])
+def test_trig_interpolate_matches_the_per_mode_sum(m, shape):
+    rng = np.random.default_rng(m)
+    samples = rng.standard_normal(m)
+    period = 2.5
+    points = rng.uniform(-period, 2 * period, shape)
+    # below 2049 modes, 3001 points fill no whole number of blocks
+    want = _per_mode_sum(samples, lambda k: 2 * np.pi * k * points / period)
+    got = trig_interpolate(samples, period, points)
+    assert got.shape == want.shape == shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [64, 4095, 4096, 6001, 8192])
+def test_trig_resample_is_the_interpolant_at_uniform_nodes(m):
+    # below, at and above the turning-angle sample count, odd and even;
+    # the oracle reduces each phase k x_j exactly, since a phase of size
+    # 2 pi k rounds to about k ulp(2 pi), which at white-noise samples
+    # moves point evaluation by 3e-12 at 4096 samples
+    count = boundary.THETA_SAMPLES
+    samples = np.random.default_rng(m).standard_normal(m)
+    nodes = np.arange(count)
+    want = _per_mode_sum(samples,
+                         lambda k: 2 * np.pi * (k * nodes % count) / count)
+    got = trig_resample(samples, count)
+    assert got.shape == (count,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    at_nodes = trig_interpolate(samples, 2 * np.pi, 2 * np.pi * nodes / count)
+    assert np.max(np.abs(got - at_nodes)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_trig_interpolate_is_batch_invariant(assert_batch_invariant):
+    samples = np.random.default_rng(3).standard_normal(64)
+    points = np.random.default_rng(4).uniform(0.0, 2 * np.pi, 5000)
+    assert_batch_invariant(
+        lambda pts: trig_interpolate(samples, 2 * np.pi, pts), points)
+
+
+def test_trig_interpolate_working_set_is_bounded():
+    # 4096 modes at 4096 points: one (points x modes) array would be 134 MB
+    samples = np.random.default_rng(5).standard_normal(8191)
+    points = np.linspace(0.0, 2 * np.pi, 4096)
+    tracemalloc.start()
+    try:
+        trig_interpolate(samples, 2 * np.pi, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # -- linear algebra --------------------------------------------------------------
@@ -325,18 +393,21 @@ def test_cli_boundary_series_is_the_reference_curve(tmp_path, source,
         return counted
 
     monkeypatch.setattr(boundary, "_as_theta_function", counted_function)
+    resampled = _count_calls(monkeypatch, boundary, "trig_resample", [])
     curves = _count_calls(monkeypatch, boundary, "reference_curve", [])
     admissibility = _count_calls(monkeypatch, boundary, "_sample_uv", [])
-    # k_g once (the profile), f twice (the ODE stage table and the chain),
-    # one curve and one set of admissibility residuals: the chain's, or on
-    # inadmissible data the refusal's residuals and the curve the chain
-    # never reached
+    # k_g once (the profile: the text sampled, the CSV samples resampled),
+    # f twice (the ODE stage table and the chain), one curve and one set of
+    # admissibility residuals: the chain's, or on inadmissible data the
+    # refusal's residuals and the curve the chain never reached
+    reads = (0, 1) if source == "csv" else (1, 0)
     for f, code in (("sin(2*x1)", 0), ("0.4 + sin(2*x1)", 2)):
-        for calls in (sampled, curves, admissibility):
+        for calls in (sampled, resampled, curves, admissibility):
             calls.clear()
         assert cli.main(["boundary", "--kg", kg, "--f", f,
                          "--csv-dir", str(tmp_path)]) == code
-        assert (sampled.count("k_g"), sampled.count("f")) == (1, 2)
+        assert (sampled.count("k_g"), len(resampled)) == reads
+        assert sampled.count("f") == 2
         assert (len(curves), len(admissibility)) == (1, 1)
     table = np.loadtxt(tmp_path / "boundary_series.csv", delimiter=",",
                        skiprows=1)
