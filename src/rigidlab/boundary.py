@@ -43,7 +43,7 @@ from .expressions import evaluate_jet, parse_expression
 from .geometry import GeodesicChart, geodesic_boundary_chart
 from .jets import RigidlabError, read_input
 from .quadrature import (invert_antiderivative, periodic_antiderivative,
-                         periodic_trapezoid, rk4_path, rk4_stage_times,
+                         periodic_trapezoid, rk4_stage_times,
                          spectral_derivative, trig_interpolate, trig_resample)
 
 __all__ = [
@@ -73,8 +73,9 @@ ADMISSIBLE_TOL = 1e-8
 THETA_SAMPLES = 4096          # turning angles of every profile; even: hits pi
 S_SAMPLES = 2048              # k_g(s) samples of a callable arclength profile
 UV_EXCLUSION = 1e-3           # U/V slope identity skips this near 0, pi, 2 pi
-# the boundary ODE keeps its stage table, the tabulated f and the path:
-# peak RSS grows by about 490 bytes per RK4 step (100k and 200k steps)
+# the boundary ODE keeps its stage table, the tabulated f, its u and v
+# steps and the path: peak RSS grows by about 320 bytes per RK4 step (100k
+# and 200k steps), tracemalloc counts about 275
 MAX_ODE_BYTES = 2**30
 ODE_BYTES_PER_STEP = 512
 
@@ -383,28 +384,43 @@ def solve_boundary_ode(profile, f, c1=0.0, c2=0.0, n_steps=4096):
     closed form built from u = int f sin, v = int f cos.
 
     f is evaluated once, on the table of RK4 stage angles (a callable f
-    must accept an array of angles); the stepper then reads it by angle.
-    Step counts whose tables would pass ``MAX_ODE_BYTES`` are refused
-    before anything is allocated."""
+    must accept an array of angles).  The path is classical RK4 in the
+    arithmetic of :func:`~rigidlab.quadrature.rk4_path`, bit for bit: the
+    u and v steps do not depend on the state, so they are formed for all
+    steps at once and summed in sequence by ``np.cumsum``, and
+    (phi_s, phi_t) is stepped in plain floats.  Step counts whose tables
+    would pass ``MAX_ODE_BYTES`` are refused before anything is
+    allocated."""
     if n_steps * ODE_BYTES_PER_STEP > MAX_ODE_BYTES:
         raise BoundaryError(
             f"{n_steps} ODE steps would need about "
             f"{n_steps * ODE_BYTES_PER_STEP / 2**20:.0f} MiB, over the "
             f"{MAX_ODE_BYTES / 2**20:.0f} MiB budget")
-    stages = rk4_stage_times(0.0, TWO_PI, n_steps)[2].ravel()
-    f_vals = np.broadcast_to(_as_theta_function(f, "f")(stages),
-                             stages.shape)
-    f_at = dict(zip(stages.tolist(), f_vals.tolist()))
+    theta, h, stages = rk4_stage_times(0.0, TWO_PI, n_steps)
+    f_vals = np.broadcast_to(_as_theta_function(f, "f")(stages.ravel()),
+                             (stages.size,)).reshape(stages.shape)
+    # RK4 stages of u' = f sin and v' = f cos; stages 2 and 3 coincide
+    steps = []
+    for trig in (math.sin, math.cos):
+        k = f_vals * np.fromiter(map(trig, stages.flat), float, stages.size
+                                 ).reshape(stages.shape)
+        steps.append(h * (k[:, 0] + 2.0 * k[:, 1] + 2.0 * k[:, 1]
+                          + k[:, 2]) / 6.0)
+    u, v = (np.cumsum(np.concatenate(([0.0], d))) for d in steps)
 
-    def rhs(theta, y):
-        phi_s, phi_t, u, v = y
-        fv = f_at[theta]
-        return np.array([phi_t, -phi_s + fv,
-                         fv * math.sin(theta), fv * math.cos(theta)])
-
-    theta, path = rk4_path(rhs, np.array([c1, c2, 0.0, 0.0]),
-                           0.0, TWO_PI, n_steps)
-    phi_s, phi_t, u, v = path.T
+    half = 0.5 * h
+    ps, pt = float(c1), float(c2)
+    phi_s, phi_t = [ps], [pt]
+    for f0, f1, f2 in zip(*f_vals.T.tolist()):
+        a1, b1 = pt, -ps + f0
+        a2, b2 = pt + half * b1, -(ps + half * a1) + f1
+        a3, b3 = pt + half * b2, -(ps + half * a2) + f1
+        a4, b4 = pt + h * b3, -(ps + h * a3) + f2
+        ps = ps + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        pt = pt + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+        phi_s.append(ps)
+        phi_t.append(pt)
+    phi_s, phi_t = np.array(phi_s), np.array(phi_t)
     phi_s_closed = -np.cos(theta) * (u - c1) + np.sin(theta) * (v + c2)
     phi_t_closed = np.sin(theta) * (u - c1) + np.cos(theta) * (v + c2)
     dev = float(max(np.max(np.abs(phi_s - phi_s_closed)),

@@ -16,6 +16,7 @@ spelled with exp/log.  Error positions are 1-based byte offsets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,64 +279,147 @@ def to_text(node):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one straight-line program per tuple of expressions
 # ---------------------------------------------------------------------------
 
-_JET_FUNCS = {
+_STEPS = {
+    "neg": operator.neg,
     "sin": jets.sin,
     "cos": jets.cos,
     "tan": jets.tan,
     "exp": jets.exp,
     "log": jets.log,
     "sqrt": jets.sqrt,
+    "sin_cos": jets.sin_cos_values,
+    "^": operator.pow,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
 }
+
+# compiled programs by id of the expression or tuple they were compiled
+# from; each entry holds that object, so its id cannot be reused while the
+# entry lives
+_PROGRAMS = {}
+_PROGRAM_CACHE = 256
 
 
 def evaluate_jet(ast, point, order=3):
     """Evaluate ``ast`` at ``point`` with derivatives up to ``order``.
 
-    ``point`` has shape (..., n); the returned :class:`Jet` carries the same
-    batch shape.  Derivatives are exact to rounding (no finite differences).
+    ``ast`` is one expression, giving one :class:`Jet`, or a tuple of
+    expressions such as a chart's components, giving a list of jets from
+    one run of their program.  ``point`` has shape (..., n); the jets carry
+    the same batch shape.  Derivatives are exact to rounding (no finite
+    differences).
     """
     pts = np.asarray(point, dtype=float)
     if pts.ndim == 0:
         pts = pts.reshape(1)
-    n = pts.shape[-1]
-    return _eval(ast, pts, n, order)
+    out = _program(ast).run(pts, order)
+    return out if isinstance(ast, tuple) else out[0]
 
 
-def _eval(node, pts, n, order):
-    if isinstance(node, Num):
-        return Jet.constant(node.value, n, order, batch_shape=pts.shape[:-1])
-    if isinstance(node, Var):
-        if node.index > n:
-            raise ExpressionError(
-                f"variable x{node.index} exceeds point dimension {n}")
-        return Jet.variable(pts[..., node.index - 1], node.index - 1, n, order)
-    if isinstance(node, Unary):
-        arg = _eval(node.arg, pts, n, order)
-        if node.op == "neg":
-            return -arg
-        return _JET_FUNCS[node.op](arg)
-    if isinstance(node, Pow):
-        return _eval(node.base, pts, n, order) ** node.exponent
-    if isinstance(node, Binary):
-        left = _operand(node.left, node.right, pts, n, order)
-        right = _operand(node.right, node.left, pts, n, order)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
-    raise TypeError(f"not an expression node: {node!r}")
+def _program(ast):
+    """The compiled program of ``ast`` (a node or a tuple, immutable both),
+    compiled on its first evaluation."""
+    hit = _PROGRAMS.get(id(ast))
+    if hit is not None:
+        return hit[1]
+    program = _Program(ast if isinstance(ast, tuple) else (ast,))
+    if len(_PROGRAMS) >= _PROGRAM_CACHE:
+        _PROGRAMS.clear()
+    _PROGRAMS[id(ast)] = (ast, program)
+    return program
 
 
-def _operand(node, other, pts, n, order):
-    """A literal next to a non-literal enters as a plain number, which the
-    jet arithmetic applies to the coefficients directly (bitwise what a
-    constant jet gives) instead of building a constant jet."""
-    if isinstance(node, Num) and not isinstance(other, Num):
-        return node.value
-    return _eval(node, pts, n, order)
+class _Program:
+    """Straight-line program of a tuple of expressions.  Equal subtrees
+    share one slot, evaluated once, where the tree walk would first reach
+    it; a jet is dropped after its last use.  Each step applies the jet
+    arithmetic to its operand slots exactly as the tree walk did, so every
+    jet is bitwise the tree walk's: a literal next to a non-literal enters
+    as a plain number (the jet arithmetic applies it to the coefficients
+    directly, bitwise what a constant jet gives), any other literal as a
+    constant jet, and sin and cos of one jet share its sine and cosine."""
+
+    def __init__(self, components):
+        self.slots = {}        # structural key -> slot
+        self.literals = []     # per slot: plain-number operand, else None
+        self.variables = []    # (slot, 1-based index), first use first
+        self.constants = []    # (slot, value) of constant jets
+        self.steps = []        # (slot, function, operand slots)
+        self.outputs = [self._visit(c) for c in components]
+        last = {a: k for k, (_, _, args) in enumerate(self.steps)
+                for a in args}
+        dead = [[] for _ in self.steps]
+        for a, k in last.items():
+            if self.literals[a] is None and a not in self.outputs:
+                dead[k].append(a)
+        self.steps = [step + (tuple(d),) for step, d in zip(self.steps, dead)]
+
+    def _slot(self, key, literal=None):
+        """Slot of ``key`` and whether it is new."""
+        slot = self.slots.get(key)
+        if slot is not None:
+            return slot, False
+        slot = self.slots[key] = len(self.literals)
+        self.literals.append(literal)
+        return slot, True
+
+    def _step(self, key, *args):
+        slot, new = self._slot(key)
+        if new:
+            self.steps.append((slot, _STEPS[key[0]], args))
+        return slot
+
+    def _visit(self, node, as_number=False):
+        if isinstance(node, Num):
+            value = float(node.value)
+            key = value.hex()           # 0.0 and -0.0 are different literals
+            if as_number:
+                return self._slot(("number", key), value)[0]
+            slot, new = self._slot(("constant", key))
+            if new:
+                self.constants.append((slot, value))
+            return slot
+        if isinstance(node, Var):
+            slot, new = self._slot(("x", node.index))
+            if new:
+                self.variables.append((slot, node.index))
+            return slot
+        if isinstance(node, Unary):
+            arg = self._visit(node.arg)
+            if node.op in ("sin", "cos"):
+                pair = self._step(("sin_cos", arg), arg)
+                return self._step((node.op, arg), arg, pair)
+            return self._step((node.op, arg), arg)
+        if isinstance(node, Pow):
+            base = self._visit(node.base)
+            exponent = self._slot(("int", node.exponent), node.exponent)[0]
+            return self._step(("^", base, exponent), base, exponent)
+        if isinstance(node, Binary):
+            left = self._visit(node.left, not isinstance(node.right, Num))
+            right = self._visit(node.right, not isinstance(node.left, Num))
+            return self._step((node.op, left, right), left, right)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def run(self, pts, order):
+        """Jets of the components at ``pts`` (..., n), as a list."""
+        n = pts.shape[-1]
+        values = list(self.literals)
+        for slot, index in self.variables:
+            if index > n:
+                raise ExpressionError(
+                    f"variable x{index} exceeds point dimension {n}")
+            values[slot] = Jet.variable(pts[..., index - 1], index - 1, n,
+                                        order)
+        for slot, value in self.constants:
+            values[slot] = Jet.constant(value, n, order,
+                                        batch_shape=pts.shape[:-1])
+        for slot, function, args, dead in self.steps:
+            values[slot] = function(*[values[a] for a in args])
+            for a in dead:
+                values[a] = None
+        return [values[s] for s in self.outputs]

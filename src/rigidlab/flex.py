@@ -32,8 +32,6 @@ from functools import reduce
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
@@ -169,7 +167,7 @@ def _field_jets(fld, pts, r):
                        Jet.constant(b, r[0].nvars, r[0].order, pts.shape[:-1]))
                 for row, b in zip(fld.matrix, fld.vector)]
     if isinstance(fld, ExpressionField):
-        return [evaluate_jet(c, pts, order=r[0].order) for c in fld.components]
+        return evaluate_jet(fld.components, pts, order=r[0].order)
     raise FlexError(f"unknown field type {type(fld)!r}")
 
 
@@ -606,8 +604,8 @@ class FlexOperator:
     SVD.
     """
 
-    operator: scipy.sparse.csr_matrix     # rows x grid unknowns
-    basis: Optional[scipy.sparse.csr_matrix]
+    operator: object              # scipy.sparse.csr_matrix, rows x unknowns
+    basis: Optional[object]       # scipy.sparse.csr_matrix
     rotation: Optional[np.ndarray]
     immersion: object
     grid: tuple
@@ -635,8 +633,8 @@ class FlexOperator:
         if isinstance(fld, TrivialMotion):
             values = self.positions @ fld.matrix.T + fld.vector
         else:
-            values = np.stack([evaluate_jet(c, self.nodes, order=0).value
-                               for c in fld.components], axis=-1)
+            values = np.stack([j.value for j in evaluate_jet(
+                fld.components, self.nodes, order=0)], axis=-1)
         return self.reduce_vector(values.reshape(-1))
 
     def apply(self, vector):
@@ -676,6 +674,7 @@ def _difference_1d(m, h, periodic, closed=(False, False)):
     reaches the neighbors mirrored through a closed pole.  The backward
     difference through the bottom pole on ring 0 pins cap modes that
     oscillate across it, as the forward one does across the top pole."""
+    import scipy.sparse
     # coefficients at the offsets -2..2
     centered = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
     forward = np.array([0.0, 0.0, -1.0, 1.0, 0.0]) / h
@@ -705,6 +704,7 @@ def _difference_matrices(immersion, grid, h_s, h_t):
     """Sparse (nodes x nodes) differences D_0 along s and D_1 along t, node
     i nt + j at (i, j): D_0 = D_s (x) I, and D_1 = I (x) D_t within the axis
     plus the half-period shift (x) D_t through the poles."""
+    import scipy.sparse
     ns, nt = grid
     d_s, _ = _difference_1d(ns, h_s, immersion.periodic[0])
     d_t, d_pole = _difference_1d(nt, h_t, immersion.periodic[1],
@@ -731,6 +731,7 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     charged in full because it stays the fallback) is refused here, and one
     that neither route could take before anything grid-sized is built.
     """
+    import scipy.sparse
     if immersion.dim != 2:
         raise FlexError("the flex operator is assembled for surfaces (n = 2)")
     ns, nt = grid
@@ -749,7 +750,7 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     _charge_spectrum(" or ".join(need), min(need.values()), n_unknowns)
     mesh = np.stack(np.meshgrid(s_axis, t_axis, indexing="ij"), axis=-1)
     positions = np.stack(
-        [evaluate_jet(c, mesh, order=0).value for c in immersion.components],
+        [j.value for j in evaluate_jet(immersion.components, mesh, order=0)],
         axis=-1)
     _validate_pole_wrap(immersion, grid, mesh, positions, h_t)
     rotation = _grid_rotation(immersion, grid, positions)
@@ -792,6 +793,7 @@ def _pole_ring_basis(immersion, grid, s_axis):
     to the span of {1, cos s, sin s} per ambient component; identity
     elsewhere.  Columns: the free unknowns in grid order, then three per
     (ring, component).  None without poles."""
+    import scipy.sparse
     rings = _pole_rings(immersion, grid)
     if not rings:
         return None
@@ -825,8 +827,8 @@ def _validate_pole_wrap(immersion, grid, mesh, positions, h):
         ghost_pts = np.stack(
             [mesh[:, 0, 0], np.full(ns, t_ghost)], axis=-1)
         ghost_pos = np.stack(
-            [evaluate_jet(c, ghost_pts, order=0).value
-             for c in immersion.components], axis=-1)
+            [j.value for j in evaluate_jet(immersion.components, ghost_pts,
+                                           order=0)], axis=-1)
         wrapped = positions[np.mod(np.arange(ns) + ns // 2, ns), j_real]
         if float(np.max(np.abs(ghost_pos - wrapped))) > 1e-9:
             raise FlexError(
@@ -874,6 +876,7 @@ def _sector_singular_values(op, rot):
     m = k - c_d, and the m-th block is the k-th inverse DFT of ring 0's
     rows over the column ring, contracted with u (Golub and Van Loan,
     Matrix Computations, 4th ed., sec. 8.6, for the block-wise SVD)."""
+    import scipy.linalg
     ns, nt = op.grid
     delta = 2.0 * math.pi / ns
     # eigenvectors of the component rotation and their integer frequencies
@@ -947,8 +950,10 @@ def _deflated_certificate(op, rel_tol, gap_requirement):
     of an iterate w _|_ T, an upper bound on mu^2, is too small; flexible
     charts get there after one or two solves.
     """
-    # imported here, not with the module: every CLI command imports flex,
-    # and only this route needs ARPACK and SuperLU (2 MB of RSS)
+    # imported here, not with the module, like scipy.sparse and
+    # scipy.linalg in the other spectrum routes: every CLI command imports
+    # flex, and only this route needs ARPACK and SuperLU (2 MB of RSS)
+    import scipy.sparse
     from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
                                      eigsh, splu)
 

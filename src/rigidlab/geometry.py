@@ -130,7 +130,7 @@ class PointFrame:
 
 def _component_jets(immersion, point, order):
     pts = np.asarray(point, dtype=float)
-    return pts, [evaluate_jet(c, pts, order=order) for c in immersion.components]
+    return pts, evaluate_jet(immersion.components, pts, order=order)
 
 
 def frame_at(immersion, point, order=2):

@@ -154,14 +154,17 @@ class Jet:
     grad  : ndarray, ``S + (n,)`` or None when order < 1
     hess  : ndarray, ``S + (n, n)``, symmetric, or None when order < 2
     third : ndarray, ``S + (n, n, n)``, fully symmetric, or None when order < 3
+    ``coordinate`` is i when the jet is the coordinate function x_i itself
+    (:meth:`variable`), else None.
     """
 
-    __slots__ = ("nvars", "order", "coef", "batch_shape")
+    __slots__ = ("nvars", "order", "coef", "batch_shape", "coordinate")
 
-    def __init__(self, coef, nvars, order, batch_shape):
+    def __init__(self, coef, nvars, order, batch_shape, coordinate=None):
         coef.flags.writeable = False
         self.nvars, self.order, self.coef, self.batch_shape = (
             nvars, order, coef, batch_shape)
+        self.coordinate = coordinate
 
     @classmethod
     def constant(cls, value, nvars, order, batch_shape=()):
@@ -177,7 +180,7 @@ class Jet:
         coef = np.zeros((_first(nvars, order + 1), v.size))
         coef[0] = v.reshape(-1)
         coef[1 + index:2 + index] = 1.0       # the gradient row, if any
-        return cls(coef, nvars, order, v.shape)
+        return cls(coef, nvars, order, v.shape, coordinate=index)
 
     def _part(self, degree):
         """The derivatives of one degree as a batch-first symmetric tensor."""
@@ -276,32 +279,63 @@ class Jet:
         return f"Jet(order={self.order}, nvars={self.nvars}, value={self.value!r})"
 
 
+def _powers(delta, n, order):
+    """delta^2 .. delta^order from the rows ``delta`` of degree >= 1."""
+    powers = [delta]
+    for k in range(2, order + 1):
+        powers.append(_product(powers[-1], delta,
+                               _product_table(n, order, k - 1, 1)))
+    return powers[1:]
+
+
+@lru_cache(maxsize=None)
+def _coordinate_powers(n, order, index):
+    """:func:`_powers` of the coordinate jet x_index, taken once on one
+    point as read-only (rows, 1) columns: they are the same exact 0/1
+    pattern at every point."""
+    delta = Jet.variable(np.zeros(1), index, n, order).coef[1:]
+    powers = _powers(delta, n, order)
+    for power in powers:
+        power.flags.writeable = False
+    return powers
+
+
 def _compose(u, taylor):
     """Jet of f(u) = sum_k t_k delta^k, ``taylor[k]`` = t_k = f^(k)(u_0) / k!,
-    delta = u - u_0 (the rows of degree >= 1); delta^k has rows >= k only."""
+    delta = u - u_0 (the rows of degree >= 1); delta^k has rows >= k only.
+    A coordinate jet reads its powers from a table instead of products."""
     n, order, delta = u.nvars, u.order, u.coef[1:]
     out = np.empty_like(u.coef)
     out[0] = taylor[0]
     if order:
         np.multiply(taylor[1], delta, out=out[1:])
-    power = delta
-    for k in range(2, order + 1):
-        power = _product(power, delta, _product_table(n, order, k - 1, 1))
+    powers = (_powers(delta, n, order) if u.coordinate is None
+              else _coordinate_powers(n, order, u.coordinate))
+    for k, power in enumerate(powers, start=2):
         out[_first(n, k):] += taylor[k] * power
     return u._like(out)
 
 
-def sin(x):
+def sin_cos_values(x):
+    """(sin u_0, cos u_0) of a jet: what :func:`sin` and :func:`cos` of one
+    jet both read, so a caller that takes both can compute them once."""
+    return np.sin(x.coef[0]), np.cos(x.coef[0])
+
+
+def sin(x, values=None):
+    """sin of a jet or an array; ``values`` is the jet's
+    :func:`sin_cos_values` when the caller already has them."""
     if not isinstance(x, Jet):
         return np.sin(x)
-    s, c = np.sin(x.coef[0]), np.cos(x.coef[0])
+    s, c = values or sin_cos_values(x)
     return _compose(x, [s, c, -0.5 * s, c / -6.0])
 
 
-def cos(x):
+def cos(x, values=None):
+    """cos of a jet or an array; ``values`` as for :func:`sin`."""
     if not isinstance(x, Jet):
         return np.cos(x)
-    s, c = np.sin(x.coef[0]), np.cos(x.coef[0])
+    s, c = values or sin_cos_values(x)
     return _compose(x, [c, -s, -0.5 * c, s / 6.0])
 
 

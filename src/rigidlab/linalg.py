@@ -8,7 +8,6 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .jets import batch_first
 
@@ -23,6 +22,7 @@ __all__ = [
 
 def singular_values(matrix):
     """Singular values in descending order; raises on non-finite input."""
+    import scipy.linalg      # not at import: most commands never need it
     a = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("singular_values: matrix has non-finite entries")
@@ -38,6 +38,7 @@ def numerical_rank(matrix, rel_tol=1e-10):
 
 def null_space(matrix, rel_tol=1e-10):
     """Orthonormal basis (rows) of the numerical null space."""
+    import scipy.linalg
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("null_space: matrix has non-finite entries")

@@ -1,11 +1,17 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidlab import jets as jt
+from rigidlab import surfaces as sf
 from rigidlab.expressions import (Binary, ExpressionError, Num, Pow, Unary,
                                   Var, evaluate_jet, parse_expression,
                                   to_text)
+from rigidlab.geometry import Immersion, interior_points
+from rigidlab.jets import Jet
 
 
 def test_parse_product_of_trig():
@@ -125,3 +131,124 @@ def test_jet_matches_finite_differences(tree, px, py):
         fd2 = (f(p + e) - 2 * f(p) + f(p - e)) / hh ** 2
         scale = max(1.0, abs(jet.hess[i, i]))
         assert abs(jet.hess[i, i] - fd2) / scale < 1e-5
+
+
+# -- chart programs against the tree walk -----------------------------------
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
+def _tree_walk(node, pts, order):
+    """One expression's jet by the recursive walk the chart programs
+    replace.  Coordinate jets lose their mark, so every power of an
+    increment comes from products, and sin and cos each take their own
+    np.sin and np.cos."""
+    n = pts.shape[-1]
+    if isinstance(node, Num):
+        return Jet.constant(node.value, n, order, pts.shape[:-1])
+    if isinstance(node, Var):
+        x = Jet.variable(pts[..., node.index - 1], node.index - 1, n, order)
+        return Jet(x.coef, n, order, x.batch_shape)
+    if isinstance(node, Unary):
+        arg = _tree_walk(node.arg, pts, order)
+        return -arg if node.op == "neg" else getattr(jt, node.op)(arg)
+    if isinstance(node, Pow):
+        return _tree_walk(node.base, pts, order) ** node.exponent
+    # a literal next to a non-literal enters as a plain number
+    left, right = (a.value if isinstance(a, Num) and not isinstance(b, Num)
+                   else _tree_walk(a, pts, order)
+                   for a, b in ((node.left, node.right),
+                                (node.right, node.left)))
+    return _BINARY[node.op](left, right)
+
+
+def _parts(jet):
+    return [jet.value, jet.grad, jet.hess, jet.third][:jet.order + 1]
+
+
+def _assert_program_is_the_tree_walk(components, pts, order):
+    jets = evaluate_jet(components, pts, order=order)
+    assert len(jets) == len(components)
+    for comp, jet in zip(components, jets):
+        for a, b in zip(_parts(jet), _parts(_tree_walk(comp, pts, order)),
+                        strict=True):
+            # bytes, so signed zeros and NaN payloads count
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_ROTATION = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))[0]
+
+
+def _oracle_charts():
+    charts = {name: build() for name, build in sf.catalog().items()}
+    for name in ("sphere", "ellipsoid", "quartic_cap_polar"):
+        # a -0.0 translation keeps a signed-zero literal in the program
+        charts[f"{name}-moved"] = sf.rigid_motion(
+            charts[name], _ROTATION, (0.3, -0.0, 1.5))
+    # repeated subtrees, every function of a bare coordinate, literals on
+    # both sides of an operator and under a function
+    charts["repeated"] = sf.load_surface({
+        "name": "repeated", "dim": 2,
+        "components": ["sin(x1*x2)^2 + cos(x1*x2)*sin(x1*x2) - sin(2)*x1",
+                       "exp(x1)*exp(x1) - log(x2) + sqrt(x1) + tan(x2)",
+                       "x2^-3 + 1/x1 - 2*3 + -2*x2 + x1^0 + x1 - 0.0"],
+        "domain": [[0.3, 1.2], [0.3, 1.2]], "periodic": [False, False]})
+    # 0.0 == -0.0, yet they are different literals: -0.0 + 0.0 is 0.0
+    minus_zero = Binary("*", Num(0.0), Unary("neg", Var(1)))   # -0.0 here
+    charts["signed-zeros"] = Immersion(
+        "signed_zeros", 2, tuple(Binary(op, Num(zero), minus_zero)
+                                 for op, zero in (("+", -0.0), ("+", 0.0),
+                                                  ("-", 0.0))),
+        ((0.3, 1.2), (0.3, 1.2)), (False, False))
+    return charts
+
+
+@pytest.mark.parametrize("batch", [1, 64, 4096])
+@pytest.mark.parametrize("name", sorted(_oracle_charts()))
+def test_chart_program_is_bitwise_the_tree_walk(name, batch):
+    chart = _oracle_charts()[name]
+    lo, hi = np.array(chart.domain).T
+    pts = lo + (hi - lo) * np.random.default_rng(batch).uniform(
+        0.05, 0.95, (batch, 2))
+    for order in range(4):
+        _assert_program_is_the_tree_walk(chart.components, pts, order)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(ast_strategy(depth=4), ast_strategy(depth=4), st.integers(0, 3))
+def test_programs_of_random_charts_are_the_tree_walk(a, b, order):
+    components = (a, Binary("*", a, b), Unary("sin", Binary("+", b, a)))
+    pts = np.random.default_rng(3).uniform(-0.8, 0.8, (5, 2))
+    with np.errstate(all="ignore"):
+        _assert_program_is_the_tree_walk(components, pts, order)
+
+
+def test_a_repeated_subtree_is_composed_once(monkeypatch):
+    composed = []
+    compose = jt._compose
+
+    def counted(u, taylor):
+        composed.append(u)
+        return compose(u, taylor)
+
+    monkeypatch.setattr(jt, "_compose", counted)
+    components = tuple(parse_expression(text, 2) for text in (
+        "sin(x1*x2) + x1", "x2*sin(x1*x2)", "cos(x1*x2)^2"))
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, (16, 2))
+    for order in range(4):
+        composed.clear()
+        evaluate_jet(components, pts, order=order)
+        # sin and cos of the one product jet, then the square of the cosine
+        assert len(composed) == 3
+        assert composed[0] is composed[1]
+
+
+def test_moved_ellipsoid_jets_do_not_depend_on_the_batch(
+        assert_batch_invariant):
+    chart = sf.rigid_motion(sf.ellipsoid(), _ROTATION, (0.3, -0.2, 1.5))
+    # more points than one block of a product
+    pts = interior_points(chart, 4096, np.random.default_rng(4))
+    assert_batch_invariant(
+        lambda p: tuple(part for jet in evaluate_jet(chart.components, p, 3)
+                        for part in _parts(jet)), pts)

@@ -678,6 +678,22 @@ def test_module_entry_point():
     assert "catalog-sphere" in proc.stdout
 
 
+def test_cli_import_leaves_scipy_linalg_and_sparse_unloaded():
+    import os
+    import subprocess
+    import sys as _sys
+
+    import rigidlab
+    src = os.path.dirname(os.path.dirname(rigidlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, rigidlab.cli\n"
+            "print(sorted({'scipy.linalg', 'scipy.sparse'} & set(sys.modules)))")
+    proc = subprocess.run([_sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 _PACKAGED_PAIR = str(importlib.resources.files("rigidlab") / "data"
                     / "flat_cylinder_pair.json")
 
