@@ -73,6 +73,9 @@ ADMISSIBLE_TOL = 1e-8
 THETA_SAMPLES = 4096          # turning angles of every profile; even: hits pi
 S_SAMPLES = 2048              # k_g(s) samples of a callable arclength profile
 UV_EXCLUSION = 1e-3           # U/V slope identity skips this near 0, pi, 2 pi
+DONG_TOL = 1e-6               # turning and tangent-loop closure residuals
+FLAT_BOUNDARY_RTOL = 1e-6     # lemma_hh: max |K| on the edge over max(1, |K|)
+K_T_MIN = 1e-3                # lemma_hh: least |K_t| on the edge
 # the boundary ODE keeps its stage table, the tabulated f, its u and v
 # steps and the path: peak RSS grows by about 320 bytes per RK4 step (100k
 # and 200k steps), tracemalloc counts about 275
@@ -251,10 +254,11 @@ class DongReport:
         return all(checks)
 
 
-def dong_conditions(source, tol=1e-6, depth=0.1, n_s=64, n_t=64):
+def dong_conditions(source, depth=0.1, n_s=64, n_t=64):
     """Necessary conditions for a profile to bound a smooth cap:
     total turning 2 pi, closed tangent loop, and positive transversal
-    curvature flux on the boundary.
+    curvature flux on the boundary.  Turning and closure hold when their
+    residuals are at most ``DONG_TOL``.
 
     ``source`` is a :class:`BoundaryProfile` (flux check skipped, needs an
     embedding), a :class:`GeodesicChart`, or an immersion+edge pair
@@ -297,8 +301,8 @@ def dong_conditions(source, tol=1e-6, depth=0.1, n_s=64, n_t=64):
         turning_residual=float(turning_residual),
         closure_residual=closure_residual,
         min_curvature_flux=flux,
-        turning_ok=turning_residual <= tol,
-        closure_ok=closure_residual <= tol,
+        turning_ok=turning_residual <= DONG_TOL,
+        closure_ok=closure_residual <= DONG_TOL,
         flux_ok=flux_ok)
 
 
@@ -318,17 +322,18 @@ class LemmaHHReport:
     b_t: np.ndarray
 
 
-def lemma_hh_check(source, depth=0.1, n_s=32, n_t=64,
-                   k_boundary_tol=1e-6, k_t_min=1e-3):
+def lemma_hh_check(source, depth=0.1, n_s=32, n_t=64):
     """Boundary behavior of the second fundamental form on a flat-boundary
     cap: the tangential components L, M vanish where K = 0 on the boundary,
     and N and the transversal derivative of L match sqrt(K_t / B_t) and
     sqrt(K_t B_t).
 
-    Preconditions (checked numerically): K = 0 on the boundary and
-    K_t != 0 there.  Derivatives are one-sided in t; they are taken in the
-    co-orientation (outward) for which the two square-root identities pick
-    the positive roots on an upward-oriented cap.
+    Preconditions (checked numerically): K = 0 on the boundary (max |K|
+    at most ``FLAT_BOUNDARY_RTOL`` of max(1, max |K|)) and K_t != 0 there
+    (|K_t| at least ``K_T_MIN``).  Derivatives are one-sided in t; they
+    are taken in the co-orientation (outward) for which the two
+    square-root identities pick the positive roots on an upward-oriented
+    cap.
     """
     if isinstance(source, GeodesicChart):
         chart = source
@@ -338,14 +343,14 @@ def lemma_hh_check(source, depth=0.1, n_s=32, n_t=64,
                                         n_s=n_s, n_t=n_t)
     K = chart.frame.curvature
     k_scale = max(1.0, float(np.max(np.abs(K))))
-    if float(np.max(np.abs(K[:, 0]))) > k_boundary_tol * k_scale:
+    if float(np.max(np.abs(K[:, 0]))) > FLAT_BOUNDARY_RTOL * k_scale:
         raise BoundaryError(
             "boundary is not curvature-flat: max |K| = "
             f"{float(np.max(np.abs(K[:, 0]))):.3e}")
     dt = chart.t[1] - chart.t[0]
     k_t = -_one_sided_derivative(K, dt)          # outward co-orientation
     b_t = -_one_sided_derivative(chart.B, dt)
-    if float(np.min(np.abs(k_t))) < k_t_min:
+    if float(np.min(np.abs(k_t))) < K_T_MIN:
         raise BoundaryError("K_t vanishes on the boundary; the square-root "
                             "identities are indeterminate")
     if np.any(k_t * b_t <= 0.0):

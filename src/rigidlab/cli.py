@@ -357,11 +357,11 @@ def run_boundary(args):
         profile = bd.BoundaryProfile.from_theta(args.kg)
     dong = bd.dong_conditions(profile)
     report.add(CheckEntry.residual(
-        "turning-angle", dong.turning_residual, 1e-6, "boundary",
+        "turning-angle", dong.turning_residual, bd.DONG_TOL, "boundary",
         "total geodesic turning equals 2 pi"))
     report.add(CheckEntry.residual(
-        "tangent-loop-closure", dong.closure_residual, 1e-6, "boundary",
-        "the unit tangent loop integral closes"))
+        "tangent-loop-closure", dong.closure_residual, bd.DONG_TOL,
+        "boundary", "the unit tangent loop integral closes"))
 
     sol = bd.solve_boundary_ode(profile, args.f, c1=1.0, c2=0.5,
                                 n_steps=args.steps)

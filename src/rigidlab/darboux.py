@@ -63,12 +63,11 @@ def support_at(immersion, point, frame=None):
                        position_residual=position_residual)
 
 
-def darboux_residual(immersion, point, frame=None, relative=True,
-                     support=None):
-    """det(rho_{i,j} - g_ij) - K det(g) mu^2 at ``point`` (n = 2 only).
+def darboux_residual(immersion, point, frame=None, support=None):
+    """det(rho_{i,j} - g_ij) - K det(g) mu^2 at ``point`` (n = 2 only),
+    divided by max(1, |lhs|, |rhs|).
 
-    Zero up to rounding for a genuine immersion.  With ``relative`` the
-    residual is divided by max(1, |lhs|, |rhs|).  ``support`` is the
+    Zero up to rounding for a genuine immersion.  ``support`` is the
     :func:`support_at` result of the same frame, when the caller has it.
     """
     if immersion.dim != 2:
@@ -78,10 +77,8 @@ def darboux_residual(immersion, point, frame=None, relative=True,
                                                          frame=fr)
     lhs = cofactor(sup.rho_hess - fr.metric, adjugate=False)[0]
     rhs = fr.curvature * fr.det_metric * sup.mu**2
-    res = np.abs(lhs - rhs)
-    if relative:
-        res = res / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return res
+    return np.abs(lhs - rhs) / np.maximum(
+        1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 @dataclass

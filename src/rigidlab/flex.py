@@ -36,11 +36,11 @@ import numpy as np
 from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
 from .expressions import evaluate_jet, parse_expression
-from .geometry import (_codazzi_defect, _cofactor_trace, _component_jets,
-                       _covariant_derivative, _relative_residual, frame_at,
-                       sample_grid)
+from .geometry import (_codazzi_defect, _component_jets,
+                       _covariant_derivative, _h_trace, _relative_residual,
+                       frame_at, sample_grid)
 from .jets import Jet, RigidlabError, batch_first, derivative_view, stacked
-from .linalg import cofactor, contract, singular_values
+from .linalg import contract, singular_values
 
 __all__ = [
     "FlexError",
@@ -78,6 +78,8 @@ FLEX_RESIDUAL_TOL = 1e-8
 NORMAL_ROUNDING = 1e3
 NORMAL_FLOOR = 1e6
 NORMAL_SHIFT = 1e-10              # c = NORMAL_SHIFT * sigma_max^2
+# a certificate needs sigma_(dim+1) / sigma_(dim) at least this
+GAP_REQUIREMENT = 10.0
 
 
 class FlexError(RigidlabError):
@@ -405,13 +407,7 @@ def _w_tensor(rj, fr):
 
     w_cov = _covariant_derivative(dw, fr.christoffels, w_sym)
 
-    h = fr.second_form
-    det_h = cofactor(h, adjugate=False)[0]
-    cof = _cofactor_trace(h, w_sym)
-    h_scale = np.maximum(np.max(np.abs(h), axis=(-1, -2)) ** 2, 1e-30)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        proper = cof / det_h
-    trace = np.where(np.abs(det_h) <= 1e-10 * h_scale, cof, proper)
+    trace = _h_trace(fr.second_form, w_sym)
     w_scale = np.maximum(1.0, np.max(np.abs(w_sym), axis=(-1, -2)))
     trace_res = np.abs(trace) / w_scale
 
@@ -928,7 +924,7 @@ def _trivial_basis(op):
     return q
 
 
-def _deflated_certificate(op, rel_tol, gap_requirement):
+def _deflated_certificate(op, rel_tol):
     """Certificate from two Courant-Fischer bounds, without a dense SVD.
 
     With T the orthonormal trivial motions and A the reduced operator,
@@ -942,7 +938,7 @@ def _deflated_certificate(op, rel_tol, gap_requirement):
     component along its eigenvector.
 
     Returns (kappa, mu, sigma_max) when kappa <= cut < mu,
-    mu >= gap_requirement * kappa and mu^2 is at least NORMAL_FLOOR
+    mu >= GAP_REQUIREMENT * kappa and mu^2 is at least NORMAL_FLOOR
     rounding units above zero, each with its rounding margin against the
     certificate; None otherwise.  Since sigma_6 <= kappa and
     sigma_7 >= mu, a chart certified here is certified by the dense SVD.
@@ -986,7 +982,7 @@ def _deflated_certificate(op, rel_tol, gap_requirement):
     if not (top > 0.0 and kappa_hi <= rel_tol * sigma_lo):
         return None
     # mu^2 must exceed all three, each with its margin
-    need = max((rel_tol * sigma_hi) ** 2, (gap_requirement * kappa_hi) ** 2,
+    need = max((rel_tol * sigma_hi) ** 2, (GAP_REQUIREMENT * kappa_hi) ** 2,
                NORMAL_FLOOR * eps * top_hi)
 
     shift = NORMAL_SHIFT * top
@@ -1036,12 +1032,12 @@ class KernelReport:
     resolved: Optional[tuple] = None
 
 
-def kernel_dimension(op, rel_tol=1e-8, gap_requirement=10.0):
+def kernel_dimension(op, rel_tol=1e-8):
     """Count near-zero singular values of the assembled operator.
 
     dim = #(sigma <= rel_tol * sigma_max).  A rigidity certificate is
     issued only when dim equals the trivial-motion count and the spectral
-    gap ratio sigma_(dim+1)/sigma_(dim) is at least ``gap_requirement``;
+    gap ratio sigma_(dim+1)/sigma_(dim) is at least ``GAP_REQUIREMENT``;
     without a clear gap the verdict is "indeterminate", never a false
     certificate.
 
@@ -1055,7 +1051,7 @@ def kernel_dimension(op, rel_tol=1e-8, gap_requirement=10.0):
     """
     expected = trivial_motion_count(3)
     if isinstance(op, FlexOperator) and op.rotation is None:
-        bounds = _deflated_certificate(op, rel_tol, gap_requirement)
+        bounds = _deflated_certificate(op, rel_tol)
         if bounds is not None:
             kappa, mu, smax = bounds
             gap = mu / max(kappa, smax * 1e-300)
@@ -1083,7 +1079,7 @@ def kernel_dimension(op, rel_tol=1e-8, gap_requirement=10.0):
         gap = float("inf")
     else:
         gap = next_sigma / max(kernel_sigma, smax * 1e-300)
-    if gap < gap_requirement:
+    if gap < GAP_REQUIREMENT:
         verdict = "indeterminate"
     elif dim == expected:
         verdict = "certified-rigid"

@@ -43,6 +43,10 @@ __all__ = [
 # Tangent frames are rejected when det(g) falls below this times the natural
 # scale (max tangent norm)^(2n).
 DEGENERACY_RTOL = 1e-12
+# Immersion.contains accepts points this fraction of an axis's width outside
+CONTAINS_SLACK = 1e-9
+# _h_trace treats h as singular when |det h| <= this times max |h_ij|^2
+SINGULAR_FORM_RTOL = 1e-10
 
 
 class GeometryError(RigidlabError):
@@ -90,14 +94,16 @@ class Immersion:
     def ambient_dim(self):
         return self.dim + 1
 
-    def contains(self, point, slack=1e-9):
+    def contains(self, point):
+        """Whether each point lies in the domain box, widened on every
+        non-periodic axis by ``CONTAINS_SLACK`` of its width."""
         pts = np.asarray(point, dtype=float)
         ok = np.ones(pts.shape[:-1], dtype=bool)
         for i, (lo, hi) in enumerate(self.domain):
             if self.periodic[i]:
                 continue
-            w = hi - lo
-            ok &= (pts[..., i] >= lo - slack * w) & (pts[..., i] <= hi + slack * w)
+            slack = CONTAINS_SLACK * (hi - lo)
+            ok &= (pts[..., i] >= lo - slack) & (pts[..., i] <= hi + slack)
         return ok
 
 
@@ -143,8 +149,14 @@ def frame_at(immersion, point, order=2):
         raise ValueError("frames need jets of order >= 2")
     pts, jts = _component_jets(immersion, point, order)
     position, tangents, d2, *d3 = stacked(jts, range(order + 1))
-    metric, det_metric, metric_inv, dmetric, christoffels = _connection(
-        immersion, tangents, d2)
+    metric, det_metric, metric_inv = _metric(immersion, tangents)
+    # the connection is the tangential part of r_ij:
+    # Gamma^k_ij = g^{kl} r_l . r_ij, from first[..., l, i, j] = r_l . r_ij
+    first = contract("...al,...aij->...lij", tangents, d2)
+    christoffels = contract("...kl,...lij->...kij", metric_inv, first)
+    # d_k g_ij = r_j . r_ik + r_i . r_jk
+    dmetric = np.swapaxes(first, -1, -3)
+    dmetric = dmetric + np.swapaxes(dmetric, -1, -2)
 
     normal = _cross_normal(tangents)
     nrm = np.sqrt(contract("...a,...a->...", normal, normal))
@@ -163,9 +175,8 @@ def frame_at(immersion, point, order=2):
         order=order, d3=d3[0] if d3 else None, jets=jts)
 
 
-def _connection(immersion, tangents, d2):
-    """Metric, det g, inverse metric, d_k g_ij and the Christoffel symbols
-    from the first and second chart derivatives of the immersion.
+def _metric(immersion, tangents):
+    """Metric, det g and inverse metric from the chart tangents.
 
     Raises :class:`DegenerateFrameError` when det g falls under
     ``1e-12 * (max tangent norm)^(2n)``.
@@ -178,23 +189,7 @@ def _connection(immersion, tangents, d2):
         raise DegenerateFrameError(
             f"immersion {immersion.name}: degenerate tangent frame "
             f"(min det g = {np.min(det_metric):.3e})")
-    metric_inv = adj_metric / det_metric[..., None, None]
-
-    dmetric = contract("...aik,...aj->...kij", d2, tangents)
-    dmetric = dmetric + np.swapaxes(dmetric, -1, -2)
-    # Gamma^l_ij = 1/2 g^{lk} (d_i g_jk + d_j g_ik - d_k g_ij)
-    bracket = (np.einsum("...ijk->...kij", dmetric)
-               + np.einsum("...jik->...kij", dmetric)
-               - dmetric)
-    christoffels = 0.5 * contract("...lk,...kij->...lij", metric_inv, bracket)
-    return metric, det_metric, metric_inv, dmetric, christoffels
-
-
-def _christoffels_at(immersion, point):
-    """Gamma^k_ij at ``point`` from the order-2 jets alone: no normal,
-    second form or curvature."""
-    _, jts = _component_jets(immersion, point, 2)
-    return _connection(immersion, *stacked(jts, (1, 2)))[-1]
+    return metric, det_metric, adj_metric / det_metric[..., None, None]
 
 
 def _cross_normal(tangents):
@@ -265,6 +260,19 @@ def _cofactor_trace(h, w):
     h_11 w_22 + h_22 w_11 - 2 h_12 w_12."""
     return (h[..., 0, 0] * w[..., 1, 1] + h[..., 1, 1] * w[..., 0, 0]
             - 2.0 * h[..., 0, 1] * w[..., 0, 1])
+
+
+def _h_trace(h, w):
+    """h^{ij} w_ij of 2x2 tensors, or its cofactor form det(h) h^{ij} w_ij
+    where h is singular: |det h| <= SINGULAR_FORM_RTOL max |h_ij|^2, a cut
+    relative to h's own scale (floored at 1e-30), so the choice does not
+    depend on the units of h."""
+    det_h = cofactor(h, adjugate=False)[0]
+    cof = _cofactor_trace(h, w)
+    scale = np.maximum(np.max(np.abs(h), axis=(-1, -2)) ** 2, 1e-30)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        proper = cof / det_h
+    return np.where(np.abs(det_h) <= SINGULAR_FORM_RTOL * scale, cof, proper)
 
 
 def codazzi_residual(immersion, point, frame=None):
@@ -383,9 +391,9 @@ class GeodesicChart:
         """Pulled-back second fundamental form components (L, M, N) on the
         (s, t) grid, i.e. h(F_s, F_s), h(F_s, F_t), h(F_t, F_t)."""
         Fs, Ft, h = self.dpoints_ds, self.velocities, self.frame.second_form
-        L = np.einsum("...ij,...i,...j->...", h, Fs, Fs)
-        M = np.einsum("...ij,...i,...j->...", h, Fs, Ft)
-        N = np.einsum("...ij,...i,...j->...", h, Ft, Ft)
+        L = contract("...ij,...i,...j->...", h, Fs, Fs)
+        M = contract("...ij,...i,...j->...", h, Fs, Ft)
+        N = contract("...ij,...i,...j->...", h, Ft, Ft)
         return L, M, N
 
 
@@ -439,13 +447,18 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
     nu = np.zeros((n_s, 2))
     nu[:, axis] = 1.0
     nu[:, other] = -g0[:, axis, other] / g0[:, other, other]
-    norm = np.sqrt(np.einsum("...i,...ij,...j->...", nu, g0, nu))
+    norm = np.sqrt(contract("...i,...ij,...j->...", nu, g0, nu))
     nu = nu / norm[:, None]
     if side == "hi":
         nu = -nu
 
-    # geodesic curvature of the edge, chart convention B_t(s, 0) = -g(D_T T, nu)
-    kg = _edge_kg(fr0, other, nu)
+    # geodesic curvature of the edge, chart convention B_t(s, 0) =
+    # -g(D_T T, nu) for T = r_p / sqrt(g_pp): only the tangential part of
+    # the curve acceleration r_pp / g_pp counts, and r_p is g-orthogonal
+    # to nu, so k_g = -(r_pp . r_x nu) / g_pp
+    nu_ambient = contract("...ai,...i->...a", fr0.tangents, nu)
+    kg = -(contract("...a,...a->...", fr0.d2[..., other, other], nu_ambient)
+           / g0[..., other, other])
 
     # shoot all geodesics at once
     t_nodes = np.linspace(0.0, depth, n_t + 1)
@@ -457,7 +470,7 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
     pts[:, 0], vel[:, 0] = x, v
     for j in range(n_t):
         x, v = _rk4_geodesic_step(immersion, x, v, hstep)
-        if not np.all(immersion.contains(x, slack=1e-9)):
+        if not np.all(immersion.contains(x)):
             raise GeodesicChartError(
                 f"geodesic left the domain at t = {t_nodes[j + 1]:.4f}")
         pts[:, j + 1], vel[:, j + 1] = x, v
@@ -473,9 +486,9 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
     frame = frame_at(immersion, pts, order=2)
     g_grid = frame.metric
     Ft = vel
-    g_ss = np.einsum("...i,...ij,...j->...", Fs, g_grid, Fs)
-    g_st = np.einsum("...i,...ij,...j->...", Fs, g_grid, Ft)
-    g_tt = np.einsum("...i,...ij,...j->...", Ft, g_grid, Ft)
+    g_ss = contract("...i,...ij,...j->...", Fs, g_grid, Fs)
+    g_st = contract("...i,...ij,...j->...", Fs, g_grid, Ft)
+    g_tt = contract("...i,...ij,...j->...", Ft, g_grid, Ft)
     B = np.sqrt(g_ss)
     if np.any(B < 1e-3):
         raise GeodesicChartError("caustic: B dropped to zero inside the chart")
@@ -488,25 +501,20 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
         max_b0_error=float(np.max(np.abs(B[:, 0] - 1.0))), frame=frame)
 
 
-def _edge_kg(fr0, other, nu):
-    """B_t(s, 0) for the inward chart: minus the g-projection of the curve
-    acceleration D_T T onto the inward normal."""
-    g0 = fr0.metric
-    gpp = g0[..., other, other]
-    # dT^k/ds along the curve for T = e_other / sqrt(g_pp)
-    dgpp = fr0.dmetric[..., other, other, other]      # d_other g_pp
-    dT = np.zeros_like(nu)
-    dT[:, other] = -0.5 * dgpp / gpp ** 2
-    gamma = fr0.christoffels
-    acc = dT + gamma[..., other, other] / gpp[..., None]
-    return -np.einsum("...i,...ij,...j->...", acc, g0, nu)
+def _geodesic_acceleration(immersion, x, v):
+    """x'' = -Gamma(v, v) = -g^{-1} r_x^T (r_xx[v, v]) of the geodesics
+    through ``x`` with velocity ``v``, from the order-2 jets alone."""
+    _, jts = _component_jets(immersion, x, 2)
+    tangents, d2 = stacked(jts, (1, 2))
+    metric_inv = _metric(immersion, tangents)[2]
+    r_vv = contract("...aij,...i,...j->...a", d2, v, v)
+    return -contract("...kl,...l->...k", metric_inv,
+                     contract("...al,...a->...l", tangents, r_vv))
 
 
 def _rk4_geodesic_step(immersion, x, v, h):
     def rhs(state_x, state_v):
-        gam = _christoffels_at(immersion, state_x)
-        a = -np.einsum("...kij,...i,...j->...k", gam, state_v, state_v)
-        return state_v, a
+        return state_v, _geodesic_acceleration(immersion, state_x, state_v)
 
     k1x, k1v = rhs(x, v)
     k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import support_at
-from .geometry import (_codazzi_defect, _cofactor_trace, _relative_residual,
-                       frame_at, sample_grid, second_form_derivatives)
+from .geometry import (_codazzi_defect, _cofactor_trace, _h_trace,
+                       _relative_residual, frame_at, sample_grid,
+                       second_form_derivatives)
 from .jets import RigidlabError
 from .linalg import cofactor, contract
 from .quadrature import gauss_legendre_nodes
@@ -46,8 +47,6 @@ __all__ = [
     "energy_integrand",
     "cofactor_divergence_identity",
 ]
-
-SINGULAR_HBAR_RTOL = 1e-10
 
 
 class PairError(RigidlabError):
@@ -131,8 +130,8 @@ def verify_gauss_trace_and_codazzi(pair, point, frames=None,
                                    difference=None):
     """(trace residual, Codazzi residual) of the difference form W.
 
-    The trace uses hbar^{ij} W_ij when hbar is safely invertible and the
-    equivalent cofactor form otherwise.  Codazzi compares the covariant
+    The trace is hbar^{ij} W_ij, or its cofactor form where hbar is
+    singular relative to its own scale (``geometry._h_trace``).  Codazzi compares the covariant
     derivatives W_{ij,k} and W_{ik,j}, each surface differentiating its own
     second form.  ``frames`` must be of order 3; ``difference`` is as in
     :func:`verify_w_formula`.
@@ -141,14 +140,7 @@ def verify_gauss_trace_and_codazzi(pair, point, frames=None,
     d = difference if difference is not None else difference_tensors(
         pair, point, frames=(f1, f2))
 
-    hbar = d.h_bar
-    det_hbar = cofactor(hbar, adjugate=False)[0]
-    scale_h = np.max(np.abs(hbar), axis=(-1, -2)) ** 2
-    singular = np.abs(det_hbar) <= SINGULAR_HBAR_RTOL * np.maximum(scale_h, 1.0)
-    cof = _cofactor_trace(hbar, d.w_diff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        proper = cof / det_hbar
-    trace = np.where(singular, cof, proper)
+    trace = _h_trace(d.h_bar, d.w_diff)
     w_scale = np.maximum(1.0, np.max(np.abs(d.w_diff), axis=(-1, -2)))
     trace_res = np.abs(trace) / w_scale
 

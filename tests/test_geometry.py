@@ -7,7 +7,8 @@ from rigidlab import surfaces as sf
 from rigidlab.darboux import darboux_residual, support_at
 from rigidlab.expressions import parse_expression
 from rigidlab.geometry import (DegenerateFrameError, GeodesicChartError,
-                               Immersion, brioschi_curvature,
+                               Immersion, _geodesic_acceleration,
+                               brioschi_curvature,
                                codazzi_residual, covariant_hessian, frame_at,
                                geodesic_boundary_chart, interior_points,
                                second_form_derivatives)
@@ -142,6 +143,81 @@ def test_chart_start_points_are_equally_spaced_in_arclength():
     assert chart.length == pytest.approx(
         gauss_legendre(speed, 0.0, 2 * np.pi, cells=32), abs=1e-12)
     assert np.max(np.abs(arcs - chart.length / 64)) < 1e-12
+
+
+# -- one connection formula: Gamma^k_ij = g^{kl} r_l . r_ij -----------------
+
+def _bracket_christoffels(fr):
+    """1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) from ``fr.dmetric``."""
+    dg = np.asarray(fr.dmetric)                         # [..., l, i, j]
+    bracket = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+               - dg)
+    return 0.5 * np.einsum("...kl,...lij->...kij", fr.metric_inv, bracket)
+
+
+def _inward(surf):
+    return sf.load_surface({**sf.surface_to_dict(surf),
+                            "orientation": "inward"})
+
+
+CONNECTION_CHARTS = [builder() for builder in sf.catalog().values()] + [
+    sf.spherical_cap(0.2, 1.3), sf.flat_disk_polar(),
+    sf.rigid_motion(sf.ellipsoid(), [[0.0, -1.0, 0.0], [0.6, 0.0, -0.8],
+                                     [0.8, 0.0, 0.6]], [0.3, -0.2, 0.1]),
+    _inward(sf.quartic_cap_polar())]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_christoffels_are_the_metric_bracket(order):
+    rng = np.random.default_rng(31)
+    for surf in CONNECTION_CHARTS:
+        fr = frame_at(surf, interior_points(surf, 200, rng), order=order)
+        expected = _bracket_christoffels(fr)
+        assert np.max(np.abs(fr.christoffels - expected)) <= 1e-13 * np.max(
+            np.abs(expected)), surf.name
+
+
+def test_geodesic_acceleration_is_minus_christoffels_of_the_velocity():
+    rng = np.random.default_rng(32)
+    for surf in CONNECTION_CHARTS:
+        pts = interior_points(surf, 200, rng)
+        vel = rng.normal(size=pts.shape)
+        acc = _geodesic_acceleration(surf, pts, vel)
+        fr = frame_at(surf, pts, order=2)
+        expected = -np.einsum("...kij,...i,...j->...k", fr.christoffels,
+                              vel, vel)
+        # relative to |v|^2 too, where Gamma vanishes (plane, cylinder)
+        scale = max(np.max(np.abs(expected)), np.max(vel ** 2))
+        assert np.max(np.abs(acc - expected)) <= 1e-13 * scale, surf.name
+
+
+def _christoffel_edge_kg(fr0, other, nu):
+    """B_t(s, 0) for the inward chart by the Christoffel route: minus the
+    g-projection of the curve acceleration D_T T onto the inward normal."""
+    g0 = fr0.metric
+    gpp = g0[..., other, other]
+    # dT^k/ds along the curve for T = e_other / sqrt(g_pp)
+    dgpp = fr0.dmetric[..., other, other, other]      # d_other g_pp
+    dT = np.zeros_like(nu)
+    dT[:, other] = -0.5 * dgpp / gpp ** 2
+    acc = dT + fr0.christoffels[..., other, other] / gpp[..., None]
+    return -np.einsum("...i,...ij,...j->...", acc, g0, nu)
+
+
+@pytest.mark.parametrize("surf, edge", [
+    (sf.quartic_cap_polar(), (1, "hi")),
+    (sf.spherical_cap(0.0, 1.2), (1, "lo")),
+    (sf.spherical_cap(0.5, 1.4), (1, "lo")),
+    (sf.flat_disk_polar(), (1, "hi")),
+])
+def test_edge_kg_is_the_christoffel_projection(surf, edge):
+    chart = geodesic_boundary_chart(surf, edge, depth=0.05, n_s=32, n_t=2)
+    fr0 = frame_at(surf, chart.points[:, 0], order=2)
+    expected = _christoffel_edge_kg(fr0, 1 - edge[0], chart.velocities[:, 0])
+    assert np.max(np.abs(chart.kg - expected)) <= 1e-13 * max(
+        1.0, np.max(np.abs(expected)))
+    if surf.name == "flat_disk_polar":
+        assert chart.kg == pytest.approx(np.full(32, -1.0), abs=1e-12)
 
 
 def test_geodesic_leaves_domain_raises():

@@ -102,6 +102,18 @@ def test_trace_and_codazzi_residuals():
     assert np.max(tr) < 1e-7 and np.max(cz) < 1e-7
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+def test_trace_verdict_does_not_depend_on_the_units(scale):
+    # spheres of radii 1 and 1.2 (times ``scale``) are not isometric: the
+    # hbar-trace of W is 2/11 wherever it is taken.  At scale 1e-6,
+    # det hbar ~ 1e-12 is tiny in absolute terms but not against
+    # max |hbar|^2, so the trace must not fall back to the cofactor form
+    pair = IsometricPair(sf.sphere(scale), sf.sphere(1.2 * scale))
+    pts = interior_points(pair.first, 50, np.random.default_rng(3))
+    tr, _ = verify_gauss_trace_and_codazzi(pair, pts)
+    assert np.max(tr) == pytest.approx(2.0 / 11.0, rel=1e-12)
+
+
 # -- energy pairing -----------------------------------------------------------
 
 def test_energy_of_metric_on_identical_spheres():
