@@ -123,67 +123,97 @@ def _surface_inputs(immersion):
     return {"surface": immersion.name, "dim": immersion.dim}
 
 
+def _point_blocks(immersion, count, rng, tail=None):
+    """The sample points in consecutive blocks of at most
+    ``gm.POINT_BLOCK``: ``count`` interior points drawn from ``rng`` block
+    by block (bitwise one draw of all of them), then the rows of ``tail``."""
+    tail = np.empty((0, immersion.dim)) if tail is None else tail
+    total, block = count + len(tail), gm.POINT_BLOCK
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        drawn = gm.interior_points(immersion, max(min(stop, count) - start, 0),
+                                   rng)
+        yield np.concatenate(
+            [drawn, tail[max(start - count, 0):max(stop - count, 0)]])
+
+
+def _fold_max(worst, **values):
+    """Fold each block's residual array into its running maximum in
+    ``worst``; NaN propagates as in one np.max over the whole batch."""
+    for name, value in values.items():
+        worst[name] = np.maximum(worst.get(name, -np.inf), np.max(value))
+
+
 def run_check_surface(args):
     immersion = sf.load_surface(args.surface)
     report = Report(command="check-surface", seed=args.seed,
                     inputs={**_surface_inputs(immersion),
                             "grid": list(args.grid), "points": args.points})
-    rng = np.random.default_rng(args.seed)
-    pts = gm.interior_points(immersion, args.points, rng)
+    grid_pts = None
     if immersion.dim == len(args.grid):
-        grid_pts = gm.sample_grid(immersion, args.grid, margin=0.02)
-        pts = np.concatenate([pts, grid_pts.reshape(-1, immersion.dim)])
-    if len(pts) == 0:
+        grid_pts = gm.sample_grid(immersion, args.grid, margin=0.02).reshape(
+            -1, immersion.dim)
+    total = args.points + (0 if grid_pts is None else len(grid_pts))
+    if total == 0:
         raise _UsageError("check-surface needs at least one sample point "
                           "(--points or --grid)")
-    frame = gm.frame_at(immersion, pts, order=3)
+    # every check is a max of residuals, a min eigenvalue or a count, so
+    # folding them block by block gives the bits of one whole-batch pass
+    worst, eigmin, skipped = {}, np.inf, 0
+    rng = np.random.default_rng(args.seed)
+    for pts in _point_blocks(immersion, args.points, rng, grid_pts):
+        frame = gm.frame_at(immersion, pts, order=3)
+        _fold_max(
+            worst,
+            unit=np.abs(contract("...a,...a->...", frame.normal,
+                                 frame.normal) - 1),
+            orth=np.abs(contract("...a,...ai->...i", frame.normal,
+                                 frame.tangents)),
+            codazzi=gm.codazzi_residual(immersion, pts, frame=frame))
+        eigmin = np.minimum(eigmin,
+                            np.linalg.eigvalsh(frame.metric)[..., 0].min())
+        sup = dx.support_at(immersion, pts, frame=frame)
+        shape = dx.verify_shape_identity(immersion, pts, frame=frame,
+                                         support=sup)
+        skipped += int(np.sum(shape.skipped))
+        _fold_max(worst, norm=sup.norm_residual,
+                  position=sup.position_residual,
+                  shape=np.where(shape.skipped, 0.0, shape.max_residual))
+        if immersion.dim == 2:
+            intrinsic = gm.brioschi_curvature(immersion, pts, frame=frame)
+            scale = np.maximum(1.0, np.abs(frame.curvature))
+            _fold_max(worst,
+                      gauss=np.abs(intrinsic - frame.curvature) / scale,
+                      monge=dx.darboux_residual(immersion, pts, frame=frame,
+                                                support=sup))
 
-    unit = np.abs(contract("...a,...a->...", frame.normal, frame.normal) - 1)
-    orth = np.abs(contract("...a,...ai->...i", frame.normal, frame.tangents))
     report.add(CheckEntry.residual(
-        "normal-frame", max(float(unit.max()), float(orth.max())), 1e-12,
-        "geometry", "unit normal orthogonal to all tangents"))
-
-    eigmin = np.linalg.eigvalsh(frame.metric)[..., 0]
+        "normal-frame", max(float(worst["unit"]), float(worst["orth"])),
+        1e-12, "geometry", "unit normal orthogonal to all tangents"))
     report.add(CheckEntry.condition(
-        "metric-positive", bool(np.all(eigmin > 0)), float(eigmin.min()),
+        "metric-positive", bool(eigmin > 0), float(eigmin),
         "geometry", "induced metric is positive definite"))
-
     if immersion.dim == 2:
-        intrinsic = gm.brioschi_curvature(immersion, pts, frame=frame)
-        scale = np.maximum(1.0, np.abs(frame.curvature))
         report.add(CheckEntry.residual(
-            "gauss-equation",
-            float(np.max(np.abs(intrinsic - frame.curvature) / scale)), 1e-6,
-            "geometry",
+            "gauss-equation", float(worst["gauss"]), 1e-6, "geometry",
             "det(h)/det(g) equals the metric-only curvature"))
-
     report.add(CheckEntry.residual(
-        "codazzi-h", float(np.max(gm.codazzi_residual(immersion, pts,
-                                                      frame=frame))),
-        1e-8, "geometry",
+        "codazzi-h", float(worst["codazzi"]), 1e-8, "geometry",
         "covariant derivative of h is symmetric in all slots"))
-
-    sup = dx.support_at(immersion, pts, frame=frame)
     report.add(CheckEntry.residual(
-        "support-norm", float(np.max(sup.norm_residual)), 1e-10, "darboux",
+        "support-norm", float(worst["norm"]), 1e-10, "darboux",
         "mu^2 = 2 rho - |grad rho|^2"))
     report.add(CheckEntry.residual(
-        "support-position", float(np.max(sup.position_residual)), 1e-10,
+        "support-position", float(worst["position"]), 1e-10,
         "darboux", "r = g^{ij} rho_i r_j + mu n"))
-
     if immersion.dim == 2:
         report.add(CheckEntry.residual(
-            "monge-ampere", float(np.max(dx.darboux_residual(
-                immersion, pts, frame=frame, support=sup))), 1e-8, "darboux",
+            "monge-ampere", float(worst["monge"]), 1e-8, "darboux",
             "det(rho_hess - g) = K det(g) mu^2"))
-    shape = dx.verify_shape_identity(immersion, pts, frame=frame, support=sup)
-    all_skipped = bool(np.all(shape.skipped))
-    live = np.where(shape.skipped, 0.0, shape.max_residual)
     report.add(CheckEntry.residual(
-        "shape-identity", float(np.max(live)), 1e-8, "darboux",
+        "shape-identity", float(worst["shape"]), 1e-8, "darboux",
         "h mu = rho_hess - g (skipping support-degenerate points)",
-        skip=all_skipped, skipped_points=int(np.sum(shape.skipped))))
+        skip=skipped == total, skipped_points=skipped))
     return report
 
 
@@ -217,28 +247,29 @@ def run_pair_check(args):
     if deviation > pair.tolerance:
         return report
 
+    worst = {}
     rng = np.random.default_rng(args.seed)
-    pts = gm.interior_points(pair.first, args.points, rng)
-    # one order-3 frame per surface serves all three checks
-    frames = tuple(gm.frame_at(s, pts, order=3)
-                   for s in (pair.first, pair.second))
-    d = pr.difference_tensors(pair, pts, frames=frames)
+    for pts in _point_blocks(pair.first, args.points, rng):
+        # one order-3 frame per surface serves all three checks
+        frames = tuple(gm.frame_at(s, pts, order=3)
+                       for s in (pair.first, pair.second))
+        d = pr.difference_tensors(pair, pts, frames=frames)
+        w = pr.verify_w_formula(pair, pts, frames=frames, difference=d)
+        trace, codazzi = pr.verify_gauss_trace_and_codazzi(
+            pair, pts, frames=frames, difference=d)
+        _fold_max(worst, det=d.det_residual, w=w, trace=trace,
+                  codazzi=codazzi)
     report.add(CheckEntry.residual(
-        "equal-h-determinants", float(np.max(d.det_residual)), 1e-8, "pairs",
+        "equal-h-determinants", float(worst["det"]), 1e-8, "pairs",
         "det(h) and det(h~) both equal K det(g)"))
     report.add(CheckEntry.residual(
-        "w-from-support",
-        float(np.max(pr.verify_w_formula(pair, pts, frames=frames,
-                                         difference=d))),
-        1e-8, "pairs",
+        "w-from-support", float(worst["w"]), 1e-8, "pairs",
         "W (mu + mu~) = 2 Phi_hess + hbar (mu - mu~)"))
-    trace, codazzi = pr.verify_gauss_trace_and_codazzi(
-        pair, pts, frames=frames, difference=d)
     report.add(CheckEntry.residual(
-        "w-trace-free", float(np.max(trace)), 1e-7, "pairs",
+        "w-trace-free", float(worst["trace"]), 1e-7, "pairs",
         "hbar-trace of W vanishes (cofactor form when singular)"))
     report.add(CheckEntry.residual(
-        "w-codazzi", float(np.max(codazzi)), 1e-7, "pairs",
+        "w-codazzi", float(worst["codazzi"]), 1e-7, "pairs",
         "covariant derivative of W is symmetric"))
     return report
 

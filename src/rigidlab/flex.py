@@ -38,7 +38,7 @@ from .darboux import SUPPORT_DEGENERATE_TOL, support_at
 from .expressions import evaluate_jet, parse_expression
 from .geometry import (_codazzi_defect, _component_jets,
                        _covariant_derivative, _h_trace, _relative_residual,
-                       frame_at, sample_grid)
+                       frame_at, in_point_blocks, sample_grid)
 from .jets import Jet, RigidlabError, batch_first, derivative_view, stacked
 from .linalg import contract, singular_values
 
@@ -352,6 +352,7 @@ def _hodge(y):
     return out
 
 
+@in_point_blocks
 def rotation_data(immersion, fld, point):
     """Rotation vector Y with dtau = Y x dr, its derivative, and the mixed
     tensor a_k^l.  Non-flex inputs are flagged through ``is_flex`` and the
@@ -388,6 +389,7 @@ class WTensor:
     codazzi_residual: np.ndarray
 
 
+@in_point_blocks
 def w_tensor(immersion, fld, point):
     """Extract w_ij = r_j . (Y_i n) from the rotation derivative, with
     covariant derivatives and the trace/Codazzi health residuals.  w is
@@ -425,6 +427,7 @@ class PhiRelationResult:
     b_field_residual: np.ndarray  # reconstruction check of b = tau - Y x r
 
 
+@in_point_blocks
 def phi_relation_residual(immersion, fld, point):
     """Residual of  w_ij mu^2 + phi_{i,j} mu - h_ij nu / 2  (relative),
     with phi = r . tau and nu = 2 (phi - grad phi . grad rho).

@@ -14,6 +14,7 @@ Sign conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,6 +39,8 @@ __all__ = [
     "geodesic_boundary_chart",
     "interior_points",
     "sample_grid",
+    "POINT_BLOCK",
+    "in_point_blocks",
 ]
 
 # Tangent frames are rejected when det(g) falls below this times the natural
@@ -47,6 +50,10 @@ DEGENERACY_RTOL = 1e-12
 CONTAINS_SLACK = 1e-9
 # _h_trace treats h as singular when |det h| <= this times max |h_ij|^2
 SINGULAR_FORM_RTOL = 1e-10
+# points per block of the pointwise suites (in_point_blocks, and the
+# check-surface and pair-check loops): a block's order-3 jets and frame stay
+# in cache-sized arrays, and memory does not grow with the batch
+POINT_BLOCK = 4096
 
 
 class GeometryError(RigidlabError):
@@ -204,6 +211,38 @@ def _cross_normal(tangents):
         (0,) + tuple(range(3, batch + 3)) + (1, 2)), adjugate=False)[0]
     sign = np.array([(-1.0) ** a for a in range(a_dim)])
     return batch_first(det * sign.reshape((a_dim,) + (1,) * batch), 1)
+
+
+def in_point_blocks(f):
+    """Run the pointwise entry point ``f(immersion, fld, point)`` on
+    consecutive ``POINT_BLOCK``-point slices of the flattened batch and join
+    each array field of the returned dataclass back into the batch shape,
+    batch-first with the points axis innermost in memory.  A point's result
+    does not depend on its batch, so the join is bitwise one call on the
+    whole batch; a batch of at most ``POINT_BLOCK`` points calls ``f``
+    unchanged."""
+    @functools.wraps(f)
+    def run(immersion, fld, point):
+        pts = np.asarray(point, dtype=float)
+        flat = pts.reshape(-1, pts.shape[-1])
+        count, block = len(flat), POINT_BLOCK
+        if count <= block:
+            return f(immersion, fld, point)
+        storage = None
+        for start in range(0, count, block):
+            part = f(immersion, fld, flat[start:start + block])
+            if storage is None:
+                storage = {name: np.empty(value.shape[1:] + (count,),
+                                          value.dtype)
+                           for name, value in vars(part).items()}
+            for name, value in vars(part).items():
+                storage[name][..., start:start + block] = np.moveaxis(
+                    value, 0, -1)
+        return type(part)(**{
+            name: batch_first(s.reshape(s.shape[:-1] + pts.shape[:-1]),
+                              s.ndim - 1)
+            for name, s in storage.items()})
+    return run
 
 
 def covariant_hessian(immersion, scalar_field, point, frame=None):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flex import rotation_jets
+from .geometry import in_point_blocks
 from .jets import RigidlabError, stacked
 from .linalg import contract, null_space, numerical_rank
 
@@ -95,6 +96,7 @@ class BivectorDecomposition:
     flex_residual: np.ndarray     # how well dtau = Y dr held pointwise
 
 
+@in_point_blocks
 def decompose_rotation_bivector(immersion, fld, point):
     """Pointwise rotation of a flex and the frame expansion of its derivative.
 

@@ -247,9 +247,15 @@ class Jet:
         u = self.coef[0]
         if np.any(u == 0.0):
             raise JetDomainError("division by zero")
-        r = 1.0 / u
-        r2 = r * r
-        return _compose(self, [r, -r2, r2 * r, -r2 * r2])
+
+        def taylor():
+            r = 1.0 / u
+            yield r
+            r2 = r * r
+            yield -r2
+            yield r2 * r
+            yield -r2 * r2
+        return _compose(self, taylor())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -301,18 +307,21 @@ def _coordinate_powers(n, order, index):
 
 
 def _compose(u, taylor):
-    """Jet of f(u) = sum_k t_k delta^k, ``taylor[k]`` = t_k = f^(k)(u_0) / k!,
+    """Jet of f(u) = sum_k t_k delta^k, t_k = f^(k)(u_0) / k! the k-th item
+    of the iterator ``taylor``, of which only t_0 .. t_order are formed;
     delta = u - u_0 (the rows of degree >= 1); delta^k has rows >= k only.
     A coordinate jet reads its powers from a table instead of products."""
     n, order, delta = u.nvars, u.order, u.coef[1:]
+    taylor = iter(taylor)
     out = np.empty_like(u.coef)
-    out[0] = taylor[0]
+    out[0] = next(taylor)
     if order:
-        np.multiply(taylor[1], delta, out=out[1:])
+        np.multiply(next(taylor), delta, out=out[1:])
     powers = (_powers(delta, n, order) if u.coordinate is None
               else _coordinate_powers(n, order, u.coordinate))
-    for k, power in enumerate(powers, start=2):
-        out[_first(n, k):] += taylor[k] * power
+    # powers first: zip stops there without forming t_(order + 1)
+    for k, (power, t) in enumerate(zip(powers, taylor), start=2):
+        out[_first(n, k):] += t * power
     return u._like(out)
 
 
@@ -327,16 +336,30 @@ def sin(x, values=None):
     :func:`sin_cos_values` when the caller already has them."""
     if not isinstance(x, Jet):
         return np.sin(x)
-    s, c = values or sin_cos_values(x)
-    return _compose(x, [s, c, -0.5 * s, c / -6.0])
+
+    def taylor():
+        s = np.sin(x.coef[0]) if values is None else values[0]
+        yield s
+        c = np.cos(x.coef[0]) if values is None else values[1]
+        yield c
+        yield -0.5 * s
+        yield c / -6.0
+    return _compose(x, taylor())
 
 
 def cos(x, values=None):
     """cos of a jet or an array; ``values`` as for :func:`sin`."""
     if not isinstance(x, Jet):
         return np.cos(x)
-    s, c = values or sin_cos_values(x)
-    return _compose(x, [c, -s, -0.5 * c, s / 6.0])
+
+    def taylor():
+        c = np.cos(x.coef[0]) if values is None else values[1]
+        yield c
+        s = np.sin(x.coef[0]) if values is None else values[0]
+        yield -s
+        yield -0.5 * c
+        yield s / 6.0
+    return _compose(x, taylor())
 
 
 def tan(x):
@@ -344,16 +367,28 @@ def tan(x):
         return np.tan(x)
     if np.any(np.abs(np.cos(x.coef[0])) < 1e-300):
         raise JetDomainError("tan evaluated at a pole")
-    t = np.tan(x.coef[0])
-    sec2 = 1.0 + t * t
-    return _compose(x, [t, sec2, t * sec2, sec2 * (sec2 + 2.0 * t * t) / 3.0])
+
+    def taylor():
+        t = np.tan(x.coef[0])
+        yield t
+        sec2 = 1.0 + t * t
+        yield sec2
+        yield t * sec2
+        yield sec2 * (sec2 + 2.0 * t * t) / 3.0
+    return _compose(x, taylor())
 
 
 def exp(x):
     if not isinstance(x, Jet):
         return np.exp(x)
-    e = np.exp(x.coef[0])
-    return _compose(x, [e, e, 0.5 * e, e / 6.0])
+
+    def taylor():
+        e = np.exp(x.coef[0])
+        yield e
+        yield e
+        yield 0.5 * e
+        yield e / 6.0
+    return _compose(x, taylor())
 
 
 def log(x):
@@ -362,8 +397,14 @@ def log(x):
     u = x.coef[0]
     if np.any(u <= 0.0):
         raise JetDomainError("log of a non-positive number")
-    r = 1.0 / u
-    return _compose(x, [np.log(u), r, -0.5 * r * r, r * r * r / 3.0])
+
+    def taylor():
+        yield np.log(u)
+        r = 1.0 / u
+        yield r
+        yield -0.5 * r * r
+        yield r * r * r / 3.0
+    return _compose(x, taylor())
 
 
 def sqrt(x):
@@ -373,8 +414,14 @@ def sqrt(x):
     if np.any(u <= 0.0):
         raise JetDomainError("sqrt of a non-positive number (its derivatives "
                              "need a positive argument)")
-    r = np.sqrt(u)
-    return _compose(x, [r, 0.5 / r, -0.125 / (u * r), 0.0625 / (u * u * r)])
+
+    def taylor():
+        r = np.sqrt(u)
+        yield r
+        yield 0.5 / r
+        yield -0.125 / (u * r)
+        yield 0.0625 / (u * u * r)
+    return _compose(x, taylor())
 
 
 @lru_cache(maxsize=None)

@@ -59,6 +59,35 @@ def test_unary_chain_rule(fn, ref, dref):
     assert g.grad == pytest.approx(dref(u.value) * u.grad)
 
 
+@pytest.mark.parametrize("fn,ref,dref", [
+    (jt.sin, np.sin, np.cos),
+    (jt.cos, np.cos, lambda u: -np.sin(u)),
+    (jt.tan, np.tan, lambda u: 1.0 + np.tan(u) * np.tan(u)),
+    (jt.exp, np.exp, np.exp),
+    (jt.log, np.log, lambda u: 1.0 / u),
+    (jt.sqrt, np.sqrt, lambda u: 0.5 / np.sqrt(u)),
+    (Jet.reciprocal, lambda u: 1.0 / u, lambda u: -(1.0 / u) * (1.0 / u)),
+], ids=["sin", "cos", "tan", "exp", "log", "sqrt", "reciprocal"])
+def test_low_order_unary_jets_are_bitwise_the_chain_rule(fn, ref, dref):
+    """At orders 0 and 1 a unary jet is f(u) and f'(u) grad u, bit for
+    bit, and the order-3 jet truncated to that order."""
+    pts = np.random.default_rng(21).uniform(0.1, 1.0, (64, 2))
+
+    def argument(order):
+        x, y = make_xy(pts, order)
+        return x * y + 0.5 * x
+
+    full = fn(argument(3))
+    for order in (0, 1):
+        u = argument(order)
+        jet = fn(u)
+        assert jet.value.tobytes() == ref(u.value).tobytes()
+        if order:
+            assert jet.grad.tobytes() == \
+                (dref(u.value)[:, None] * u.grad).tobytes()
+        assert jet.coef.tobytes() == full.truncate(order).coef.tobytes()
+
+
 def test_division_and_negative_powers():
     x, _ = make_xy([2.0, 1.0])
     inv = 1.0 / x
