@@ -27,6 +27,9 @@ from .linalg import contract
 from .report import CheckEntry, Report
 
 USAGE_ERROR = 64
+# the pointwise suites verify about 4e5 points per second (2 cores), so
+# check-surface and pair-check stop at about four minutes of sampling
+MAX_POINTS = 10**8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,6 +52,13 @@ def _count(text):
     if not text.isdecimal():
         raise _UsageError(f"bad count {text!r}, expected an integer >= 0")
     return int(text)
+
+
+def _points(text):
+    count = _count(text)
+    if count > MAX_POINTS:
+        raise _UsageError(f"--points {count} exceeds the limit {MAX_POINTS}")
+    return count
 
 
 def _tolerance(text):
@@ -76,13 +86,13 @@ def build_parser():
     p = sub.add_parser("check-surface", help="pointwise identity suite")
     p.add_argument("surface", help="catalog name or surface JSON file")
     p.add_argument("--grid", type=_grid, default=(32, 32))
-    p.add_argument("--points", type=_count, default=200)
+    p.add_argument("--points", type=_points, default=200)
     common(p)
 
     p = sub.add_parser("pair-check", help="isometric-pair diagnostics")
     p.add_argument("pair", help="pair JSON file: {surfaces: [a, b], "
                                 "tolerance: t}")
-    p.add_argument("--points", type=_count, default=100)
+    p.add_argument("--points", type=_points, default=100)
     common(p)
 
     p = sub.add_parser("flex-kernel", help="discrete kernel certification")

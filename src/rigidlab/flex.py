@@ -927,6 +927,46 @@ def _trivial_basis(op):
     return q
 
 
+def _rcm_lower_band(matrix):
+    """The lower band of a structurally symmetric sparse matrix in reverse
+    Cuthill-McKee order (Cuthill and McKee, ACM National Conference 1969),
+    as (perm, band): row k of the ordered matrix is row perm[k], and the
+    Fortran-ordered (width + 1, n) ``band`` holds entry (i, j), i >= j, at
+    [i - j, j], the lower storage of LAPACK's banded routines."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    perm = reverse_cuthill_mckee(matrix.tocsr(), symmetric_mode=True)
+    rank = np.empty_like(perm)                  # the inverse permutation
+    rank[perm] = np.arange(perm.size, dtype=perm.dtype)
+    coo = matrix.tocoo()
+    row, col = rank[coo.row], rank[coo.col]
+    lower = row >= col
+    row, col = row[lower], col[lower]
+    band = np.zeros((int(np.max(row - col)) + 1, perm.size), order="F")
+    band[row - col, col] = coo.data[lower]
+    return perm, band
+
+
+def _banded_cholesky(matrix):
+    """x -> matrix^-1 x for a sparse symmetric positive definite ``matrix``,
+    by one Cholesky factorization of its lower band in reverse
+    Cuthill-McKee order (George and Liu, Computer Solution of Large Sparse
+    Positive Definite Systems, 1981).  The band takes at most n^2 doubles.
+    Raises ``np.linalg.LinAlgError`` when the factorization meets a
+    nonpositive pivot.  The band is Fortran-ordered so that LAPACK factors
+    it in place, without a copy."""
+    import scipy.linalg
+    perm, band = _rcm_lower_band(matrix)
+    factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
+                                          lower=True, check_finite=False)
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[perm] = scipy.linalg.cho_solve_banded(
+            (factor, True), b[perm], overwrite_b=True, check_finite=False)
+        return x
+    return solve
+
+
 def _deflated_certificate(op, rel_tol):
     """Certificate from two Courant-Fischer bounds, without a dense SVD.
 
@@ -935,15 +975,17 @@ def _deflated_certificate(op, rel_tol):
     of ||A v|| / ||v|| bounds sigma_7 from below.  mu^2 + c is the inverse
     of the largest eigenvalue of P (N + c I)^-1 P on the range of
     P = I - T T^T, N = A^T A, taken by Lanczos (ARPACK's eigsh, Lehoucq,
-    Sorensen and Yang 1998) on one sparse factorization of N + c I; the
-    Ritz value plus its residual norm bounds that eigenvalue from above as
-    long as the Lanczos start vector, a fixed pseudo-random one, has a
-    component along its eigenvector.
+    Sorensen and Yang 1998) on one banded Cholesky factorization of N + c I
+    in reverse Cuthill-McKee order (``_banded_cholesky``); the Ritz value
+    plus its residual norm bounds that eigenvalue from above as long as
+    the Lanczos start vector, a fixed pseudo-random one, has a component
+    along its eigenvector.
 
     Returns (kappa, mu, sigma_max) when kappa <= cut < mu,
     mu >= GAP_REQUIREMENT * kappa and mu^2 is at least NORMAL_FLOOR
     rounding units above zero, each with its rounding margin against the
-    certificate; None otherwise.  Since sigma_6 <= kappa and
+    certificate; None otherwise, and None when the factorization finds
+    N + c I not numerically positive definite.  Since sigma_6 <= kappa and
     sigma_7 >= mu, a chart certified here is certified by the dense SVD.
     The iteration stops early once a Rayleigh quotient ||A w||^2 / ||w||^2
     of an iterate w _|_ T, an upper bound on mu^2, is too small; flexible
@@ -951,10 +993,10 @@ def _deflated_certificate(op, rel_tol):
     """
     # imported here, not with the module, like scipy.sparse and
     # scipy.linalg in the other spectrum routes: every CLI command imports
-    # flex, and only this route needs ARPACK and SuperLU (2 MB of RSS)
+    # flex, and only this route needs ARPACK (and, in ``_banded_cholesky``,
+    # the banded LAPACK routines)
     import scipy.sparse
-    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                     eigsh, splu)
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     a = (op.operator if op.basis is None else op.operator @ op.basis).tocsr()
     at = a.T.tocsr()
@@ -989,12 +1031,13 @@ def _deflated_certificate(op, rel_tol):
                NORMAL_FLOOR * eps * top_hi)
 
     shift = NORMAL_SHIFT * top
-    lu = splu((at @ a + shift * scipy.sparse.identity(n)).tocsc(),
-              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-              options={"SymmetricMode": True})
+    try:
+        solve = _banded_cholesky(at @ a + shift * scipy.sparse.identity(n))
+    except np.linalg.LinAlgError:
+        return None
 
     def inverse(x):
-        y = project(lu.solve(project(np.ravel(x))))
+        y = project(solve(project(np.ravel(x))))
         if quotient(y) + margin <= need:
             raise _NoCertificate
         return y

@@ -2,7 +2,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidlab import flex
 from rigidlab import surfaces as sf
 from rigidlab.boundary import dong_conditions, lemma_hh_check
 from rigidlab.expressions import evaluate_jet, parse_expression
@@ -380,8 +383,9 @@ def test_sphere_certificate_beyond_the_old_unknown_limit():
     assert rep.verdict == "certified-rigid"
 
 
-def _moved(immersion, seed=3):
-    """The chart x -> Q x + b (Q a rotation), written out as expressions."""
+def _moved(immersion, seed=3, scale=1.0):
+    """The chart x -> scale Q x + b (Q a rotation), written out as
+    expressions."""
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
@@ -389,7 +393,7 @@ def _moved(immersion, seed=3):
     spec = sf.surface_to_dict(immersion)
     comps = spec["components"]
     spec["components"] = [
-        " + ".join([repr(float(b))] + [f"({qa!r})*({c})"
+        " + ".join([repr(float(b))] + [f"({scale * qa!r})*({c})"
                                        for qa, c in zip(row, comps)])
         for row, b in zip(q.tolist(), rng.uniform(-0.5, 0.5, 3))]
     spec["name"] += "_moved"
@@ -442,6 +446,77 @@ def test_deflated_route_agrees_with_the_dense_route(surface, grid, route):
         assert (rep.kernel_sigma, rep.next_sigma, rep.gap_ratio) == (
             dense.kernel_sigma, dense.next_sigma, dense.gap_ratio)
 
+
+
+@pytest.mark.parametrize("surface, grid", [
+    (sf.ellipsoid(), (16, 8)),                  # pole-reduced basis
+    (_moved(sf.quartic_cap()), (16, 12)),       # no poles
+])
+def test_banded_cholesky_holds_the_whole_band(surface, grid):
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    op = assemble_flex_operator(surface, grid=grid)
+    a = op.operator if op.basis is None else op.operator @ op.basis
+    # N + c I of the deflated route, with c = NORMAL_SHIFT ||N||_1
+    normal = (a.T @ a).tocsr()
+    matrix = normal + flex.NORMAL_SHIFT * scipy.sparse.linalg.norm(
+        normal, 1) * scipy.sparse.identity(a.shape[1], format="csr")
+    perm, band = flex._rcm_lower_band(matrix)
+    assert band.flags.f_contiguous
+    width, n = band.shape[0] - 1, band.shape[1]
+    assert n == op.unknown_count and width < n
+    # the band expanded back to a dense lower triangle is the ordered
+    # matrix's lower triangle, entry for entry: nothing fell outside it
+    dense = np.zeros((n, n))
+    for k in range(width + 1):
+        dense[np.arange(k, n), np.arange(n - k)] = band[k, :n - k]
+    ordered = matrix[perm][:, perm].toarray()
+    assert np.array_equal(dense, np.tril(ordered))
+    solve = flex._banded_cholesky(matrix)
+    b = np.random.default_rng(5).standard_normal(n)
+    x = solve(b)
+    assert np.linalg.norm(matrix @ x - b) <= (
+        1e-12 * scipy.sparse.linalg.norm(matrix, 1) * np.linalg.norm(x))
+
+
+def test_a_failed_factorization_falls_back_to_the_dense_svd(monkeypatch):
+    failures = []
+    factor = flex._banded_cholesky
+
+    def recorded(matrix):
+        try:
+            return factor(matrix)
+        except np.linalg.LinAlgError as exc:
+            failures.append(exc)
+            raise
+
+    # a negative shift makes N + c I indefinite on the trivial motions
+    monkeypatch.setattr(flex, "NORMAL_SHIFT", -1e-3)
+    monkeypatch.setattr(flex, "_banded_cholesky", recorded)
+    op = assemble_flex_operator(sf.ellipsoid(), grid=(16, 8))
+    rep = kernel_dimension(op, rel_tol=1e-8)
+    dense = kernel_dimension(op.matrix, rel_tol=1e-8)
+    assert len(failures) == 1
+    assert rep.route == "dense"
+    assert (rep.dimension, rep.verdict) == (dense.dimension, dense.verdict)
+    assert rep.verdict == "certified-rigid"
+
+
+@pytest.mark.parametrize("surface, grid, route", [
+    (sf.ellipsoid(), (16, 8), "deflated"),
+    (sf.quartic_cap(), (16, 12), "dense"),
+], ids=["deflated", "dense"])
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(scale=st.floats(0.25, 4.0), seed=st.integers(0, 2**16))
+def test_kernel_verdict_is_invariant_under_similarities(surface, grid, route,
+                                                        scale, seed):
+    base = kernel_dimension(assemble_flex_operator(surface, grid=grid))
+    moved = kernel_dimension(assemble_flex_operator(
+        _moved(surface, seed=seed, scale=scale), grid=grid))
+    assert base.route == route
+    assert (moved.route, moved.dimension, moved.verdict) == (
+        base.route, base.dimension, base.verdict)
 
 def _sphere_chart(t_domain, closed_poles):
     return sf.load_surface({

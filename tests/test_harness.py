@@ -608,6 +608,33 @@ def test_cli_refuses_an_oversized_flex_grid_before_its_mesh(monkeypatch,
         f"{flex.MAX_SPECTRUM_BYTES}"]
 
 
+
+def test_cli_refuses_too_many_points_before_drawing_one(tmp_path,
+                                                        monkeypatch, capsys):
+    import time
+
+    def refused(*args, **kwargs):
+        raise AssertionError("drew sample points")
+
+    monkeypatch.setattr(cli.gm, "interior_points", refused)
+    monkeypatch.setattr(cli.gm, "sample_grid", refused)
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"surfaces": ["sphere", "sphere"],
+                                "tolerance": 1e-8}))
+    for argv, count in (
+            (["check-surface", "sphere", "--points", "100000000000"],
+             100000000000),
+            (["pair-check", str(pair), "--points",
+              str(cli.MAX_POINTS + 1)], cli.MAX_POINTS + 1)):
+        start = time.perf_counter()
+        assert cli.main(argv) == 64, argv
+        assert time.perf_counter() - start < 1.0, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"rigidlab: --points {count} exceeds the limit "
+            f"{cli.MAX_POINTS}"]
+
 _FUZZ_NUMBER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["0", "-0", "1e-8", "0.5", "1", "abc", ""]))
