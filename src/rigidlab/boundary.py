@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -135,7 +135,6 @@ class BoundaryProfile:
     s_of_theta: np.ndarray
     length: float
     total_turning: float
-    kg_s: Optional[Callable] = None
 
     @classmethod
     def from_theta(cls, kg):
@@ -176,7 +175,7 @@ class BoundaryProfile:
         theta = turning * np.arange(THETA_SAMPLES) / THETA_SAMPLES
         kg_theta = density(np.mod(s_of_theta, length))
         return cls(theta=theta, kg_theta=kg_theta, s_of_theta=s_of_theta,
-                   length=float(length), total_turning=turning, kg_s=fn)
+                   length=float(length), total_turning=turning)
 
     @classmethod
     def from_csv(cls, path):
@@ -279,15 +278,10 @@ def dong_conditions(source, depth=0.1, n_s=64, n_t=64):
 
     turning_residual = abs(profile.total_turning - TWO_PI)
 
-    if profile.kg_s is not None:
-        s_grid = profile.length * np.arange(S_SAMPLES) / S_SAMPLES
-        kg_vals = profile.kg_s(s_grid)
-        theta_of_s = periodic_antiderivative(kg_vals, profile.length)
-        closure = periodic_trapezoid(np.exp(1j * theta_of_s), profile.length)
-    else:
-        closure = periodic_trapezoid(
-            np.exp(1j * profile.theta) / profile.kg_theta, TWO_PI)
-    closure_residual = float(abs(closure))
+    # the tangent loop: ds = d theta / k_g over the measured turning
+    closure_residual = float(abs(periodic_trapezoid(
+        np.exp(1j * profile.theta) / profile.kg_theta,
+        profile.total_turning)))
 
     flux = flux_ok = None
     if chart is not None:

@@ -159,14 +159,17 @@ def run_check_surface(args):
     report = Report(command="check-surface", seed=args.seed,
                     inputs={**_surface_inputs(immersion),
                             "grid": list(args.grid), "points": args.points})
-    grid_pts = None
-    if immersion.dim == len(args.grid):
-        grid_pts = gm.sample_grid(immersion, args.grid, margin=0.02).reshape(
-            -1, immersion.dim)
-    total = args.points + (0 if grid_pts is None else len(grid_pts))
+    on_grid = immersion.dim == len(args.grid)
+    total = args.points + (math.prod(args.grid) if on_grid else 0)
+    if total > MAX_POINTS:
+        raise _UsageError(f"--points {args.points} and --grid "
+                          f"{'x'.join(map(str, args.grid))} give {total} "
+                          f"points, which exceeds the limit {MAX_POINTS}")
     if total == 0:
         raise _UsageError("check-surface needs at least one sample point "
                           "(--points or --grid)")
+    grid_pts = gm.sample_grid(immersion, args.grid, margin=0.02).reshape(
+        -1, immersion.dim) if on_grid else None
     # every check is a max of residuals, a min eigenvalue or a count, so
     # folding them block by block gives the bits of one whole-batch pass
     worst, eigmin, skipped = {}, np.inf, 0

@@ -36,11 +36,11 @@ import numpy as np
 from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
 from .expressions import evaluate_jet, parse_expression
-from .geometry import (_codazzi_defect, _component_jets,
+from .geometry import (_codazzi_defect, _component_jets, _cross_normal,
                        _covariant_derivative, _h_trace, _relative_residual,
                        frame_at, in_point_blocks, sample_grid)
-from .jets import Jet, RigidlabError, batch_first, derivative_view, stacked
-from .linalg import contract, singular_values
+from .jets import Jet, RigidlabError, derivative_view, stacked
+from .linalg import cofactor, contract, singular_values
 
 __all__ = [
     "FlexError",
@@ -190,23 +190,10 @@ def first_order_residual(immersion, fld, point):
 # the rotation of a deformation field, for hypersurfaces of any dimension
 # ---------------------------------------------------------------------------
 
-def _dot(u, v):
-    return reduce(operator.add, (a * b for a, b in zip(u, v)))
-
-
-def _minor(m, i, j):
-    return [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
-
-
-def _det(m):
-    """Determinant of a square nested list of jets (Laplace expansion)."""
-    if len(m) == 1:
-        return m[0][0]
-    acc = m[0][0] * _det(_minor(m, 0, 0))
-    for j in range(1, len(m)):
-        term = m[0][j] * _det(_minor(m, 0, j))
-        acc = acc - term if j % 2 else acc + term
-    return acc
+# the jets d_i c of an array of jets c, broadcast over the index i
+_views = np.frompyfunc(derivative_view, 2, 1)
+# np.triu_indices costs about 25 us a call; its index arrays are only read
+_triu = functools.lru_cache(maxsize=None)(np.triu_indices)
 
 
 @dataclass
@@ -214,29 +201,23 @@ class RotationJets:
     """Jets along the chart of the rotation Y of a deformation field, the
     skew matrix with dtau = Y dr, on a hypersurface in R^(n+1).
 
-    Nested lists are indexed [i][a] with i a chart and a an ambient index.
-    Only the entries a < b of Y are built; ``y`` maps (a, b) to them.  The
-    normal carries the chart orientation.
+    Object arrays of jets, indexed [i, a] with i a chart and a an ambient
+    index.  Only the entries a < b of Y are computed; the others are their
+    negatives and zero.  The normal carries the chart orientation.
     """
 
-    tangents: list                # r_i
-    dtau: list                    # tau_i
-    normal: list                  # oriented unit normal n
-    dual: list                    # t^i = g^{ij} r_j
-    y: dict                       # (a, b) -> Y_ab, a < b
+    tangents: np.ndarray          # (n, A) r_i
+    dtau: np.ndarray              # (n, A) tau_i
+    normal: np.ndarray            # (A,) oriented unit normal n
+    dual: np.ndarray              # (n, A) t^i = g^{ij} r_j
+    y: np.ndarray                 # (A, A) Y
     tau: list                     # the field tau, at the chart jets' order
 
     def rotation(self):
         """Values of Y, shape (..., A, A), and of its chart derivatives
         Y_k, shape (..., n, A, A)."""
-        batch = self.normal[0].batch_shape
-        a_dim, n = len(self.normal), len(self.tangents)
-        y = batch_first(np.zeros((a_dim, a_dim) + batch), 2)
-        dy = batch_first(np.zeros((n, a_dim, a_dim) + batch), 3)
-        for (a, b), jet in self.y.items():
-            y[..., a, b], y[..., b, a] = jet.value, -jet.value
-            dy[..., :, a, b], dy[..., :, b, a] = jet.grad, -jet.grad
-        return y, dy
+        y, dy = stacked(self.y, (0, 1))
+        return y, np.moveaxis(dy, -1, -3)
 
     def flex_residual(self):
         """max |tau_i - Y r_i| per point; zero exactly for flexes."""
@@ -250,17 +231,13 @@ class RotationJets:
         """The tensor w_kj = r_j . (Y_k n), symmetric for flexes: values
         (..., k, j) and derivatives d_l w_kj as (..., k, j, l), the latter
         None when Y carries first derivatives only."""
-        order = next(iter(self.y.values())).order - 1
-        nrm = [c.truncate(order) for c in self.normal]
-        wedge = []                    # r_j ^ n on the pairs a < b
-        for row in self.tangents:
-            rj = [c.truncate(order) for c in row]
-            wedge.append({(a, b): rj[a] * nrm[b] - rj[b] * nrm[a]
-                          for a, b in self.y})
-        n = len(self.tangents)
-        w = [[reduce(operator.add, (derivative_view(y, k) * wedge[j][ab]
-                                    for ab, y in self.y.items()))
-              for j in range(n)] for k in range(n)]
+        order = self.normal[0].order - 1
+        cut = np.frompyfunc(lambda c: c.truncate(order), 1, 1)
+        rj, nrm = cut(self.tangents), cut(self.normal)
+        a, b = _triu(len(nrm), 1)
+        wedge = rj[:, a] * nrm[b] - rj[:, b] * nrm[a]     # r_j ^ n, a < b
+        dy = _views(self.y[a, b], np.arange(len(rj))[:, None])
+        w = contract("...kc,...jc->...kj", dy, wedge)
         if order < 1:
             return stacked(w, (0,))[0], None
         return tuple(stacked(w, (0, 1)))
@@ -282,45 +259,38 @@ def rotation_jets(immersion, fld, point, order):
 
 
 def _rotation_from(immersion, fld, pts, r):
-    """:func:`rotation_jets` from the chart jets ``r`` at ``pts``."""
+    """:func:`rotation_jets` from the chart jets ``r`` at ``pts``: the
+    frame's own algebra (:func:`contract`, :func:`cofactor`,
+    :func:`_cross_normal`) on object arrays of jets."""
     tau = _field_jets(fld, pts, r)
-    n, a_dim = immersion.dim, len(r)
-    ri = [[derivative_view(c, i) for c in r] for i in range(n)]
-    taui = [[derivative_view(c, i) for c in tau] for i in range(n)]
+    n = immersion.dim
+    ri = _views(np.array(r, dtype=object), np.arange(n)[:, None])
+    taui = _views(np.array(tau, dtype=object), np.arange(n)[:, None])
 
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            g[i][j] = g[j][i] = _dot(ri[i], ri[j])
-    inv_det = _det(g).reciprocal()
-    ginv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            cof = _det(_minor(g, i, j)) if n > 1 else 1.0
-            ginv[i][j] = ginv[j][i] = (-cof if (i + j) % 2 else cof) * inv_det
-    dual = [[_dot([ginv[i][j] for j in range(n)], [ri[j][a] for j in range(n)])
-             for a in range(a_dim)] for i in range(n)]
-
+    i, j = _triu(n)                       # one jet for each pair i <= j
+    g = np.empty((n, n), dtype=object)
+    g[i, j] = g[j, i] = contract("...ca,...ca->...c", ri[i], ri[j])
+    det, adj = cofactor(g)
+    inv_det = det.reciprocal()
+    dual = contract("...ij,...ja->...ia", adj * inv_det, ri)
     # generalized cross product of the tangents, |N|^2 = det g
-    flip = immersion.orientation == "inward"
     unit = jt.sqrt(inv_det)
-    normal = []
-    for a in range(a_dim):
-        minor = _det([row[:a] + row[a + 1:] for row in ri])
-        normal.append((-minor if (a % 2 == 1) != flip else minor) * unit)
+    normal = _cross_normal(ri.T) * (
+        -unit if immersion.orientation == "inward" else unit)
 
-    u = [_dot(normal, taui[i]) for i in range(n)]
-    p = [_dot(u, [dual[i][a] for i in range(n)]) for a in range(a_dim)]
-    skew = {(i, j): 0.5 * (_dot(ri[i], taui[j]) - _dot(ri[j], taui[i]))
-            for i in range(n) for j in range(i + 1, n)}
-    y = {}
-    for a in range(a_dim):
-        for b in range(a + 1, a_dim):
-            acc = normal[a] * p[b] - p[a] * normal[b]
-            for (i, j), s in skew.items():
-                acc = acc + s * (dual[i][a] * dual[j][b]
-                                 - dual[j][a] * dual[i][b])
-            y[(a, b)] = acc
+    u = contract("...a,...ia->...i", normal, taui)
+    p = contract("...i,...ia->...a", u, dual)
+    # (S_ij - S_ji) / 2 and t^i t^j^T - t^j t^i^T on the pairs i < j
+    i, j = _triu(n, 1)
+    skew = 0.5 * (contract("...ca,...ca->...c", ri[i], taui[j])
+                  - contract("...ca,...ca->...c", ri[j], taui[i]))
+    a, b = _triu(len(normal), 1)
+    di, dj = dual[i], dual[j]
+    terms = skew[:, None] * (di[:, a] * dj[:, b] - dj[:, a] * di[:, b])
+    zero = Jet.constant(0.0, n, unit.order, unit.batch_shape)
+    y = np.full((len(normal),) * 2, zero, dtype=object)
+    y[a, b] = sum(terms, normal[a] * p[b] - p[a] * normal[b])
+    y[b, a] = -y[a, b]
     return RotationJets(tangents=ri, dtau=taui, normal=normal,
                         dual=dual, y=y, tau=tau)
 
@@ -847,7 +817,7 @@ def _turns_once(immersion):
             and abs((hi - lo) - 2.0 * math.pi) <= 1e-12)
 
 
-def _grid_rotation(immersion, grid, positions, tol=1e-12):
+def _grid_rotation(immersion, grid, positions):
     """Rotation R about the ambient z-axis with r(i+1, j) = R r(i, j) for
     the whole grid, or None.  Shared stencils make the assembled operator
     exactly equivariant under (shift in i, conjugation by R) whenever the
@@ -861,7 +831,7 @@ def _grid_rotation(immersion, grid, positions, tol=1e-12):
     shifted = np.roll(positions, -1, axis=0)
     err = np.max(np.abs(shifted - positions @ rot.T))
     scale = max(1.0, float(np.max(np.abs(positions))))
-    return rot if err <= tol * scale else None
+    return rot if err <= 1e-12 * scale else None
 
 
 def _sector_singular_values(op, rot):

@@ -94,6 +94,9 @@ class Immersion:
         if len(self.domain) != self.dim or len(self.periodic) != self.dim:
             raise GeometryError(f"immersion {self.name}: domain/periodic size "
                                 "must match the chart dimension")
+        if self.closed_poles is not None and len(self.closed_poles) != 2:
+            raise GeometryError(f"immersion {self.name}: closed_poles needs "
+                                "two flags, one per end of the second axis")
         if self.orientation not in ("outward", "inward"):
             raise GeometryError("orientation must be 'outward' or 'inward'")
 
@@ -520,7 +523,7 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
     s_nodes = ds * np.arange(n_s)
     ramp = np.zeros_like(pts)
     ramp[..., other] = (period / length) * s_nodes[:, None]
-    Fs = spectral_derivative(pts - ramp, length, axis=0)
+    Fs = spectral_derivative(pts - ramp, length)
     Fs[..., other] += period / length
     frame = frame_at(immersion, pts, order=2)
     g_grid = frame.metric

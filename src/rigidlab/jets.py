@@ -118,30 +118,25 @@ def batch_first(storage, k):
 
 
 def stacked(jets, degrees):
-    """Derivatives of each of ``degrees`` of one jet or a nested list of
-    jets of one shape, with the list axes leading the storage: for a list
-    of lists [i][a] and degree d, a read-only array of shape
-    S + (i, a) + (n,) * d, a :func:`batch_first` view of storage
-    (i, a, n.., S)."""
-    outer, first = [], jets
-    while isinstance(first, (list, tuple)):
-        outer.append(len(first))
-        first = first[0]
-    flat = [jets]
-    for _ in outer:
-        flat = [c for row in flat for c in row]
+    """Derivatives of each of ``degrees`` of one jet or an array of jets
+    (``np.array(jets, dtype=object)`` of any shape C, nested lists too),
+    with the component axes leading the storage: for degree d, a read-only
+    array of shape S + C + (n,) * d, a :func:`batch_first` view of storage
+    (C, n.., S)."""
+    jets = np.asarray(jets, dtype=object)
+    first = jets.flat[0]
     out = []
     for d in degrees:
         rows, fact = _full_index(first.nvars, d)
-        part = np.empty((len(flat), len(rows), first.coef.shape[1]))
-        for jet, dest in zip(flat, part):
+        part = np.empty((jets.size, len(rows), first.coef.shape[1]))
+        for jet, dest in zip(jets.flat, part):
             jet.coef.take(rows, axis=0, out=dest)
         if d >= 2:
             part *= fact[:, None]
-        part = part.reshape(tuple(outer) + (first.nvars,) * d
+        part = part.reshape(jets.shape + (first.nvars,) * d
                             + first.batch_shape)
         part.flags.writeable = False
-        out.append(batch_first(part, len(outer) + d))
+        out.append(batch_first(part, jets.ndim + d))
     return out
 
 
@@ -434,15 +429,12 @@ def _shift(n, order, index):
             np.array([t.count(index) + 1.0 for t in lower]))
 
 
-def derivative_view(jet, index, order=None):
+def derivative_view(jet, index):
     """Jet of d(jet)/dx_index, one order lower: the weighted coefficient
     shift (beta_index + 1) c_(beta + e_index), so quantities built from
     second derivatives get differentiated again without a new evaluation."""
     if jet.order < 1:
         raise ValueError("cannot take a derivative view of an order-0 jet")
-    new_order = jet.order - 1 if order is None else order
-    if new_order > jet.order - 1:
-        raise ValueError("derivative view cannot raise the order")
-    rows, weight = _shift(jet.nvars, new_order, index)
-    return Jet(jet.coef[rows] * weight[:, None], jet.nvars, new_order,
+    rows, weight = _shift(jet.nvars, jet.order - 1, index)
+    return Jet(jet.coef[rows] * weight[:, None], jet.nvars, jet.order - 1,
                jet.batch_shape)

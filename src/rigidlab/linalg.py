@@ -97,11 +97,12 @@ def cofactor(matrix, adjugate=True):
 
     Works entry by entry over the batch, so a matrix gives bitwise the same
     result alone or in any batch, and keeps the points axis innermost in
-    memory when the input has it there.  Returns ``det`` (...) and ``adj``
+    memory when the input has it there; an object array of jets is
+    expanded with the jet arithmetic.  Returns ``det`` (...) and ``adj``
     (..., n, n) with adj @ matrix = det I, so the inverse is
     ``adj / det[..., None, None]``; ``adj`` is None without ``adjugate``.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix)
     n, batch = m.shape[-1], m.shape[:-2]
     levels, adj_index, sign = _laplace_tables(n, adjugate)
     # (n, n, ...) view, then the entries flat as level 1: (n * n, ...)
@@ -177,7 +178,8 @@ def contract(subscripts, *operands):
     the summed labels with elementwise products and sums in one fixed
     order.  A point's result is therefore bitwise the same alone or in any
     batch, whatever the memory layout, where einsum's own reduction loops
-    change with the strides."""
+    change with the strides.  Object arrays of jets contract with the jet
+    product and sum."""
     inputs, _ = _subscript_labels(subscripts)
     terms = _contraction_terms(
         subscripts,

@@ -23,15 +23,16 @@ TWO_PI = 2.0 * np.pi
 _CHUNK = 4096        # (points x modes) entries per block: 32 KB temporaries
 
 
-def periodic_trapezoid(samples, period=2.0 * np.pi, axis=-1):
-    """Integral of a smooth periodic function from uniform samples (no
-    duplicated endpoint); spectrally accurate.  Complex samples allowed."""
+def periodic_trapezoid(samples, period=2.0 * np.pi):
+    """Integral of a smooth periodic function from uniform samples along
+    the last axis (no duplicated endpoint); spectrally accurate.  Complex
+    samples allowed."""
     samples = np.asarray(samples)
     if not np.iscomplexobj(samples):
         samples = samples.astype(float)
-    if samples.shape[axis] == 0:
+    if samples.shape[-1] == 0:
         raise ValueError("periodic_trapezoid needs at least one sample")
-    return np.mean(samples, axis=axis) * period
+    return np.mean(samples, axis=-1) * period
 
 
 def gauss_legendre_nodes(a, b, cells=8, nodes=16):
@@ -132,17 +133,17 @@ def trig_resample(samples, count):
     return np.fft.irfft(spectrum, n=size)[::size // count] * (size / m)
 
 
-def spectral_derivative(values, period, axis=0):
-    """Derivative of smooth periodic samples along ``axis``, spectrally."""
-    m = values.shape[axis]
-    spectrum = np.fft.rfft(values, axis=axis)
+def spectral_derivative(values, period):
+    """Derivative of smooth periodic samples along the first axis,
+    spectrally."""
+    m = values.shape[0]
+    spectrum = np.fft.rfft(values, axis=0)
     k = np.fft.rfftfreq(m, d=1.0 / m)          # 0, 1, ..., m/2
     if m % 2 == 0:
         k[-1] = 0.0                            # drop the unpaired Nyquist mode
-    shape = [1] * values.ndim
-    shape[axis] = k.size
-    spectrum = spectrum * (1j * k.reshape(shape) * TWO_PI / period)
-    return np.fft.irfft(spectrum, n=m, axis=axis)
+    k = k.reshape((-1,) + (1,) * (values.ndim - 1))
+    spectrum = spectrum * (1j * k * TWO_PI / period)
+    return np.fft.irfft(spectrum, n=m, axis=0)
 
 
 def invert_antiderivative(density, period, count, samples):

@@ -155,12 +155,15 @@ def load_surface(source):
                             f"expression strings, got {components!r}")
     try:
         domain = [(float(lo), float(hi)) for lo, hi in source["domain"]]
-        periodic = [bool(p) for p in source["periodic"]]
-        closed = source.get("closed_poles")
-        closed = tuple(closed) if closed else None
     except (TypeError, ValueError) as exc:
         raise GeometryError("surface domain must hold [lo, hi] number "
-                            "pairs, periodic and closed_poles flags") from exc
+                            "pairs") from exc
+    periodic, closed = source["periodic"], source.get("closed_poles")
+    if not _flags(periodic, len(domain)) or not (
+            closed is None or _flags(closed, 2)):
+        raise GeometryError("surface periodic must be one true/false per "
+                            "domain interval, and closed_poles null or two "
+                            f"true/false, got {periodic!r} and {closed!r}")
     if not all(-math.inf < lo < hi < math.inf for lo, hi in domain):
         raise GeometryError(f"surface domain {domain!r} needs finite lo < hi")
     if source["dim"] != len(domain) or not domain:
@@ -169,7 +172,13 @@ def load_surface(source):
                             "and be at least 1")
     return _immersion(source["name"], components, domain, periodic,
                       orientation=source.get("orientation", "outward"),
-                      closed_poles=closed)
+                      closed_poles=None if closed is None else tuple(closed))
+
+
+def _flags(value, count):
+    """True when ``value`` is ``count`` booleans (JSON true/false)."""
+    return (isinstance(value, (list, tuple)) and len(value) == count
+            and all(isinstance(v, bool) for v in value))
 
 
 def surface_to_dict(immersion):

@@ -492,6 +492,16 @@ def test_cli_usage_errors(tmp_path, capsys):
                                 {"dim": 3}, {"dim": 0, "domain": []})):
         bad_domains.append(tmp_path / f"bad_domain_{k}.json")
         bad_domains[-1].write_text(json.dumps({**surface, **change}))
+    bad_flags = []
+    for k, change in enumerate(({"periodic": "no"}, {"periodic": [1, 0]},
+                                {"periodic": [True]},
+                                {"closed_poles": "no"},
+                                {"closed_poles": [True]},
+                                {"closed_poles": [True, True, True]},
+                                {"closed_poles": [1, 1]})):
+        bad_flags.append(tmp_path / f"bad_flags_{k}.json")
+        bad_flags[-1].write_text(json.dumps(
+            {**surface, "components": ["x1", "x2", "0"], **change}))
     bad_component = tmp_path / "bad_component.json"
     bad_component.write_text(json.dumps({**surface,
                                          "components": [0, "x2", "0"]}))
@@ -557,6 +567,8 @@ def test_cli_usage_errors(tmp_path, capsys):
             ["flex-kernel", str(bad_bound)],
             *(["check-surface", str(path)] for path in bad_domains),
             ["check-surface", str(bad_component)],
+            *(["check-surface", str(path)] for path in bad_flags),
+            *(["flex-kernel", str(path)] for path in bad_flags),
             ["flex-kernel", str(bad_component)],
             ["pointwise-gauss", "--h-file", str(scalar_h)],
             ["pointwise-gauss", "--h-file", str(h4), "--dim", "3"],
@@ -621,19 +633,23 @@ def test_cli_refuses_too_many_points_before_drawing_one(tmp_path,
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"surfaces": ["sphere", "sphere"],
                                 "tolerance": 1e-8}))
-    for argv, count in (
+    for argv, message in (
             (["check-surface", "sphere", "--points", "100000000000"],
-             100000000000),
+             "--points 100000000000 exceeds the limit"),
             (["pair-check", str(pair), "--points",
-              str(cli.MAX_POINTS + 1)], cli.MAX_POINTS + 1)):
+              str(cli.MAX_POINTS + 1)],
+             f"--points {cli.MAX_POINTS + 1} exceeds the limit"),
+            (["check-surface", "sphere", "--points", "10",
+              "--grid", "100000x100000"],
+             "--points 10 and --grid 100000x100000 give 10000000010 "
+             "points, which exceeds the limit")):
         start = time.perf_counter()
         assert cli.main(argv) == 64, argv
         assert time.perf_counter() - start < 1.0, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"rigidlab: --points {count} exceeds the limit "
-            f"{cli.MAX_POINTS}"]
+            f"rigidlab: {message} {cli.MAX_POINTS}"]
 
 _FUZZ_NUMBER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),

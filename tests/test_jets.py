@@ -288,3 +288,67 @@ def test_sphere_jets_do_not_depend_on_the_batch():
         alone = evaluate_jet(comp, pts[k:k + 1], order=3)
         for a, b in zip(_parts(alone), _parts(batch)):
             assert a[0].tobytes() == b[k].tobytes()
+
+
+def _same_jet(a, b):
+    return a.coef.shape == b.coef.shape and a.coef.tobytes() == b.coef.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_algebra_on_object_arrays_is_the_jet_arithmetic(n, order):
+    """cofactor, contract and stacked take object arrays of jets, whose
+    elementwise *, + and - are the jet product, sum and difference: each
+    result is bitwise the same arithmetic written out by hand."""
+    from rigidlab.linalg import cofactor, contract
+    pts = np.random.default_rng(17).uniform(-1.0, 1.0, (6, 2))
+    x, y = make_xy(pts, order)
+    m = np.empty((n, n), dtype=object)
+    for i, j in np.ndindex(n, n):
+        m[i, j] = jt.sin(x * (i + 1.0) + y * (j - 0.5)) + x * y * (i - j)
+    det, adj = cofactor(m)
+
+    def minor(rows, cols):                 # 2x2, along its first row
+        (r0, r1), (c0, c1) = rows, cols
+        return m[r0, c0] * m[r1, c1] - m[r0, c1] * m[r1, c0]
+
+    def others(k):
+        return [t for t in range(n) if t != k]
+
+    if n == 2:
+        want_det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        want_adj = [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]
+    else:
+        want_det = (m[0, 0] * minor((1, 2), (1, 2))
+                    - m[0, 1] * minor((1, 2), (0, 2))
+                    + m[0, 2] * minor((1, 2), (0, 1)))
+        want_adj = [[minor(others(j), others(i)) * (-1.0) ** (i + j)
+                     for j in range(n)] for i in range(n)]
+    assert _same_jet(det, want_det)
+    assert adj.shape == (n, n) and adj.dtype == object
+    assert all(_same_jet(adj[i, j], want_adj[i][j])
+               for i, j in np.ndindex(n, n))
+
+    v = m[:, 0] * m[:, -1]
+    prod = contract("...ij,...jk->...ik", m, m)
+    pair = contract("...ij,...j->...i", m, v)
+    for i, k in np.ndindex(n, n):
+        want = m[i, 0] * m[0, k]
+        for j in range(1, n):
+            want = want + m[i, j] * m[j, k]
+        assert _same_jet(prod[i, k], want)
+    for i in range(n):
+        want = m[i, 0] * v[0]
+        for j in range(1, n):
+            want = want + m[i, j] * v[j]
+        assert _same_jet(pair[i], want)
+
+    for arrays, lists in zip(jt.stacked(m, range(order + 1)),
+                             jt.stacked(m.tolist(), range(order + 1))):
+        assert arrays.shape == lists.shape
+        assert arrays.strides == lists.strides
+        assert arrays.tobytes() == lists.tobytes()
+    value, grad = jt.stacked(m, (0, 1))
+    assert value.shape == (6, n, n) and grad.shape == (6, n, n, 2)
+    assert np.array_equal(value[:, 1, 0], m[1, 0].value)
+    assert np.array_equal(grad[:, 0, 1], m[0, 1].grad)
