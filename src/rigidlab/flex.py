@@ -69,6 +69,8 @@ __all__ = [
 
 # bytes the spectrum of an assembled operator may allocate on its route
 MAX_SPECTRUM_BYTES = 4 * 2**30
+# Fourier-sector blocks formed at once (a chunk holds at least one block)
+_SECTOR_CHUNK_BYTES = 2**23
 FLEX_RESIDUAL_TOL = 1e-8
 # deflated route: an eigenvalue of N = A^T A computed through N carries an
 # absolute error of a small multiple of eps * sigma_max^2.  Every bound the
@@ -583,13 +585,17 @@ class FlexOperator:
     unknown_count: int            # reduced count (matrix columns)
     node_matrix: None = None      # no dense node copy; perfbench reads it
 
+    def reduced(self):
+        """Sparse rows x reduced unknowns operator: what the deflated
+        certificate and the dense SVD factor."""
+        return self.operator if self.basis is None else (
+            self.operator @ self.basis)
+
     @functools.cached_property
     def matrix(self):
-        """Dense rows x reduced unknowns operator: the dense SVD route and
-        the test oracle for the other two."""
-        reduced = self.operator if self.basis is None else (
-            self.operator @ self.basis)
-        return reduced.toarray()
+        """Dense rows x reduced unknowns operator, kept as the test oracle
+        of every route; no route reads it."""
+        return self.reduced().toarray()
 
     def reduce_vector(self, vec):
         """Grid vector -> reduced coordinates (orthonormal projection)."""
@@ -711,16 +717,24 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     (s_axis, h_s), (t_axis, h_t) = _grid_axes(immersion, grid)
     # each pole-adjacent ring keeps 3 of its ns unknowns per component
     n_cols = n_unknowns - 3 * (ns - 3) * len(_pole_rings(immersion, grid))
+    # an over-charge of both routes, safe until sparse assembly is charged
+    # too: two dense copies of the operator, and ring 0's rows over every
+    # column ring, their DFT and its product with u (8 + 16 + 16 bytes per
+    # entry) plus one complex block
     need = {"dense SVD": 2 * n_unknowns * n_cols * 8}
     if _turns_once(immersion):
-        # ring-0 rows, their DFT and its product with u (8 + 16 + 16 bytes
-        # per entry), plus one complex block
         need["Fourier-sector"] = 40 * 3 * nt * n_unknowns + 16 * (3 * nt) ** 2
     _charge_spectrum(" or ".join(need), min(need.values()), n_unknowns)
     mesh = np.stack(np.meshgrid(s_axis, t_axis, indexing="ij"), axis=-1)
-    positions = np.stack(
-        [j.value for j in evaluate_jet(immersion.components, mesh, order=0)],
-        axis=-1)
+    with np.errstate(all="ignore"):          # non-finite values are refused
+        positions = np.stack([j.value for j in evaluate_jet(
+            immersion.components, mesh, order=0)], axis=-1)
+    bad = np.argwhere(~np.all(np.isfinite(positions), axis=-1))
+    if bad.size:
+        i, j = bad[0]
+        raise FlexError(f"the chart position at grid node ({i}, {j}), "
+                        f"(x1, x2) = ({float(mesh[i, j, 0])!r}, "
+                        f"{float(mesh[i, j, 1])!r}), is not finite")
     _validate_pole_wrap(immersion, grid, mesh, positions, h_t)
     rotation = _grid_rotation(immersion, grid, positions)
     route = "dense SVD" if rotation is None else "Fourier-sector"
@@ -738,6 +752,9 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     order = np.arange(n_unknowns).reshape(3, n_nodes).T.ravel()
     csr = scipy.sparse.bmat(blocks, format="csr")[order][:, order]
     csr.sort_indices()
+    if not np.all(np.isfinite(csr.data)):
+        raise FlexError("the flex operator has non-finite entries: the "
+                        "chart's differences overflow on this grid")
     return FlexOperator(operator=csr, basis=basis, rotation=rotation,
                         immersion=immersion, grid=grid, nodes=mesh,
                         positions=positions, unknown_count=n_cols)
@@ -844,7 +861,16 @@ def _sector_singular_values(op, rot):
     exp(2 pi i k i' / ns) u_d is therefore mapped into s-frequency
     m = k - c_d, and the m-th block is the k-th inverse DFT of ring 0's
     rows over the column ring, contracted with u (Golub and Van Loan,
-    Matrix Computations, 4th ed., sec. 8.6, for the block-wise SVD)."""
+    Matrix Computations, 4th ed., sec. 8.6, for the block-wise SVD).
+
+    Ring 0's rows reach only the column rings of the s-stencil, {0, 1, 2,
+    ns - 2, ns - 1}, and the half-turn ring ns / 2 through a closed pole,
+    so each DFT is a sum over those rings (at most six terms), taken for a
+    chunk of modes at a time.  The operator is real, so block -m is block m
+    conjugated with the columns of e+ and e- swapped (u_- is the conjugate
+    of u_+, c_- = -c_+, and the kept pole-ring frequencies are symmetric
+    under k -> -k): only the modes 0..ns // 2 are factored, and every
+    other mode repeats its mirror's values."""
     import scipy.linalg
     ns, nt = op.grid
     delta = 2.0 * math.pi / ns
@@ -858,22 +884,42 @@ def _sector_singular_values(op, rot):
     if np.max(np.abs(eig - np.exp(1j * freqs * delta))) > 1e-10:
         raise FlexError("component rotation is not a grid rotation")
 
-    # ring-0 rows by (column mode k, column ring j, eigen-component d)
-    ring = op.operator[:3 * nt].toarray().reshape(3 * nt, ns, nt, 3)
-    modes = np.fft.ifft(ring, axis=1, norm="forward") @ u
-    del ring
+    # ring 0's rows on their nonzero column rings, contracted with u, as
+    # terms[d][ring, (j, row)].  A mode's block is stored transposed, rows
+    # (d, j) and columns row, so that its transpose is Fortran-ordered and
+    # gesdd factors it in place; part d is the phase-weighted sum of
+    # terms[d] over the rings
+    width = 3 * nt
+    rows = op.operator[:width]
+    rings = np.unique(rows.indices // width)
+    dense = np.stack([rows[:, width * i:width * (i + 1)].toarray()
+                      for i in rings], axis=1).reshape(width, -1, nt, 3)
+    terms = [np.ascontiguousarray(
+        (dense @ u[:, d]).transpose(1, 2, 0)).reshape(rings.size, -1)
+        for d in range(3)]
+    del dense
 
-    rings = _pole_rings(op.immersion, op.grid)
+    pole_rings = _pole_rings(op.immersion, op.grid)
     keep_raw = {0, 1, ns - 1}
+    half = ns // 2
+    chunk = max(1, _SECTOR_CHUNK_BYTES // (16 * width * width))
     svals = []
-    for m in range(ns):
-        cols = []
+    for first in range(0, half + 1, chunk):
+        modes = np.arange(first, min(first + chunk, half + 1))
+        blocks = np.empty((modes.size, 3, nt * width), dtype=complex)
+        ks = (modes[:, None] + freqs) % ns              # (modes, d)
         for d in range(3):
-            k = (m + freqs[d]) % ns
-            keep = [j for j in range(nt)
-                    if j not in rings or k in keep_raw]
-            cols.append(modes[:, k, keep, d])
-        svals.append(scipy.linalg.svdvals(np.concatenate(cols, axis=1)))
+            phase = np.exp(1j * delta * ((ks[:, d, None] * rings) % ns))
+            np.matmul(phase, terms[d], out=blocks[:, d])
+        for m, k, block in zip(modes, ks, blocks):
+            block = block.reshape(width, width)
+            drop = [d * nt + j for d in range(3) if k[d] not in keep_raw
+                    for j in pole_rings]
+            if drop:
+                block = np.delete(block, drop, axis=0)
+            s = scipy.linalg.svdvals(block.T, overwrite_a=True,
+                                     check_finite=False)
+            svals += [s] if m in (0, ns - m) else [s, s]
     return np.sort(np.concatenate(svals))[::-1]
 
 
@@ -968,7 +1014,7 @@ def _deflated_certificate(op, rel_tol):
     import scipy.sparse
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    a = (op.operator if op.basis is None else op.operator @ op.basis).tocsr()
+    a = op.reduced().tocsr()
     at = a.T.tocsr()
     n = a.shape[1]
     eps = np.finfo(float).eps
@@ -1062,7 +1108,9 @@ def kernel_dimension(op, rel_tol=1e-8):
     tries the deflated certificate (``_deflated_certificate``), which
     proves sigma_6 <= kappa <= cut < mu <= sigma_7 with the gap and reports
     only those bounds; when it cannot, the full spectrum comes from one
-    dense SVD, exactly as without the deflated route.  A plain matrix
+    dense SVD, exactly as without the deflated route: ``singular_values``
+    densifies the reduced operator once and factors that copy in place, so
+    the cached ``FlexOperator.matrix`` is never built.  A plain matrix
     always takes the dense SVD.
     """
     expected = trivial_motion_count(3)
@@ -1082,7 +1130,7 @@ def kernel_dimension(op, rel_tol=1e-8):
     elif op.rotation is not None:
         svals, route = _sector_singular_values(op, op.rotation), "sector"
     else:
-        svals, route = singular_values(op.matrix), "dense"
+        svals, route = singular_values(op.reduced()), "dense"
     asc = svals[::-1]
     smax = float(svals[0])
     if smax == 0.0:

@@ -21,12 +21,21 @@ __all__ = [
 
 
 def singular_values(matrix):
-    """Singular values in descending order; raises on non-finite input."""
+    """Singular values in descending order; raises on non-finite input.
+
+    ``matrix`` is a dense array or a scipy sparse matrix.  Either way it is
+    copied once into a Fortran-ordered dense array, which LAPACK's gesdd
+    then factors in place, so the call holds one dense copy and leaves
+    ``matrix`` unchanged.  The finiteness check reduces with min and max
+    (NaN propagates through both) instead of allocating a mask."""
     import scipy.linalg      # not at import: most commands never need it
-    a = np.asarray(matrix, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if hasattr(matrix, "toarray"):
+        a = matrix.toarray(order="F")
+    else:
+        a = np.array(matrix, dtype=float, order="F")
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("singular_values: matrix has non-finite entries")
-    return scipy.linalg.svdvals(a)
+    return scipy.linalg.svdvals(a, overwrite_a=True, check_finite=False)
 
 
 def numerical_rank(matrix, rel_tol=1e-10):

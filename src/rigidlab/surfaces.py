@@ -148,7 +148,12 @@ def load_surface(source):
     for key in ("name", "dim", "components", "domain", "periodic"):
         if key not in source:
             raise GeometryError(f"surface definition misses key {key!r}")
-    components = source["components"]
+    name, dim, components = (source[key]
+                             for key in ("name", "dim", "components"))
+    if not isinstance(name, str):
+        raise GeometryError(f"surface name must be a string, got {name!r}")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise GeometryError(f"surface dim must be an integer, got {dim!r}")
     if not (isinstance(components, (list, tuple))
             and all(isinstance(c, str) for c in components)):
         raise GeometryError("surface components must be a list of "
@@ -166,11 +171,11 @@ def load_surface(source):
                             f"true/false, got {periodic!r} and {closed!r}")
     if not all(-math.inf < lo < hi < math.inf for lo, hi in domain):
         raise GeometryError(f"surface domain {domain!r} needs finite lo < hi")
-    if source["dim"] != len(domain) or not domain:
-        raise GeometryError(f"surface dim {source['dim']!r} must equal its "
+    if dim != len(domain) or not domain:
+        raise GeometryError(f"surface dim {dim!r} must equal its "
                             f"number of domain intervals ({len(domain)}) "
                             "and be at least 1")
-    return _immersion(source["name"], components, domain, periodic,
+    return _immersion(name, components, domain, periodic,
                       orientation=source.get("orientation", "outward"),
                       closed_poles=None if closed is None else tuple(closed))
 

@@ -676,6 +676,104 @@ def test_pole_wrap_validated_against_the_chart():
         assemble_flex_operator(bogus, grid=(16, 8))
 
 
+def test_non_finite_chart_positions_are_refused_before_any_spectrum():
+    overflow = sf.load_surface({
+        "name": "steep_graph", "dim": 2,
+        "components": ["x1", "x2", "x1^100000000"],
+        "domain": [[0.0, 2.0], [-1.0, 1.0]], "periodic": [False, False]})
+    # x1 = 16 / 15 at i = 8 is the first node past 1, where the power
+    # overflows
+    with pytest.raises(FlexError, match=r"grid node \(8, 0\)"):
+        assemble_flex_operator(overflow, grid=(16, 8))
+
+
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("surface", [_moved(sf.quartic_cap()), sf.saddle()],
+                         ids=["moved-quartic-cap", "saddle"])
+def test_dense_route_spectrum_is_the_svd_of_the_oracle(surface):
+    import scipy.linalg
+
+    op = assemble_flex_operator(surface, grid=(24, 12))
+    rep = kernel_dimension(op, rel_tol=1e-8)
+    assert rep.route == "dense"
+    assert (rep.singular_values[::-1].tobytes()
+            == scipy.linalg.svdvals(op.matrix).tobytes())
+
+
+def test_dense_route_factors_one_copy_of_the_operator():
+    op = assemble_flex_operator(sf.quartic_cap(), grid=(24, 12))
+    rep, peak = _traced_peak(lambda: kernel_dimension(op, rel_tol=1e-8))
+    assert rep.route == "dense"
+    # the cached oracle is not built; gesdd overwrites the one dense copy
+    assert "matrix" not in op.__dict__
+    assert peak <= 1.3 * op.matrix.nbytes, (peak, op.matrix.nbytes)
+
+
+def _full_fft_sector_values(op):
+    """The sector spectrum by the full DFT of ring 0's dense rows over all
+    ns column rings and one SVD per mode m = 0..ns-1."""
+    import scipy.linalg
+
+    ns, nt = op.grid
+    delta = 2.0 * np.pi / ns
+    c = 1.0 / np.sqrt(2.0)
+    u = np.array([[c, c, 0.0], [1j * c, -1j * c, 0.0], [0.0, 0.0, 1.0]])
+    eig = np.diag(u.conj().T @ op.rotation @ u)
+    freqs = np.round(np.angle(eig) / delta).astype(int)
+    ring = op.operator[:3 * nt].toarray().reshape(3 * nt, ns, nt, 3)
+    modes = np.fft.ifft(ring, axis=1, norm="forward") @ u
+    poles = [j for j, flag in zip((0, nt - 1),
+                                  op.immersion.closed_poles or ()) if flag]
+    svals = []
+    for m in range(ns):
+        cols = []
+        for d in range(3):
+            k = (m + freqs[d]) % ns
+            keep = [j for j in range(nt)
+                    if j not in poles or k in (0, 1, ns - 1)]
+            cols.append(modes[:, k, keep, d])
+        svals.append(scipy.linalg.svdvals(np.concatenate(cols, axis=1)))
+    return np.sort(np.concatenate(svals))[::-1]
+
+
+@pytest.mark.parametrize("surface, grid", [
+    (sf.sphere(1.0), (16, 8)),
+    (sf.ellipsoid(1.2, 1.2, 0.7), (24, 12)),
+    (sf.cylinder(1.3), (24, 12)),
+    (_sphere_chart([-np.pi / 2, 0.0], [True, False]), (16, 8)),
+    (sf.cylinder(1.3), (15, 8)),
+], ids=["sphere", "spheroid", "cylinder", "hemisphere", "odd-ns-cylinder"])
+def test_sector_route_matches_a_full_fft_reference(surface, grid):
+    from rigidlab.flex import _sector_singular_values
+
+    op = assemble_flex_operator(surface, grid=grid)
+    assert op.rotation is not None
+    fast = _sector_singular_values(op, op.rotation)
+    reference = _full_fft_sector_values(op)
+    assert fast.shape == reference.shape == (op.unknown_count,)
+    assert np.max(np.abs(fast - reference)) <= 1e-12 * reference[0]
+
+
+def test_sector_spectrum_memory():
+    # the full-DFT route held ring 0's dense rows over all 96 column rings
+    # and two complex copies of them, about 80 MB
+    op = assemble_flex_operator(sf.sphere(1.0), grid=(96, 48))
+    rep, peak = _traced_peak(lambda: kernel_dimension(op, rel_tol=1e-8))
+    assert rep.route == "sector" and rep.verdict == "certified-rigid"
+    assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("motion", ["trivial", "dilation"])
 def test_flex_pointwise_pipeline_does_not_depend_on_the_batch(
         motion, assert_batch_invariant):

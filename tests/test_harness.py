@@ -492,16 +492,26 @@ def test_cli_usage_errors(tmp_path, capsys):
                                 {"dim": 3}, {"dim": 0, "domain": []})):
         bad_domains.append(tmp_path / f"bad_domain_{k}.json")
         bad_domains[-1].write_text(json.dumps({**surface, **change}))
-    bad_flags = []
+    bad_fields = []
     for k, change in enumerate(({"periodic": "no"}, {"periodic": [1, 0]},
                                 {"periodic": [True]},
                                 {"closed_poles": "no"},
                                 {"closed_poles": [True]},
                                 {"closed_poles": [True, True, True]},
-                                {"closed_poles": [1, 1]})):
-        bad_flags.append(tmp_path / f"bad_flags_{k}.json")
-        bad_flags[-1].write_text(json.dumps(
+                                {"closed_poles": [1, 1]},
+                                {"name": None}, {"name": 5}, {"dim": True},
+                                {"dim": 2.0})):
+        bad_fields.append(tmp_path / f"bad_fields_{k}.json")
+        bad_fields[-1].write_text(json.dumps(
             {**surface, "components": ["x1", "x2", "0"], **change}))
+    overflow = tmp_path / "overflow.json"        # positions past 1e308
+    overflow.write_text(json.dumps(
+        {**surface, "components": ["x1", "x2", "x1^100000000"],
+         "domain": [[0, 2], [-1, 1]]}))
+    steep = tmp_path / "steep.json"              # differences past 1e308
+    steep.write_text(json.dumps(
+        {**surface, "components": ["x1", "x2", "1e308*x1"],
+         "domain": [[-1, 1], [-1, 1]]}))
     bad_component = tmp_path / "bad_component.json"
     bad_component.write_text(json.dumps({**surface,
                                          "components": [0, "x2", "0"]}))
@@ -567,8 +577,10 @@ def test_cli_usage_errors(tmp_path, capsys):
             ["flex-kernel", str(bad_bound)],
             *(["check-surface", str(path)] for path in bad_domains),
             ["check-surface", str(bad_component)],
-            *(["check-surface", str(path)] for path in bad_flags),
-            *(["flex-kernel", str(path)] for path in bad_flags),
+            *(["check-surface", str(path)] for path in bad_fields),
+            *(["flex-kernel", str(path)] for path in bad_fields),
+            ["flex-kernel", str(overflow), "--grid", "16x8"],
+            ["flex-kernel", str(steep), "--grid", "16x8"],
             ["flex-kernel", str(bad_component)],
             ["pointwise-gauss", "--h-file", str(scalar_h)],
             ["pointwise-gauss", "--h-file", str(h4), "--dim", "3"],
