@@ -253,28 +253,19 @@ class DongReport:
         return all(checks)
 
 
-def dong_conditions(source, depth=0.1, n_s=64, n_t=64):
+def dong_conditions(source):
     """Necessary conditions for a profile to bound a smooth cap:
     total turning 2 pi, closed tangent loop, and positive transversal
     curvature flux on the boundary.  Turning and closure hold when their
     residuals are at most ``DONG_TOL``.
 
     ``source`` is a :class:`BoundaryProfile` (flux check skipped, needs an
-    embedding), a :class:`GeodesicChart`, or an immersion+edge pair
-    ``(immersion, edge)``.  The flux is reported as min K_t * B_t in the
-    chart's own t convention, a quantity invariant under flipping t.
+    embedding) or a :class:`GeodesicChart`.  The flux is reported as
+    min K_t * B_t in the chart's own t convention, a quantity invariant
+    under flipping t.
     """
-    chart = None
-    if isinstance(source, BoundaryProfile):
-        profile = source
-    elif isinstance(source, GeodesicChart):
-        chart = source
-        profile = BoundaryProfile.from_chart(chart)
-    else:
-        immersion, edge = source
-        chart = geodesic_boundary_chart(immersion, edge, depth=depth,
-                                        n_s=n_s, n_t=n_t)
-        profile = BoundaryProfile.from_chart(chart)
+    chart = source if isinstance(source, GeodesicChart) else None
+    profile = source if chart is None else BoundaryProfile.from_chart(chart)
 
     turning_residual = abs(profile.total_turning - TWO_PI)
 

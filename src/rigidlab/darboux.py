@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _relative_residual, frame_at
+from .geometry import _relative_residual
 from .linalg import cofactor, contract
 
 __all__ = [
@@ -42,41 +42,37 @@ class SupportData:
     position_residual: np.ndarray  # | r - g^{ij} rho_i r_j - mu n |_inf
 
 
-def support_at(immersion, point, frame=None):
-    """Support quantities of r at ``point`` (batched)."""
-    fr = frame if frame is not None else frame_at(immersion, point, order=2)
-    pos, tang = fr.position, fr.tangents
+def support_at(frame):
+    """Support quantities of r at the points of ``frame`` (batched)."""
+    pos, tang, g_inv = frame.position, frame.tangents, frame.metric_inv
     rho = 0.5 * contract("...a,...a->...", pos, pos)
     grad_rho = contract("...a,...ai->...i", pos, tang)
     # d_ij rho = g_ij + r . r_ij, then subtract the Christoffel term
-    hess = fr.metric + contract("...a,...aij->...ij", pos, fr.d2)
-    hess = hess - contract("...kij,...k->...ij", fr.christoffels, grad_rho)
-    mu = contract("...a,...a->...", pos, fr.normal)
+    hess = frame.metric + contract("...a,...aij->...ij", pos, frame.d2)
+    hess = hess - contract("...kij,...k->...ij", frame.christoffels, grad_rho)
+    mu = contract("...a,...a->...", pos, frame.normal)
 
-    grad_sq = contract("...i,...ij,...j->...", grad_rho, fr.metric_inv, grad_rho)
+    grad_sq = contract("...i,...ij,...j->...", grad_rho, g_inv, grad_rho)
     norm_residual = np.abs(mu**2 - (2.0 * rho - grad_sq))
-    recon = (contract("...ij,...j,...ai->...a", fr.metric_inv, grad_rho, tang)
-             + mu[..., None] * fr.normal)
+    recon = (contract("...ij,...j,...ai->...a", g_inv, grad_rho, tang)
+             + mu[..., None] * frame.normal)
     position_residual = np.max(np.abs(pos - recon), axis=-1)
     return SupportData(rho=rho, grad_rho=grad_rho, rho_hess=hess, mu=mu,
                        norm_residual=norm_residual,
                        position_residual=position_residual)
 
 
-def darboux_residual(immersion, point, frame=None, support=None):
-    """det(rho_{i,j} - g_ij) - K det(g) mu^2 at ``point`` (n = 2 only),
-    divided by max(1, |lhs|, |rhs|).
+def darboux_residual(frame, support):
+    """det(rho_{i,j} - g_ij) - K det(g) mu^2 at the points of ``frame``
+    (n = 2 only), divided by max(1, |lhs|, |rhs|).
 
     Zero up to rounding for a genuine immersion.  ``support`` is the
-    :func:`support_at` result of the same frame, when the caller has it.
+    :func:`support_at` result of the same frame.
     """
-    if immersion.dim != 2:
+    if frame.metric.shape[-1] != 2:
         raise ValueError("the Monge-Ampere identity is stated for n = 2")
-    fr = frame if frame is not None else frame_at(immersion, point, order=2)
-    sup = support if support is not None else support_at(immersion, point,
-                                                         frame=fr)
-    lhs = cofactor(sup.rho_hess - fr.metric, adjugate=False)[0]
-    rhs = fr.curvature * fr.det_metric * sup.mu**2
+    lhs = cofactor(support.rho_hess - frame.metric, adjugate=False)[0]
+    rhs = frame.curvature * frame.det_metric * support.mu**2
     return np.abs(lhs - rhs) / np.maximum(
         1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
@@ -87,14 +83,11 @@ class ShapeIdentityResult:
     skipped: np.ndarray           # support-degenerate points (|mu| tiny)
 
 
-def verify_shape_identity(immersion, point, frame=None, support=None):
+def verify_shape_identity(frame, support):
     """Componentwise residual of  h_ij mu - (rho_{i,j} - g_ij),  relative to
     the size of its terms.  Points with |mu| < 1e-8 are flagged as skipped
     rather than failed.  ``support`` is as in :func:`darboux_residual`."""
-    fr = frame if frame is not None else frame_at(immersion, point, order=2)
-    sup = support if support is not None else support_at(immersion, point,
-                                                         frame=fr)
-    res = _relative_residual(fr.second_form * sup.mu[..., None, None],
-                             sup.rho_hess - fr.metric)
-    skipped = np.abs(sup.mu) < SUPPORT_DEGENERATE_TOL
+    res = _relative_residual(frame.second_form * support.mu[..., None, None],
+                             support.rho_hess - frame.metric)
+    skipped = np.abs(support.mu) < SUPPORT_DEGENERATE_TOL
     return ShapeIdentityResult(max_residual=res, skipped=skipped)

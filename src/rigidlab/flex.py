@@ -410,7 +410,7 @@ def phi_relation_residual(immersion, fld, point):
     fr = frame_at(immersion, point, order=3)
     rj = _surface_rotation(immersion, fld, fr.point, fr.jets)
     wt = _w_tensor(rj, fr)
-    sup = support_at(immersion, point, frame=fr)
+    sup = support_at(fr)
     tau, dtau, ddtau = stacked(rj.tau, (0, 1, 2))
 
     pos, tang = fr.position, fr.tangents

@@ -152,14 +152,17 @@ def _component_jets(immersion, point, order):
 def frame_at(immersion, point, order=2):
     """Evaluate the moving frame and curvature data at ``point``.
 
-    Raises :class:`DegenerateFrameError` when the tangent Gram determinant
+    Raises :class:`GeometryError` when a position or det g is not finite,
+    and :class:`DegenerateFrameError` when the tangent Gram determinant
     falls under ``1e-12 * (max tangent norm)^(2n)``.
     """
     if order < 2:
         raise ValueError("frames need jets of order >= 2")
     pts, jts = _component_jets(immersion, point, order)
     position, tangents, d2, *d3 = stacked(jts, range(order + 1))
-    metric, det_metric, metric_inv = _metric(immersion, tangents)
+    _refuse_non_finite(immersion, pts, "position",
+                       np.all(np.isfinite(position), axis=-1))
+    metric, det_metric, metric_inv = _metric(immersion, pts, tangents)
     # the connection is the tangential part of r_ij:
     # Gamma^k_ij = g^{kl} r_l . r_ij, from first[..., l, i, j] = r_l . r_ij
     first = contract("...al,...aij->...lij", tangents, d2)
@@ -185,21 +188,38 @@ def frame_at(immersion, point, order=2):
         order=order, d3=d3[0] if d3 else None, jets=jts)
 
 
-def _metric(immersion, tangents):
-    """Metric, det g and inverse metric from the chart tangents.
+def _metric(immersion, points, tangents):
+    """Metric, det g and inverse metric from the chart tangents at
+    ``points``.
 
-    Raises :class:`DegenerateFrameError` when det g falls under
+    Raises :class:`GeometryError` when det g is not finite, and
+    :class:`DegenerateFrameError` when it falls under
     ``1e-12 * (max tangent norm)^(2n)``.
     """
     n = tangents.shape[-1]
     metric = contract("...ai,...aj->...ij", tangents, tangents)
     det_metric, adj_metric = cofactor(metric)
     scale = np.max(np.diagonal(metric, axis1=-2, axis2=-1), axis=-1) ** n
-    if np.any(det_metric <= DEGENERACY_RTOL * scale):
+    # NaN fails this comparison, so a non-finite det g lands here too
+    if not np.all(det_metric > DEGENERACY_RTOL * scale):
+        _refuse_non_finite(immersion, points, "det g",
+                           np.isfinite(det_metric))
         raise DegenerateFrameError(
             f"immersion {immersion.name}: degenerate tangent frame "
             f"(min det g = {np.min(det_metric):.3e})")
     return metric, det_metric, adj_metric / det_metric[..., None, None]
+
+
+def _refuse_non_finite(immersion, points, what, finite):
+    """Raise :class:`GeometryError` naming the first of ``points`` where
+    the boolean array ``finite`` is false."""
+    bad = np.argwhere(~finite)
+    if bad.size:
+        x = points[tuple(bad[0])]
+        raise GeometryError(
+            f"immersion {immersion.name}: the chart {what} at "
+            f"({', '.join(f'x{i + 1}' for i in range(len(x)))}) = "
+            f"({', '.join(repr(float(v)) for v in x)}) is not finite")
 
 
 def _cross_normal(tangents):
@@ -248,29 +268,30 @@ def in_point_blocks(f):
     return run
 
 
-def covariant_hessian(immersion, scalar_field, point, frame=None):
+def covariant_hessian(frame, scalar_field):
     """Covariant Hessian f_{,ij} = d_ij f - Gamma^k_ij d_k f of an
-    expression field on the surface."""
-    fr = frame if frame is not None else frame_at(immersion, point, order=2)
-    jet = evaluate_jet(scalar_field, fr.point, order=2)
-    return jet.hess - contract("...kij,...k->...ij", fr.christoffels, jet.grad)
+    expression field on the surface, at the points of ``frame``."""
+    jet = evaluate_jet(scalar_field, frame.point, order=2)
+    return jet.hess - contract("...kij,...k->...ij", frame.christoffels,
+                               jet.grad)
 
 
-def second_form_derivatives(immersion, point, frame=None):
-    """Covariant derivative of the second fundamental form.
+def second_form_derivatives(frame):
+    """Covariant derivative of the second fundamental form at the points
+    of ``frame``, which must be of order 3.
 
     Returns ``nabla_h[..., k, i, j] = h_{ij,k}``.  For a genuine immersion
     this tensor is symmetric in (j, k) as well (the integrability condition
     a Codazzi tensor satisfies); the residual is a standard health check.
     """
-    fr = frame if frame is not None else frame_at(immersion, point, order=3)
-    if fr.order < 3 or fr.d3 is None:
+    if frame.order < 3 or frame.d3 is None:
         raise ValueError("second_form_derivatives needs an order-3 frame")
-    h_mixed = contract("...lm,...mk->...lk", fr.metric_inv, fr.second_form)
-    dnormal = -contract("...lk,...al->...ak", h_mixed, fr.tangents)
-    dh = contract("...aijk,...a->...kij", fr.d3, fr.normal)
-    dh += contract("...aij,...ak->...kij", fr.d2, dnormal)
-    return _covariant_derivative(dh, fr.christoffels, fr.second_form)
+    h_mixed = contract("...lm,...mk->...lk", frame.metric_inv,
+                       frame.second_form)
+    dnormal = -contract("...lk,...al->...ak", h_mixed, frame.tangents)
+    dh = contract("...aijk,...a->...kij", frame.d3, frame.normal)
+    dh += contract("...aij,...ak->...kij", frame.d2, dnormal)
+    return _covariant_derivative(dh, frame.christoffels, frame.second_form)
 
 
 def _covariant_derivative(partial, christoffels, t):
@@ -317,10 +338,10 @@ def _h_trace(h, w):
     return np.where(np.abs(det_h) <= SINGULAR_FORM_RTOL * scale, cof, proper)
 
 
-def codazzi_residual(immersion, point, frame=None):
-    """Max over components of |h_{ij,k} - h_{ik,j}|, relative to |h| scale."""
-    return _codazzi_defect(second_form_derivatives(immersion, point,
-                                                   frame=frame))
+def codazzi_residual(frame):
+    """Max over components of |h_{ij,k} - h_{ik,j}|, relative to |h| scale,
+    from an order-3 ``frame``."""
+    return _codazzi_defect(second_form_derivatives(frame))
 
 
 def second_metric_derivative(frame, k, l, i, j):
@@ -334,24 +355,25 @@ def second_metric_derivative(frame, k, l, i, j):
             + contract("...a,...a->...", tang[..., i], d3[..., j, k, l]))
 
 
-def brioschi_curvature(immersion, point, frame=None):
-    """Intrinsic Gaussian curvature (n = 2) from the metric alone.
+def brioschi_curvature(frame):
+    """Intrinsic Gaussian curvature (n = 2) from the metric alone, from an
+    order-3 ``frame``.
 
     Independent of the second fundamental form; comparing it with
     det(h)/det(g) exercises the Gauss equation numerically.
     """
-    if immersion.dim != 2:
+    if frame.metric.shape[-1] != 2:
         raise GeometryError("the intrinsic curvature formula is for n = 2")
-    fr = frame if frame is not None else frame_at(immersion, point, order=3)
-    dg = fr.dmetric                   # (..., k, i, j)
+    dg = frame.dmetric                # (..., k, i, j)
 
-    E, F, G = fr.metric[..., 0, 0], fr.metric[..., 0, 1], fr.metric[..., 1, 1]
+    g = frame.metric
+    E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     E_u, E_v = dg[..., 0, 0, 0], dg[..., 1, 0, 0]
     F_u, F_v = dg[..., 0, 0, 1], dg[..., 1, 0, 1]
     G_u, G_v = dg[..., 0, 1, 1], dg[..., 1, 1, 1]
-    E_vv = second_metric_derivative(fr, 1, 1, 0, 0)
-    G_uu = second_metric_derivative(fr, 0, 0, 1, 1)
-    F_uv = second_metric_derivative(fr, 0, 1, 0, 1)
+    E_vv = second_metric_derivative(frame, 1, 1, 0, 0)
+    G_uu = second_metric_derivative(frame, 0, 0, 1, 1)
+    F_uv = second_metric_derivative(frame, 0, 1, 0, 1)
 
     zero = np.zeros_like(E)
     m1 = _det3(
@@ -362,7 +384,7 @@ def brioschi_curvature(immersion, point, frame=None):
         zero, 0.5 * E_v, 0.5 * G_u,
         0.5 * E_v, E, F,
         0.5 * G_u, F, G)
-    return (m1 - m2) / fr.det_metric ** 2
+    return (m1 - m2) / frame.det_metric ** 2
 
 
 def _det3(a, b, c, d, e, f, g, h, i):
@@ -548,7 +570,7 @@ def _geodesic_acceleration(immersion, x, v):
     through ``x`` with velocity ``v``, from the order-2 jets alone."""
     _, jts = _component_jets(immersion, x, 2)
     tangents, d2 = stacked(jts, (1, 2))
-    metric_inv = _metric(immersion, tangents)[2]
+    metric_inv = _metric(immersion, x, tangents)[2]
     r_vv = contract("...aij,...i,...j->...a", d2, v, v)
     return -contract("...kl,...l->...k", metric_inv,
                      contract("...al,...a->...l", tangents, r_vv))

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+# check_isometric compares the two metrics on this sample grid
+ISOMETRY_GRID = (48, 24)
+
+
 class PairError(RigidlabError):
     pass
 
@@ -82,25 +86,20 @@ class DifferenceTensors:
     phi_hess: np.ndarray          # Phi_{i,j} = rho~_{i,j} - rho_{i,j}
 
 
-def check_isometric(pair, grid=(48, 24)):
-    """Sup-norm metric deviation over a sample grid; the pair is accepted
-    when it is within ``pair.tolerance``."""
-    pts = sample_grid(pair.first, grid, margin=0.02)
+def check_isometric(pair):
+    """Sup-norm metric deviation over the ``ISOMETRY_GRID`` sample grid;
+    the pair is accepted when it is within ``pair.tolerance``."""
+    pts = sample_grid(pair.first, ISOMETRY_GRID, margin=0.02)
     g1 = frame_at(pair.first, pts, order=2).metric
     g2 = frame_at(pair.second, pts, order=2).metric
     return float(np.max(np.abs(g1 - g2)))
 
 
-def _pair_frames(pair, point, order=2):
-    f1 = frame_at(pair.first, point, order=order)
-    f2 = frame_at(pair.second, point, order=order)
-    return f1, f2
-
-
-def difference_tensors(pair, point, frames=None):
-    f1, f2 = frames if frames is not None else _pair_frames(pair, point)
-    s1 = support_at(pair.first, point, frame=f1)
-    s2 = support_at(pair.second, point, frame=f2)
+def difference_tensors(frames):
+    """Difference data of the pair from its two frames ``(f1, f2)`` at the
+    same points."""
+    f1, f2 = frames
+    s1, s2 = support_at(f1), support_at(f2)
     w = f2.second_form - f1.second_form
     hbar = f2.second_form + f1.second_form
     det_res = np.abs(cofactor(f2.second_form, adjugate=False)[0]
@@ -110,14 +109,12 @@ def difference_tensors(pair, point, frames=None):
                              phi_hess=s2.rho_hess - s1.rho_hess)
 
 
-def verify_w_formula(pair, point, frames=None, difference=None):
+def verify_w_formula(difference):
     """Residual of W_ij (mu + mu~) - 2 Phi_{i,j} - hbar_ij (mu - mu~),
     relative to the size of its terms.  Phi_{i,j} is the covariant Hessian
-    of the support difference in the shared metric.  ``difference`` is the
-    :func:`difference_tensors` result at ``point``, when the caller has
-    it."""
-    d = difference if difference is not None else difference_tensors(
-        pair, point, frames=frames)
+    of the support difference in the shared metric.  ``difference`` is a
+    :func:`difference_tensors` result."""
+    d = difference
     mu_sum = d.mu + d.mu_tilde
     if np.any(np.abs(mu_sum) < 1e-8):
         raise PairError("mu + mu~ vanishes; the W formula divides by it")
@@ -126,27 +123,23 @@ def verify_w_formula(pair, point, frames=None, difference=None):
         2.0 * d.phi_hess + d.h_bar * (d.mu - d.mu_tilde)[..., None, None])
 
 
-def verify_gauss_trace_and_codazzi(pair, point, frames=None,
-                                   difference=None):
+def verify_gauss_trace_and_codazzi(frames, difference):
     """(trace residual, Codazzi residual) of the difference form W.
 
     The trace is hbar^{ij} W_ij, or its cofactor form where hbar is
-    singular relative to its own scale (``geometry._h_trace``).  Codazzi compares the covariant
-    derivatives W_{ij,k} and W_{ik,j}, each surface differentiating its own
-    second form.  ``frames`` must be of order 3; ``difference`` is as in
-    :func:`verify_w_formula`.
+    singular relative to its own scale (``geometry._h_trace``).  Codazzi
+    compares the covariant derivatives W_{ij,k} and W_{ik,j}, each surface
+    differentiating its own second form.  ``frames`` must be of order 3;
+    ``difference`` is their :func:`difference_tensors` result.
     """
-    f1, f2 = frames if frames is not None else _pair_frames(pair, point, 3)
-    d = difference if difference is not None else difference_tensors(
-        pair, point, frames=(f1, f2))
-
-    trace = _h_trace(d.h_bar, d.w_diff)
-    w_scale = np.maximum(1.0, np.max(np.abs(d.w_diff), axis=(-1, -2)))
+    w = difference.w_diff
+    trace = _h_trace(difference.h_bar, w)
+    w_scale = np.maximum(1.0, np.max(np.abs(w), axis=(-1, -2)))
     trace_res = np.abs(trace) / w_scale
 
+    f1, f2 = frames
     codazzi_res = _codazzi_defect(
-        second_form_derivatives(pair.second, point, frame=f2)
-        - second_form_derivatives(pair.first, point, frame=f1))
+        second_form_derivatives(f2) - second_form_derivatives(f1))
     return trace_res, codazzi_res
 
 
@@ -161,24 +154,21 @@ def _tensor_field_values(alpha, points, frame):
     return np.broadcast_to(arr, points.shape[:-1] + arr.shape[-2:])
 
 
-def energy_integrand(pair, points, alpha_values, beta_values=None, frames=None,
-                     difference=None):
+def energy_integrand(frames, difference, alpha_values, beta_values):
     """Pointwise integrand of the energy pairing (without the volume factor):
     det(hbar)/det(g) hbar^{ij} hbar^{kl} a_ik b_jl (mu + mu~).
 
     For a = b this equals det(hbar)/det(g) tr((hbar^{-1} a)^2) (mu + mu~),
     which is non-negative whenever det(hbar) > 0 and mu + mu~ > 0.
-    ``difference`` is as in :func:`verify_w_formula`.
+    ``difference`` is the :func:`difference_tensors` result of ``frames``.
     """
-    f1, f2 = frames if frames is not None else _pair_frames(pair, points)
-    d = difference if difference is not None else difference_tensors(
-        pair, points, frames=(f1, f2))
-    beta_values = alpha_values if beta_values is None else beta_values
+    d = difference
     det_hbar, adj_hbar = cofactor(d.h_bar)
     hbar_inv = adj_hbar / det_hbar[..., None, None]
     contraction = contract("...ij,...kl,...ik,...jl->...",
                            hbar_inv, hbar_inv, alpha_values, beta_values)
-    return (det_hbar / f1.det_metric) * contraction * (d.mu + d.mu_tilde)
+    return ((det_hbar / frames[0].det_metric) * contraction
+            * (d.mu + d.mu_tilde))
 
 
 def energy_inner_product(pair, alpha, beta, grid=(64, 8), nodes=16):
@@ -208,8 +198,8 @@ def energy_inner_product(pair, alpha, beta, grid=(64, 8), nodes=16):
     pts = np.stack(mesh, axis=-1)
     w2d = weights[0][:, None] * weights[1][None, :]
 
-    f1, f2 = _pair_frames(pair, pts)
-    d = difference_tensors(pair, pts, frames=(f1, f2))
+    frames = tuple(frame_at(s, pts) for s in (pair.first, pair.second))
+    d = difference_tensors(frames)
     det_hbar = cofactor(d.h_bar, adjugate=False)[0]
     mu_sum = d.mu + d.mu_tilde
     if np.any(det_hbar <= 0.0) or np.any(mu_sum <= 0.0):
@@ -218,11 +208,10 @@ def energy_inner_product(pair, alpha, beta, grid=(64, 8), nodes=16):
             f"grid (min det hbar = {float(np.min(det_hbar)):.3e}, "
             f"min mu sum = {float(np.min(mu_sum)):.3e})")
 
-    av = _tensor_field_values(alpha, pts, f1)
-    bv = _tensor_field_values(beta, pts, f1)
-    integrand = energy_integrand(pair, pts, av, bv, frames=(f1, f2),
-                                 difference=d)
-    return float(np.sum(integrand * np.sqrt(f1.det_metric) * w2d))
+    av = _tensor_field_values(alpha, pts, frames[0])
+    bv = _tensor_field_values(beta, pts, frames[0])
+    integrand = energy_integrand(frames, d, av, bv)
+    return float(np.sum(integrand * np.sqrt(frames[0].det_metric) * w2d))
 
 
 # ---------------------------------------------------------------------------

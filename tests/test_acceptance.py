@@ -34,6 +34,11 @@ CATALOG = [sf.sphere(1.0), sf.sphere(2.0), sf.ellipsoid(), sf.cylinder(1.0),
            sf.saddle(), sf.quartic_cap()]
 
 
+def _pair_frames(pair, pts, order):
+    return tuple(frame_at(s, pts, order=order)
+                 for s in (pair.first, pair.second))
+
+
 class _Criterion:
     def __init__(self, number, title):
         self.number = number
@@ -66,12 +71,12 @@ def test_criterion_01_identity_suite():
             assert np.all(np.linalg.eigvalsh(fr.metric)[..., 0] > 0)
             assert np.max(np.abs(fr.second_form
                                  - np.swapaxes(fr.second_form, -1, -2))) == 0
-            assert np.max(codazzi_residual(surf, pts, frame=fr)) <= 1e-8
-            sup = support_at(surf, pts, frame=fr)
+            assert np.max(codazzi_residual(fr)) <= 1e-8
+            sup = support_at(fr)
             assert np.max(sup.norm_residual) <= 1e-8, surf.name
             assert np.max(sup.position_residual) <= 1e-8, surf.name
-            assert np.max(darboux_residual(surf, pts, frame=fr)) <= 1e-8
-            shape = verify_shape_identity(surf, pts, frame=fr)
+            assert np.max(darboux_residual(fr, sup)) <= 1e-8
+            shape = verify_shape_identity(fr, sup)
             live = np.where(shape.skipped, 0.0, shape.max_residual)
             assert np.max(live) <= 1e-8, surf.name
         elapsed = time.perf_counter() - start
@@ -85,16 +90,19 @@ def test_criterion_02_flat_cylinder_pair_oracle():
         assert check_isometric(pair) <= 1e-12
         rng = np.random.default_rng(1)
         pts = interior_points(pair.first, 50, rng)
-        d = difference_tensors(pair, pts)
+        frames = _pair_frames(pair, pts, order=2)
+        d = difference_tensors(frames)
         assert np.max(np.abs(d.w_diff[..., 0, 0] - 0.5)) <= 1e-10
         assert np.max(np.abs(d.w_diff[..., 0, 1])) <= 1e-10
         assert np.max(np.abs(d.w_diff[..., 1, 1])) <= 1e-10
-        assert np.max(verify_w_formula(pair, pts)) <= 1e-10
+        assert np.max(verify_w_formula(d)) <= 1e-10
         cof = (d.h_bar[..., 0, 0] * d.w_diff[..., 1, 1]
                + d.h_bar[..., 1, 1] * d.w_diff[..., 0, 0]
                - 2.0 * d.h_bar[..., 0, 1] * d.w_diff[..., 0, 1])
         assert np.max(np.abs(cof)) <= 1e-12
-        _, codazzi = verify_gauss_trace_and_codazzi(pair, pts)
+        frames = _pair_frames(pair, pts, order=3)
+        _, codazzi = verify_gauss_trace_and_codazzi(
+            frames, difference_tensors(frames))
         assert np.max(codazzi) <= 1e-10
 
 
@@ -123,7 +131,9 @@ def test_criterion_04_energy_positivity():
         pts = interior_points(pair.first, 100, rng)
         alphas = rng.standard_normal((100, 2, 2))
         alphas = alphas + np.swapaxes(alphas, -1, -2)
-        vals = energy_integrand(pair, pts, alphas)
+        frames = _pair_frames(pair, pts, order=2)
+        vals = energy_integrand(frames, difference_tensors(frames), alphas,
+                                alphas)
         assert np.min(vals) >= -1e-12
 
 

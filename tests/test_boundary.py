@@ -327,7 +327,8 @@ def test_dong_conditions_fail_for_wrong_turning():
 
 
 def test_dong_conditions_quartic_cap():
-    rep = dong_conditions((sf.quartic_cap_polar(), (1, "hi")))
+    rep = dong_conditions(geodesic_boundary_chart(
+        sf.quartic_cap_polar(), (1, "hi"), depth=0.1, n_s=64, n_t=64))
     assert rep.turning_residual < 1e-6
     assert rep.closure_residual < 1e-6
     assert rep.min_curvature_flux > 0

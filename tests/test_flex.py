@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -784,3 +785,84 @@ def test_flex_pointwise_pipeline_does_not_depend_on_the_batch(
     for check in (rotation_data, w_tensor, phi_relation_residual,
                   decompose_rotation_bivector):
         assert_batch_invariant(lambda p: check(ellipsoid, fld, p), pts)
+
+
+# -- closed-form bendings of caps ---------------------------------------------
+
+# On the unit sphere, colatitude theta = pi/2 - x2, longitude x1 and
+# u = tan(theta / 2), phi_m = u^m (m + cos theta) cos(m x1) solves the
+# Darboux equation lap phi + 2 phi = 0 away from the antipode u = inf, and
+# tau_m below (dtau_m = Y x dr, Y = grad phi_m + phi_m n) is a bending of
+# every cap that omits the antipode.  A linear map A carries it to the
+# bending A^-T tau_m of the image cap (Darboux-Sauer).
+_U = f"tan({math.pi / 4!r} - x2/2)"
+_CAP_BENDINGS = {
+    2: (f"2*({_U})^3*(cos(2*x1) + 2)*sin(x1)",
+        f"2*({_U})^3*(2 - cos(2*x1))*cos(x1)",
+        f"({_U})^2*(3 - ({_U})^2)*sin(2*x1)"),
+    4: (f"2*({_U})^5*(24*sin(x1)^4 - 40*sin(x1)^2 + 15)*sin(x1)",
+        f"2*({_U})^5*(-24*cos(x1)^4 + 40*cos(x1)^2 - 15)*cos(x1)",
+        f"({_U})^4*(5 - 3*({_U})^2)*sin(4*x1)"),
+}
+_CAP_AXES = {"hemisphere": (1.0, 1.0, 1.0),
+             "half-ellipsoid": (2.0, 1.3, 0.75)}
+
+
+def _upper_cap(axes):
+    """The upper half of the ellipsoid with semi-axes ``axes``, free at the
+    equator and closed at the pole."""
+    a, b, c = map(repr, axes)
+    return sf.load_surface({
+        "name": "upper_cap", "dim": 2,
+        "components": [f"{a}*cos(x1)*cos(x2)", f"{b}*sin(x1)*cos(x2)",
+                       f"{c}*sin(x2)"],
+        "domain": [[0.0, 2 * math.pi], [0.0, math.pi / 2]],
+        "periodic": [True, False], "closed_poles": [False, True]})
+
+
+def _cap_bending(m, axes):
+    return expr_field(*(f"({text})/(1 + ({_U})^2)/{scale!r}"
+                        for text, scale in zip(_CAP_BENDINGS[m], axes)))
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("cap", list(_CAP_AXES))
+def test_closed_form_cap_bendings_pass_the_pointwise_suite(cap, m):
+    axes = _CAP_AXES[cap]
+    surf, tau = _upper_cap(axes), _cap_bending(m, axes)
+    pts = interior_points(surf, 300, np.random.default_rng(m))
+    assert np.max(np.abs(first_order_residual(surf, tau, pts))) < 1e-12
+    wt = w_tensor(surf, tau, pts)
+    assert np.max(np.abs(wt.w)) > 1.0          # a bending, not a motion
+    assert np.max(wt.symmetry_residual) < 1e-12
+    assert np.max(wt.trace_residual) < 1e-12
+    assert np.max(wt.codazzi_residual) < 1e-12
+    phi = phi_relation_residual(surf, tau, pts)
+    assert not phi.skipped.any()
+    assert np.max(phi.max_residual) < 1e-12
+    assert np.max(phi.b_field_residual) < 1e-12
+    rot = rotation_data(surf, tau, pts)
+    assert rot.is_flex.all()
+    if cap == "hemisphere":                    # n . Y is the Darboux phi_m
+        theta = np.pi / 2 - pts[:, 1]
+        phi_m = (np.tan(theta / 2) ** m * (m + np.cos(theta))
+                 * np.cos(m * pts[:, 0]))
+        assert np.max(np.abs(rot.w_scalar - phi_m)) < 1e-12
+
+
+@pytest.mark.parametrize("cap", list(_CAP_AXES))
+def test_closed_form_cap_bending_lies_in_the_discrete_kernel(cap):
+    # the sampled m = 2 bending, orthogonal to the trivial motions, is
+    # carried by the right singular vectors with sigma < 1e-5 sigma_max.
+    # They are the eigenvectors of A^T A under 1e-10 of its largest
+    # eigenvalue, a cut six decades above its rounding floor, found in a
+    # third of the time of the SVD
+    axes = _CAP_AXES[cap]
+    op = assemble_flex_operator(_upper_cap(axes), grid=(32, 16))
+    v = op.evaluate_field(_cap_bending(2, axes))
+    trivial = flex._trivial_basis(op)
+    v = v - trivial @ (trivial.T @ v)
+    sigma_sq, vectors = np.linalg.eigh(op.matrix.T @ op.matrix)
+    small = vectors[:, sigma_sq < 1e-10 * sigma_sq[-1]]
+    weight = np.sum((small.T @ v) ** 2) / np.sum(v ** 2)
+    assert weight >= 0.99, weight

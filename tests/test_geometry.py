@@ -47,28 +47,31 @@ def test_degenerate_frame_raises():
 
 def test_covariant_hessian_of_constant_vanishes():
     for surf in (sf.sphere(1.0), sf.saddle()):
-        h = covariant_hessian(surf, parse_expression("4", 2),
-                              np.array([0.4, 0.2]))
+        h = covariant_hessian(frame_at(surf, np.array([0.4, 0.2]), order=2),
+                              parse_expression("4", 2))
         assert h == pytest.approx(np.zeros((2, 2)), abs=1e-14)
 
 
 def test_covariant_hessian_of_support_on_cylinder():
-    h = covariant_hessian(sf.cylinder(1.0), parse_expression("(1+x2^2)/2", 2),
-                          np.array([1.0, 0.3]))
+    h = covariant_hessian(frame_at(sf.cylinder(1.0), np.array([1.0, 0.3]),
+                                   order=2),
+                          parse_expression("(1+x2^2)/2", 2))
     assert h == pytest.approx(np.diag([0.0, 1.0]), abs=1e-14)
 
 
 def test_second_form_parallel_on_sphere_and_plane():
     pts = np.array([[0.5, 0.3], [2.0, -0.8]])
-    assert np.max(np.abs(second_form_derivatives(sf.sphere(1.0), pts))) < 1e-13
-    assert np.max(np.abs(second_form_derivatives(sf.plane(), pts))) < 1e-13
+    for surf in (sf.sphere(1.0), sf.plane()):
+        nabla_h = second_form_derivatives(frame_at(surf, pts, order=3))
+        assert np.max(np.abs(nabla_h)) < 1e-13, surf.name
 
 
 def test_codazzi_residual_on_catalog():
     rng = np.random.default_rng(7)
     for surf in CATALOG:
         pts = interior_points(surf, 40, rng)
-        assert np.max(codazzi_residual(surf, pts)) < 1e-8, surf.name
+        assert np.max(codazzi_residual(frame_at(surf, pts, order=3))) < 1e-8, \
+            surf.name
 
 
 def test_gauss_equation_brioschi_vs_extrinsic():
@@ -76,7 +79,7 @@ def test_gauss_equation_brioschi_vs_extrinsic():
     for surf in CATALOG:
         pts = interior_points(surf, 40, rng)
         fr = frame_at(surf, pts, order=3)
-        intrinsic = brioschi_curvature(surf, pts, frame=fr)
+        intrinsic = brioschi_curvature(fr)
         scale = np.maximum(1.0, np.abs(fr.curvature))
         assert np.max(np.abs(intrinsic - fr.curvature) / scale) < 1e-6, surf.name
 
@@ -240,14 +243,14 @@ FRAME_FIELDS = ("position", "tangents", "d2", "d3", "normal", "metric",
 
 def _pointwise_results(imm, pts):
     fr = frame_at(imm, pts, order=3)
-    sup = support_at(imm, pts, frame=fr)
+    sup = support_at(fr)
     out = {name: getattr(fr, name) for name in FRAME_FIELDS}
     out.update({f"support.{name}": getattr(sup, name)
                 for name in ("rho", "grad_rho", "rho_hess", "mu",
                              "norm_residual", "position_residual")})
-    out["codazzi"] = codazzi_residual(imm, pts, frame=fr)
-    out["brioschi"] = brioschi_curvature(imm, pts, frame=fr)
-    out["darboux"] = darboux_residual(imm, pts, frame=fr)
+    out["codazzi"] = codazzi_residual(fr)
+    out["brioschi"] = brioschi_curvature(fr)
+    out["darboux"] = darboux_residual(fr, sup)
     return out
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,18 @@ def test_cli_usage_errors(tmp_path, capsys):
     overflow.write_text(json.dumps(
         {**surface, "components": ["x1", "x2", "x1^100000000"],
          "domain": [[0, 2], [-1, 1]]}))
+    overflow_x = tmp_path / "overflow_x.json"    # x1 component past 1e308
+    overflow_x.write_text(json.dumps(
+        {**surface, "components": ["x1^100000000", "x2", "0"],
+         "domain": [[0, 2], [-1, 1]]}))
+    # chart jets past 1e308, through check-surface and a pair of the chart
+    # with itself: the message names the first point whose frame overflows
+    non_finite = []
+    for chart in (overflow, overflow_x):
+        chart_pair = tmp_path / f"pair_{chart.name}"
+        chart_pair.write_text(json.dumps({"surfaces": [str(chart)] * 2}))
+        non_finite += [("check-surface", str(chart), "--points", "100"),
+                       ("pair-check", str(chart_pair), "--points", "100")]
     steep = tmp_path / "steep.json"              # differences past 1e308
     steep.write_text(json.dumps(
         {**surface, "components": ["x1", "x2", "1e308*x1"],
@@ -545,6 +558,9 @@ def test_cli_usage_errors(tmp_path, capsys):
         ("pointwise-gauss", "--h-file", str(binary["binary.json"])):
             "binary.json",
         ("boundary", "--kg", str(binary["binary.csv"])): "binary.csv"}
+    # argv -> the text its message must contain
+    names = {**undecodable, **dict.fromkeys(
+        non_finite, "the chart position at (x1, x2) = (")}
     existing = tmp_path / "existing_file"
     existing.write_text("")
     for argv in (
@@ -595,15 +611,19 @@ def test_cli_usage_errors(tmp_path, capsys):
             ["pair-check", str(tmp_path)],
             ["pointwise-gauss", "--h-file", str(tmp_path)],
             *map(list, undecodable),                        # not UTF-8
+            *map(list, non_finite),
             ["boundary", "--csv-dir", str(existing)],
             ["flex-kernel", "sphere", "--grid", "8x6", "--csv-dir",
              str(existing)],
             ["boundary", "--report", str(tmp_path / "missing" / "r.json")]):
-        assert cli.main(argv) == 64, argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 64, argv
+        assert not caught, (argv, [str(w.message) for w in caught])
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert len(captured.err.splitlines()) == 1, (argv, captured.err)
-        assert undecodable.get(tuple(argv), "") in captured.err, argv
+        assert names.get(tuple(argv), "") in captured.err, argv
 
 
 def test_cli_refuses_an_oversized_flex_grid_before_its_mesh(monkeypatch,

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab import surfaces as sf
+from rigidlab.darboux import (darboux_residual, support_at,
+                              verify_shape_identity)
 from rigidlab.geometry import frame_at, interior_points
 from rigidlab.pairs import (EnergyPositivityError, IsometricPair, PairError,
                             check_isometric, cofactor_divergence_identity,
@@ -21,6 +23,20 @@ def shipped_flat_cylinder_pair():
     spec = json.loads(path.read_text())
     return IsometricPair(*map(sf.load_surface, spec["surfaces"]),
                          tolerance=spec["tolerance"])
+
+
+def pair_frames(pair, pts, order):
+    return tuple(frame_at(s, pts, order=order)
+                 for s in (pair.first, pair.second))
+
+
+def difference(pair, pts):
+    return difference_tensors(pair_frames(pair, pts, order=2))
+
+
+def trace_and_codazzi(pair, pts):
+    frames = pair_frames(pair, pts, order=3)
+    return verify_gauss_trace_and_codazzi(frames, difference_tensors(frames))
 
 
 def cylinder_pair():
@@ -55,7 +71,7 @@ def test_sphere_vs_ellipsoid_rejected():
 
 def test_cylinder_pair_difference_tensors():
     pt = np.array([1.3, 0.4])
-    d = difference_tensors(cylinder_pair(), pt)
+    d = difference(cylinder_pair(), pt)
     assert d.phi == pytest.approx(1.5)
     assert d.w_diff == pytest.approx(np.array([[0.5, 0.0], [0.0, 0.0]]),
                                      abs=1e-14)
@@ -66,7 +82,7 @@ def test_cylinder_pair_difference_tensors():
 
 def test_identical_pair_vanishing_difference():
     pair = IsometricPair(sf.sphere(1.0), sf.sphere(1.0))
-    d = difference_tensors(pair, np.array([0.5, 0.2]))
+    d = difference(pair, np.array([0.5, 0.2]))
     assert abs(d.phi) < 1e-15
     assert np.max(np.abs(d.w_diff)) < 1e-15
 
@@ -74,7 +90,7 @@ def test_identical_pair_vanishing_difference():
 def test_rigid_pair_keeps_second_form():
     pair = rotated_sphere_pair()
     pts = np.array([[0.3, 0.2], [2.5, -0.6], [4.4, 0.9]])
-    d = difference_tensors(pair, pts)
+    d = difference(pair, pts)
     assert np.max(np.abs(d.w_diff)) < 1e-12
     assert np.std(d.phi) > 1e-3           # support difference is not constant
 
@@ -82,8 +98,8 @@ def test_rigid_pair_keeps_second_form():
 def test_w_formula_on_cylinder_pair():
     pair = cylinder_pair()
     pt = np.array([2.0, -0.5])
-    assert verify_w_formula(pair, pt) < 1e-14
-    d = difference_tensors(pair, pt)
+    d = difference(pair, pt)
+    assert verify_w_formula(d) < 1e-14
     rhs = (2 * 0.0 + d.h_bar[0, 0] * (d.mu - d.mu_tilde)) / (d.mu + d.mu_tilde)
     assert d.w_diff[0, 0] == pytest.approx(rhs)
     assert d.w_diff[0, 0] == pytest.approx(0.5)
@@ -91,14 +107,15 @@ def test_w_formula_on_cylinder_pair():
 
 def test_w_formula_on_rigid_pair():
     pts = np.array([[0.7, 0.1], [3.0, -0.9]])
-    assert np.max(verify_w_formula(rotated_sphere_pair(), pts)) < 1e-8
+    assert np.max(verify_w_formula(difference(rotated_sphere_pair(),
+                                              pts))) < 1e-8
 
 
 def test_trace_and_codazzi_residuals():
     pts = np.array([[1.0, 0.2], [2.2, -0.4]])
-    tr, cz = verify_gauss_trace_and_codazzi(cylinder_pair(), pts)
+    tr, cz = trace_and_codazzi(cylinder_pair(), pts)
     assert np.max(tr) < 1e-12 and np.max(cz) < 1e-12
-    tr, cz = verify_gauss_trace_and_codazzi(rotated_sphere_pair(), pts)
+    tr, cz = trace_and_codazzi(rotated_sphere_pair(), pts)
     assert np.max(tr) < 1e-7 and np.max(cz) < 1e-7
 
 
@@ -110,7 +127,7 @@ def test_trace_verdict_does_not_depend_on_the_units(scale):
     # max |hbar|^2, so the trace must not fall back to the cofactor form
     pair = IsometricPair(sf.sphere(scale), sf.sphere(1.2 * scale))
     pts = interior_points(pair.first, 50, np.random.default_rng(3))
-    tr, _ = verify_gauss_trace_and_codazzi(pair, pts)
+    tr, _ = trace_and_codazzi(pair, pts)
     assert np.max(tr) == pytest.approx(2.0 / 11.0, rel=1e-12)
 
 
@@ -149,14 +166,15 @@ def test_energy_integrand_pointwise_nonnegative():
     pts = interior_points(pair.first, 100, rng)
     alphas = rng.standard_normal((100, 2, 2))
     alphas = alphas + np.swapaxes(alphas, -1, -2)
-    vals = energy_integrand(pair, pts, alphas)
+    frames = pair_frames(pair, pts, order=2)
+    d = difference_tensors(frames)
+    vals = energy_integrand(frames, d, alphas, alphas)
     assert np.min(vals) > -1e-12
     # strictly positive away from alpha = 0, zero at alpha = 0
     assert np.min(vals[np.max(np.abs(alphas), axis=(-1, -2)) > 0.1]) > 1e-6
-    assert np.max(np.abs(energy_integrand(
-        pair, pts, np.zeros((100, 2, 2))))) < 1e-15
+    zero = np.zeros((100, 2, 2))
+    assert np.max(np.abs(energy_integrand(frames, d, zero, zero))) < 1e-15
     # dual route: the quadratic form equals the trace formulation
-    d = difference_tensors(pair, pts)
     prod = np.linalg.inv(d.h_bar) @ alphas
     det_g = frame_at(pair.first, pts).det_metric
     trace_form = (np.linalg.det(d.h_bar) / det_g
@@ -218,6 +236,34 @@ def test_cofactor_identity_property(w11, w12, w22, d1, d2, offdiag):
 def test_pair_checks_do_not_depend_on_the_batch(assert_batch_invariant):
     pair = shipped_flat_cylinder_pair()
     pts = interior_points(pair.first, 3000, np.random.default_rng(6))
-    for check in (difference_tensors, verify_w_formula,
-                  verify_gauss_trace_and_codazzi):
+    for check in (difference,
+                  lambda pr, p: verify_w_formula(difference(pr, p)),
+                  trace_and_codazzi):
         assert_batch_invariant(lambda p: check(pair, p), pts)
+
+
+@pytest.mark.parametrize("surf", [sf.ellipsoid(), sf.quartic_cap(),
+                                  sf.saddle(), sf.cylinder(1.0)],
+                         ids=lambda s: s.name)
+def test_order_three_frames_give_the_order_two_bits(surf):
+    # the CLI reads one order-3 frame per point block where the checks
+    # once built order-2 frames; the extra order must not move a bit
+    moved = sf.rigid_motion(surf, np.eye(3), np.array([0.2, -0.1, 0.4]))
+    pair = IsometricPair(surf, moved)
+    pts = interior_points(surf, 500, np.random.default_rng(12))
+    results = []
+    for order in (2, 3):
+        frames = pair_frames(pair, pts, order=order)
+        sup = support_at(frames[0])
+        d = difference_tensors(frames)
+        results.append({
+            **{f"support.{k}": v for k, v in vars(sup).items()},
+            "darboux": darboux_residual(frames[0], sup),
+            **{f"shape.{k}": v for k, v in
+               vars(verify_shape_identity(frames[0], sup)).items()},
+            **{f"difference.{k}": v for k, v in vars(d).items()},
+            "w_formula": verify_w_formula(d)})
+    low, high = results
+    assert low.keys() == high.keys()
+    for name, values in low.items():
+        assert values.tobytes() == high[name].tobytes(), (surf.name, name)
