@@ -362,11 +362,7 @@ class BoundaryODESolution:
     phi_t: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    phi_s_closed: np.ndarray
-    phi_t_closed: np.ndarray
     max_deviation: float
-    c1: float
-    c2: float
 
 
 def solve_boundary_ode(profile, f, c1=0.0, c2=0.0, n_steps=4096):
@@ -416,9 +412,7 @@ def solve_boundary_ode(profile, f, c1=0.0, c2=0.0, n_steps=4096):
     dev = float(max(np.max(np.abs(phi_s - phi_s_closed)),
                     np.max(np.abs(phi_t - phi_t_closed))))
     return BoundaryODESolution(theta=theta, phi_s=phi_s, phi_t=phi_t,
-                               u=u, v=v, phi_s_closed=phi_s_closed,
-                               phi_t_closed=phi_t_closed,
-                               max_deviation=dev, c1=c1, c2=c2)
+                               u=u, v=v, max_deviation=dev)
 
 
 # ---------------------------------------------------------------------------

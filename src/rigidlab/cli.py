@@ -78,10 +78,9 @@ def build_parser():
                                  "surface charts")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, csv_help="emit CSV series into this directory"):
+    def common(p):
         p.add_argument("--seed", type=_count, default=0)
         p.add_argument("--report", help="write the JSON report here")
-        p.add_argument("--csv-dir", help=csv_help)
 
     p = sub.add_parser("check-surface", help="pointwise identity suite")
     p.add_argument("surface", help="catalog name or surface JSON file")
@@ -99,10 +98,12 @@ def build_parser():
     p.add_argument("surface")
     p.add_argument("--grid", type=_grid, default=(64, 32))
     p.add_argument("--svd-tol", type=_tolerance, default=1e-8)
-    common(p, csv_help="write singular_values.csv (index, sigma; ascending) "
-                       "into this directory: the full spectrum on the "
-                       "sector and dense routes, only the resolved sigma_7 "
-                       "and sigma_max on the deflated route")
+    common(p)
+    p.add_argument("--csv-dir", help="write singular_values.csv (index, "
+                                     "sigma; ascending) into this directory: "
+                                     "the full spectrum on the sector and "
+                                     "dense routes, only the resolved sigma_7 "
+                                     "and sigma_max on the deflated route")
 
     p = sub.add_parser("pointwise-gauss", help="rank-based pointwise "
                                                "rigidity test")
@@ -119,6 +120,8 @@ def build_parser():
     p.add_argument("--f", default="0", help="inhomogeneity F/k_g in x1")
     p.add_argument("--steps", type=int, default=4096)
     common(p)
+    p.add_argument("--csv-dir", help="write boundary_series.csv (theta, x1, "
+                                     "x2, U, V) into this directory")
 
     p = sub.add_parser("catalog", help="list shipped surfaces")
     common(p)
@@ -237,9 +240,11 @@ def _load_pair(path):
     if type(tolerance) not in (int, float) or not 0 <= tolerance < math.inf:
         raise _UsageError(f"bad pair tolerance {tolerance!r}, expected a "
                           "finite number >= 0")
-    return pr.IsometricPair(sf.load_surface(surfaces[0]),
-                            sf.load_surface(surfaces[1]),
-                            tolerance=float(tolerance))
+    first, second = map(sf.load_surface, surfaces)
+    if first.dim != 2 or second.dim != 2:
+        raise _UsageError(f"pair-check needs surface charts (dim 2), got "
+                          f"dims {first.dim} and {second.dim}")
+    return pr.IsometricPair(first, second, tolerance=float(tolerance))
 
 
 def run_pair_check(args):

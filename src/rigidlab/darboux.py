@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _relative_residual
+from .geometry import _relative_residual, covariant_hessian
 from .linalg import cofactor, contract
 
 __all__ = [
@@ -47,9 +47,10 @@ def support_at(frame):
     pos, tang, g_inv = frame.position, frame.tangents, frame.metric_inv
     rho = 0.5 * contract("...a,...a->...", pos, pos)
     grad_rho = contract("...a,...ai->...i", pos, tang)
-    # d_ij rho = g_ij + r . r_ij, then subtract the Christoffel term
-    hess = frame.metric + contract("...a,...aij->...ij", pos, frame.d2)
-    hess = hess - contract("...kij,...k->...ij", frame.christoffels, grad_rho)
+    # d_ij rho = g_ij + r . r_ij
+    hess = covariant_hessian(
+        frame, grad_rho,
+        frame.metric + contract("...a,...aij->...ij", pos, frame.d2))
     mu = contract("...a,...a->...", pos, frame.normal)
 
     grad_sq = contract("...i,...ij,...j->...", grad_rho, g_inv, grad_rho)

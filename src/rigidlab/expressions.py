@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 UNARY_FUNCTIONS = ("neg", "sin", "cos", "tan", "exp", "log", "sqrt")
-BINARY_OPS = ("+", "-", "*", "/")
 
 
 class ExpressionError(RigidlabError):
@@ -336,13 +335,15 @@ def _program(ast):
 
 class _Program:
     """Straight-line program of a tuple of expressions.  Equal subtrees
-    share one slot, evaluated once, where the tree walk would first reach
-    it; a jet is dropped after its last use.  Each step applies the jet
-    arithmetic to its operand slots exactly as the tree walk did, so every
-    jet is bitwise the tree walk's: a literal next to a non-literal enters
-    as a plain number (the jet arithmetic applies it to the coefficients
-    directly, bitwise what a constant jet gives), any other literal as a
-    constant jet, and sin and cos of one jet share its sine and cosine."""
+    share one slot, evaluated once, at their first occurrence in post-order
+    (left operand before right); a jet is dropped after its last use.  Each
+    step is one jet operation on its operand slots, in the operand order
+    the expression writes, so a jet depends only on its own subtree: it is
+    bitwise the same whatever else the program holds.  A literal next to a
+    non-literal enters as a plain number (the jet arithmetic applies it to
+    the coefficients directly, bitwise what a constant jet gives), any
+    other literal as a constant jet, and sin and cos of one jet share its
+    sine and cosine."""
 
     def __init__(self, components):
         self.slots = {}        # structural key -> slot

@@ -37,8 +37,9 @@ from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
 from .expressions import evaluate_jet, parse_expression
 from .geometry import (_codazzi_defect, _component_jets, _cross_normal,
-                       _covariant_derivative, _h_trace, _relative_residual,
-                       frame_at, in_point_blocks, sample_grid)
+                       _covariant_derivative, _relative_residual,
+                       _trace_residual, covariant_hessian, frame_at,
+                       in_point_blocks, sample_grid)
 from .jets import Jet, RigidlabError, derivative_view, stacked
 from .linalg import cofactor, contract, singular_values
 
@@ -309,7 +310,6 @@ class RotationData:
     w_scalar: np.ndarray          # n . Y
     y: np.ndarray                 # (..., 3) rotation vector
     dy: np.ndarray                # (..., 2, 3), Y_k
-    a_mixed: np.ndarray           # (..., 2, 2), Y_k = a_k^l r_l
     rotation_residual: np.ndarray  # max_i |tau_i - Y x r_i| (flex health)
     tangency_residual: np.ndarray  # max_k |n . Y_k|
     is_flex: np.ndarray
@@ -326,10 +326,10 @@ def _hodge(y):
 
 @in_point_blocks
 def rotation_data(immersion, fld, point):
-    """Rotation vector Y with dtau = Y x dr, its derivative, and the mixed
-    tensor a_k^l.  Non-flex inputs are flagged through ``is_flex`` and the
-    rotation residual instead of raising; each point is judged on its own
-    scale, so a verdict does not depend on the rest of the batch."""
+    """Rotation vector Y with dtau = Y x dr and its derivative.  Non-flex
+    inputs are flagged through ``is_flex`` and the rotation residual
+    instead of raising; each point is judged on its own scale, so a verdict
+    does not depend on the rest of the batch."""
     return _rotation_data(_surface_rotation(
         immersion, fld, *_component_jets(immersion, point, 2)))
 
@@ -338,7 +338,7 @@ def _rotation_data(rj):
     y_mat, dy_mat = rj.rotation()
     y, dy = _hodge(y_mat), _hodge(dy_mat)
     n_val, = stacked(rj.normal, (0,))
-    taui, dual = np.moveaxis(stacked([rj.dtau, rj.dual], (0,))[0], -3, 0)
+    taui, = stacked(rj.dtau, (0,))
     residual = rj.flex_residual()
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(y), axis=-1),
                                        np.max(np.abs(taui), axis=(-1, -2))))
@@ -347,7 +347,6 @@ def _rotation_data(rj):
     return RotationData(
         u=contract("...a,...ia->...i", n_val, taui),
         w_scalar=contract("...a,...a->...", n_val, y), y=y, dy=dy,
-        a_mixed=contract("...ka,...la->...kl", dy, dual),
         rotation_residual=residual, tangency_residual=tangency,
         is_flex=residual <= FLEX_RESIDUAL_TOL * scale)
 
@@ -381,12 +380,8 @@ def _w_tensor(rj, fr):
 
     w_cov = _covariant_derivative(dw, fr.christoffels, w_sym)
 
-    trace = _h_trace(fr.second_form, w_sym)
-    w_scale = np.maximum(1.0, np.max(np.abs(w_sym), axis=(-1, -2)))
-    trace_res = np.abs(trace) / w_scale
-
     return WTensor(w=w_sym, w_cov=w_cov, symmetry_residual=sym_res,
-                   trace_residual=trace_res,
+                   trace_residual=_trace_residual(fr.second_form, w_sym),
                    codazzi_residual=_codazzi_defect(w_cov))
 
 
@@ -395,7 +390,6 @@ class PhiRelationResult:
     max_residual: np.ndarray
     skipped: np.ndarray
     phi: np.ndarray
-    nu: np.ndarray
     b_field_residual: np.ndarray  # reconstruction check of b = tau - Y x r
 
 
@@ -411,17 +405,10 @@ def phi_relation_residual(immersion, fld, point):
     rj = _surface_rotation(immersion, fld, fr.point, fr.jets)
     wt = _w_tensor(rj, fr)
     sup = support_at(fr)
-    tau, dtau, ddtau = stacked(rj.tau, (0, 1, 2))
-
-    pos, tang = fr.position, fr.tangents
-    phi = contract("...a,...a->...", pos, tau)
-    dphi = (contract("...ai,...a->...i", tang, tau)
-            + contract("...a,...ai->...i", pos, dtau))
-    ddphi = (contract("...aij,...a->...ij", fr.d2, tau)
-             + contract("...ai,...aj->...ij", tang, dtau)
-             + contract("...aj,...ai->...ij", tang, dtau)
-             + contract("...a,...aij->...ij", pos, ddtau))
-    phi_hess = ddphi - contract("...kij,...k->...ij", fr.christoffels, dphi)
+    # phi = r . tau as one jet
+    phi_jet = sum(r * t for r, t in zip(fr.jets, rj.tau))
+    phi, dphi = phi_jet.value, phi_jet.grad
+    phi_hess = covariant_hessian(fr, dphi, phi_jet.hess)
 
     grad_pair = contract("...i,...ij,...j->...",
                          dphi, fr.metric_inv, sup.grad_rho)
@@ -435,6 +422,8 @@ def phi_relation_residual(immersion, fld, point):
 
     # b = tau - Y x r should equal g^{ij} phi_i r_j + (phi - grad phi .
     # grad rho) / mu * n wherever mu is not degenerate
+    pos, tang = fr.position, fr.tangents
+    tau, = stacked(rj.tau, (0,))
     b_vec = tau - contract("...ab,...b->...a", rj.rotation()[0], pos)
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = np.where(skipped, 0.0, (phi - grad_pair)
@@ -444,7 +433,7 @@ def phi_relation_residual(immersion, fld, point):
     b_res = np.max(np.abs(b_vec - recon), axis=-1)
     b_res = np.where(skipped, 0.0, b_res)
     return PhiRelationResult(max_residual=np.where(skipped, 0.0, res),
-                             skipped=skipped, phi=phi, nu=nu,
+                             skipped=skipped, phi=phi,
                              b_field_residual=b_res)
 
 
@@ -478,12 +467,7 @@ def closed_one_form_residual(immersion, tau_field, e_field, grid=(48, 48)):
         raise FlexError(
             f"E is not an admissible field: dr . dE residual {pre:.3e}")
 
-    if isinstance(e_field, TrivialMotion):
-        # the matmul of FlexOperator.evaluate_field, on the chart values
-        e_val = (np.stack([c.value for c in r], axis=-1) @ e_field.matrix.T
-                 + e_field.vector)
-    else:
-        e_val, = stacked(e_jets, (0,))
+    e_val, = stacked(e_jets, (0,))
     rot = _rotation_data(_surface_rotation(immersion, tau_field, pts, r))
     omega = contract("...ka,...a->...k", rot.dy, e_val)
 
@@ -1082,16 +1066,15 @@ class KernelReport:
     sigma_max: float
     kernel_sigma: float           # largest singular value counted as zero
     next_sigma: float             # smallest singular value above the cut
-    rel_tol: float
     verdict: str
-    expected_trivial: int = 6
-    singular_values: Optional[np.ndarray] = None   # ascending
+    expected_trivial: int
+    singular_values: np.ndarray   # ascending
     # "dense" SVD, Fourier "sector" blocks, or "deflated" bounds; on the
     # deflated route kernel_sigma is the bound kappa >= sigma_6, next_sigma
     # is mu <= sigma_7, and singular_values holds only mu and sigma_max at
-    # their ascending indices ``resolved``
-    route: str = "dense"
-    resolved: Optional[tuple] = None
+    # their ascending indices ``resolved`` (None on the other routes)
+    route: str
+    resolved: Optional[tuple]
 
 
 def kernel_dimension(op, rel_tol=1e-8):
@@ -1114,45 +1097,35 @@ def kernel_dimension(op, rel_tol=1e-8):
     always takes the dense SVD.
     """
     expected = trivial_motion_count(3)
+    bounds = None
     if isinstance(op, FlexOperator) and op.rotation is None:
         bounds = _deflated_certificate(op, rel_tol)
-        if bounds is not None:
-            kappa, mu, smax = bounds
-            gap = mu / max(kappa, smax * 1e-300)
-            return KernelReport(
-                dimension=expected, gap_ratio=gap, sigma_max=smax,
-                kernel_sigma=kappa, next_sigma=mu, rel_tol=rel_tol,
-                verdict="certified-rigid", expected_trivial=expected,
-                singular_values=np.array([mu, smax]), route="deflated",
-                resolved=(expected, op.unknown_count - 1))
-    if not isinstance(op, FlexOperator):
-        svals, route = singular_values(np.asarray(op)), "dense"
-    elif op.rotation is not None:
-        svals, route = _sector_singular_values(op, op.rotation), "sector"
+    if bounds is not None:
+        kernel_sigma, next_sigma, smax = bounds
+        dim, route = expected, "deflated"
+        svals = np.array([next_sigma, smax])
+        resolved = (expected, op.unknown_count - 1)
     else:
-        svals, route = singular_values(op.reduced()), "dense"
-    asc = svals[::-1]
-    smax = float(svals[0])
-    if smax == 0.0:
-        raise FlexError("operator is identically zero")
-    cut = rel_tol * smax
-    dim = int(np.sum(asc <= cut))
-    kernel_sigma = float(asc[dim - 1]) if dim > 0 else 0.0
-    next_sigma = float(asc[dim]) if dim < asc.size else float("inf")
-    if dim == 0:
-        gap = float("inf")
-    else:
-        gap = next_sigma / max(kernel_sigma, smax * 1e-300)
-    if gap < GAP_REQUIREMENT:
+        if not isinstance(op, FlexOperator):
+            desc, route = singular_values(np.asarray(op)), "dense"
+        elif op.rotation is not None:
+            desc, route = _sector_singular_values(op, op.rotation), "sector"
+        else:
+            desc, route = singular_values(op.reduced()), "dense"
+        svals, resolved = desc[::-1], None
+        smax = float(desc[0])
+        if smax == 0.0:
+            raise FlexError("operator is identically zero")
+        dim = int(np.sum(svals <= rel_tol * smax))
+        kernel_sigma = float(svals[dim - 1]) if dim > 0 else 0.0
+        next_sigma = float(svals[dim]) if dim < svals.size else float("inf")
+    gap = (float("inf") if dim == 0
+           else float(next_sigma / max(kernel_sigma, smax * 1e-300)))
+    if gap < GAP_REQUIREMENT or dim < expected:
         verdict = "indeterminate"
-    elif dim == expected:
-        verdict = "certified-rigid"
-    elif dim > expected:
-        verdict = "flexible"
     else:
-        verdict = "indeterminate"
-    return KernelReport(dimension=dim, gap_ratio=float(gap), sigma_max=smax,
+        verdict = "certified-rigid" if dim == expected else "flexible"
+    return KernelReport(dimension=dim, gap_ratio=gap, sigma_max=smax,
                         kernel_sigma=kernel_sigma, next_sigma=next_sigma,
-                        rel_tol=rel_tol, verdict=verdict,
-                        expected_trivial=expected, singular_values=asc,
-                        route=route)
+                        verdict=verdict, expected_trivial=expected,
+                        singular_values=svals, route=route, resolved=resolved)

@@ -48,7 +48,7 @@ __all__ = [
 DEGENERACY_RTOL = 1e-12
 # Immersion.contains accepts points this fraction of an axis's width outside
 CONTAINS_SLACK = 1e-9
-# _h_trace treats h as singular when |det h| <= this times max |h_ij|^2
+# _trace_residual treats h as singular when |det h| <= this times max |h_ij|^2
 SINGULAR_FORM_RTOL = 1e-10
 # points per block of the pointwise suites (in_point_blocks, and the
 # check-surface and pair-check loops): a block's order-3 jets and frame stay
@@ -268,12 +268,11 @@ def in_point_blocks(f):
     return run
 
 
-def covariant_hessian(frame, scalar_field):
-    """Covariant Hessian f_{,ij} = d_ij f - Gamma^k_ij d_k f of an
-    expression field on the surface, at the points of ``frame``."""
-    jet = evaluate_jet(scalar_field, frame.point, order=2)
-    return jet.hess - contract("...kij,...k->...ij", frame.christoffels,
-                               jet.grad)
+def covariant_hessian(frame, grad, hess):
+    """Covariant Hessian f_{,ij} = d_ij f - Gamma^k_ij d_k f of a scalar f
+    at the points of ``frame``, from its chart gradient ``grad`` (..., n)
+    and chart Hessian ``hess`` (..., n, n)."""
+    return hess - contract("...kij,...k->...ij", frame.christoffels, grad)
 
 
 def second_form_derivatives(frame):
@@ -320,22 +319,28 @@ def _relative_residual(lhs, rhs):
 
 def _cofactor_trace(h, w):
     """det(h) h^{ij} w_ij of 2x2 tensors without inverting:
-    h_11 w_22 + h_22 w_11 - 2 h_12 w_12."""
+    h_11 w_22 + h_22 w_11 - 2 h_12 w_12.  Raises :class:`GeometryError` on
+    forms that are not 2x2."""
+    if h.shape[-2:] != (2, 2):
+        raise GeometryError("the h-trace rule is written for 2x2 forms, "
+                            f"got {h.shape[-2]}x{h.shape[-1]}")
     return (h[..., 0, 0] * w[..., 1, 1] + h[..., 1, 1] * w[..., 0, 0]
             - 2.0 * h[..., 0, 1] * w[..., 0, 1])
 
 
-def _h_trace(h, w):
-    """h^{ij} w_ij of 2x2 tensors, or its cofactor form det(h) h^{ij} w_ij
-    where h is singular: |det h| <= SINGULAR_FORM_RTOL max |h_ij|^2, a cut
-    relative to h's own scale (floored at 1e-30), so the choice does not
-    depend on the units of h."""
+def _trace_residual(h, w):
+    """|h^{ij} w_ij| of 2x2 forms relative to max(1, max |w_ij|), with the
+    cofactor form det(h) h^{ij} w_ij where h is singular: |det h| <=
+    SINGULAR_FORM_RTOL max |h_ij|^2, a cut relative to h's own scale
+    (floored at 1e-30), so the choice does not depend on the units of h.
+    Raises :class:`GeometryError` on forms that are not 2x2."""
     det_h = cofactor(h, adjugate=False)[0]
     cof = _cofactor_trace(h, w)
     scale = np.maximum(np.max(np.abs(h), axis=(-1, -2)) ** 2, 1e-30)
     with np.errstate(divide="ignore", invalid="ignore"):
         proper = cof / det_h
-    return np.where(np.abs(det_h) <= SINGULAR_FORM_RTOL * scale, cof, proper)
+    trace = np.where(np.abs(det_h) <= SINGULAR_FORM_RTOL * scale, cof, proper)
+    return np.abs(trace) / np.maximum(1.0, np.max(np.abs(w), axis=(-1, -2)))
 
 
 def codazzi_residual(frame):

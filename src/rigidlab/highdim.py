@@ -64,22 +64,10 @@ def generalized_kronecker(upper, lower):
         return 0
     if set(up) != set(low):
         return 0
-    # sign of the permutation sending low to up
+    # sign of the permutation sending low to up: the parity of its inversions
     perm = [low.index(i) for i in up]
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle_len = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            cycle_len += 1
-        if cycle_len % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import support_at
-from .geometry import (_codazzi_defect, _cofactor_trace, _h_trace,
-                       _relative_residual, frame_at, sample_grid,
+from .geometry import (_codazzi_defect, _cofactor_trace, _relative_residual,
+                       _trace_residual, frame_at, sample_grid,
                        second_form_derivatives)
 from .jets import RigidlabError
 from .linalg import cofactor, contract
@@ -127,16 +127,13 @@ def verify_gauss_trace_and_codazzi(frames, difference):
     """(trace residual, Codazzi residual) of the difference form W.
 
     The trace is hbar^{ij} W_ij, or its cofactor form where hbar is
-    singular relative to its own scale (``geometry._h_trace``).  Codazzi
-    compares the covariant derivatives W_{ij,k} and W_{ik,j}, each surface
-    differentiating its own second form.  ``frames`` must be of order 3;
-    ``difference`` is their :func:`difference_tensors` result.
+    singular relative to its own scale (``geometry._trace_residual``, which
+    refuses charts of dim other than 2).  Codazzi compares the covariant
+    derivatives W_{ij,k} and W_{ik,j}, each surface differentiating its own
+    second form.  ``frames`` must be of order 3; ``difference`` is their
+    :func:`difference_tensors` result.
     """
-    w = difference.w_diff
-    trace = _h_trace(difference.h_bar, w)
-    w_scale = np.maximum(1.0, np.max(np.abs(w), axis=(-1, -2)))
-    trace_res = np.abs(trace) / w_scale
-
+    trace_res = _trace_residual(difference.h_bar, difference.w_diff)
     f1, f2 = frames
     codazzi_res = _codazzi_defect(
         second_form_derivatives(f2) - second_form_derivatives(f1))

@@ -45,21 +45,21 @@ def plane():
                       [(-1.0, 1.0), (-1.0, 1.0)], (False, False))
 
 
-def sphere(radius=1.0):
-    r = repr(float(radius))
+def _latitude_longitude(name, a, b, c):
+    """Closed lat-long chart of the ellipsoid with semi-axes a, b, c."""
+    a, b, c = (repr(float(v)) for v in (a, b, c))
     return _immersion(
-        f"sphere_r{radius:g}",
-        (f"{r}*cos(x1)*cos(x2)", f"{r}*sin(x1)*cos(x2)", f"{r}*sin(x2)"),
+        name, (f"{a}*cos(x1)*cos(x2)", f"{b}*sin(x1)*cos(x2)", f"{c}*sin(x2)"),
         [(0.0, TWO_PI), (-0.5 * math.pi, 0.5 * math.pi)],
         (True, False), closed_poles=(True, True))
+
+
+def sphere(radius=1.0):
+    return _latitude_longitude(f"sphere_r{radius:g}", radius, radius, radius)
 
 
 def ellipsoid(a=2.0, b=1.0, c=1.0):
-    return _immersion(
-        f"ellipsoid_{a:g}_{b:g}_{c:g}",
-        (f"{a!r}*cos(x1)*cos(x2)", f"{b!r}*sin(x1)*cos(x2)", f"{c!r}*sin(x2)"),
-        [(0.0, TWO_PI), (-0.5 * math.pi, 0.5 * math.pi)],
-        (True, False), closed_poles=(True, True))
+    return _latitude_longitude(f"ellipsoid_{a:g}_{b:g}_{c:g}", a, b, c)
 
 
 def cylinder(radius=1.0):

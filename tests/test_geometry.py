@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rigidlab import surfaces as sf
 from rigidlab.darboux import darboux_residual, support_at
-from rigidlab.expressions import parse_expression
+from rigidlab.expressions import evaluate_jet, parse_expression
 from rigidlab.geometry import (DegenerateFrameError, GeodesicChartError,
                                Immersion, _geodesic_acceleration,
                                brioschi_curvature,
@@ -45,17 +45,20 @@ def test_degenerate_frame_raises():
         frame_at(sf.sphere(1.0), np.array([0.1, np.pi / 2]))
 
 
+def _field_hessian(surf, point, text):
+    jet = evaluate_jet(parse_expression(text, 2), point, order=2)
+    return covariant_hessian(frame_at(surf, point, order=2), jet.grad,
+                             jet.hess)
+
+
 def test_covariant_hessian_of_constant_vanishes():
     for surf in (sf.sphere(1.0), sf.saddle()):
-        h = covariant_hessian(frame_at(surf, np.array([0.4, 0.2]), order=2),
-                              parse_expression("4", 2))
+        h = _field_hessian(surf, np.array([0.4, 0.2]), "4")
         assert h == pytest.approx(np.zeros((2, 2)), abs=1e-14)
 
 
 def test_covariant_hessian_of_support_on_cylinder():
-    h = covariant_hessian(frame_at(sf.cylinder(1.0), np.array([1.0, 0.3]),
-                                   order=2),
-                          parse_expression("(1+x2^2)/2", 2))
+    h = _field_hessian(sf.cylinder(1.0), np.array([1.0, 0.3]), "(1+x2^2)/2")
     assert h == pytest.approx(np.diag([0.0, 1.0]), abs=1e-14)
 
 
@@ -300,3 +303,13 @@ def test_cofactor_matches_numpy_linalg(mats):
     assert np.max(np.abs(inv - np.linalg.inv(mats))) <= 1e-12 * max(
         1.0, np.max(np.abs(np.linalg.inv(mats))))
     assert np.array_equal(cofactor(mats, adjugate=False)[0], det)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2, np.float64(0.5)])
+def test_sphere_and_ellipsoid_share_their_chart_text(radius):
+    # one lat-long builder: the semi-axes enter as float literals, whatever
+    # number type they are given as
+    sphere, ellipsoid = (sf.surface_to_dict(s) for s in (
+        sf.sphere(radius), sf.ellipsoid(radius, radius, radius)))
+    assert sphere["components"] == ellipsoid["components"]
+    assert sphere["components"][2] == f"{float(radius)!r} * sin(x2)"

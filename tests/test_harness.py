@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab import boundary, cli, darboux, flex, pairs
+from rigidlab import surfaces as sf
 from rigidlab.linalg import null_space, numerical_rank, singular_values
 from rigidlab.quadrature import (gauss_legendre, gauss_legendre_nodes,
                                  periodic_trapezoid, rk4_path,
@@ -787,3 +788,85 @@ def test_cli_reports_are_byte_stable(tmp_path, argv):
         code = cli.main(argv + ["--seed", "7", "--report", str(target)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_pair_check_refuses_charts_that_are_not_surfaces(tmp_path,
+                                                            capsys):
+    chart = tmp_path / "graph3.json"
+    chart.write_text(json.dumps({
+        "name": "graph3", "dim": 3,
+        "components": ["x1", "x2", "x3", "x1^2 + 2*x2^2 + 3*x3^2"],
+        "domain": [[-0.5, 0.5]] * 3, "periodic": [False] * 3}))
+    pair = tmp_path / "pair3.json"
+    pair.write_text(json.dumps({"surfaces": [str(chart)] * 2}))
+    assert cli.main(["pair-check", str(pair)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "rigidlab: pair-check needs surface charts (dim 2), got dims 3 and 3"]
+
+
+def test_cli_csv_dir_is_an_option_of_the_commands_that_write_csv(tmp_path,
+                                                                capsys):
+    csv_dir = tmp_path / "csv"
+    for argv in (["check-surface", "sphere"], ["pair-check", _PACKAGED_PAIR],
+                 ["pointwise-gauss", "--h", "1,2,3"], ["catalog"]):
+        assert cli.main(argv + ["--csv-dir", str(csv_dir)]) == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+        assert "--csv-dir" in captured.err, argv
+    assert not csv_dir.exists()
+    assert cli.main(["flex-kernel", "plane", "--grid", "6x6",
+                     "--csv-dir", str(csv_dir)]) == 0
+    assert cli.main(["boundary", "--f", "sin(2*x1)",
+                     "--csv-dir", str(csv_dir)]) == 0
+    assert sorted(p.name for p in csv_dir.iterdir()) == [
+        "boundary_series.csv", "singular_values.csv"]
+
+
+def _similar_chart(immersion, scale, rotation, translation):
+    """The chart x -> scale Q x + b, written out as expressions."""
+    spec = sf.surface_to_dict(immersion)
+    comps = spec["components"]
+    spec["components"] = [
+        " + ".join([repr(float(b))] + [f"({scale * qa!r})*({c})"
+                                       for qa, c in zip(row, comps)])
+        for row, b in zip(rotation.tolist(), translation)]
+    return spec
+
+
+def _check_surface_outcome(tmp_path, spec):
+    chart, report = tmp_path / "chart.json", tmp_path / "report.json"
+    chart.write_text(json.dumps(spec))
+    code = cli.main(["check-surface", str(chart), "--points", "50",
+                     "--grid", "16x16", "--report", str(report)])
+    return code, [(c["name"], c["verdict"],
+                   c["metadata"].get("skipped_points"))
+                  for c in json.loads(report.read_text())["checks"]]
+
+
+@pytest.mark.parametrize("name", sf.catalog_names())
+def test_check_surface_verdicts_are_invariant_under_similarities(tmp_path,
+                                                                 name):
+    immersion = sf.load_surface(name)
+    base = _check_surface_outcome(
+        tmp_path, _similar_chart(immersion, 1.0, np.eye(3), np.zeros(3)))
+    assert base[0] == 0
+    rng = np.random.default_rng(11)
+    for scale in (0.1, 0.5, 2.0, 10.0):
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        q = q * np.sign(np.diag(r))
+        q[:, 0] *= np.sign(np.linalg.det(q))
+        # a translation b moves the support, mu -> mu + b . n, so it keeps
+        # the support-degenerate points only where it is tangent: the plane
+        # (mu = 0 everywhere) moves within its plane, and the saddle (mu = 0
+        # on its diagonals, where the grid samples) is not translated
+        direction = rng.standard_normal(3)
+        if name == "plane":
+            direction[2] = 0.0
+        length = 0.0 if name == "saddle" else 0.1 * scale * rng.uniform()
+        b = q @ (length * direction / np.linalg.norm(direction))
+        moved = _check_surface_outcome(
+            tmp_path, _similar_chart(immersion, scale, q, b))
+        assert moved == base, (scale, moved)

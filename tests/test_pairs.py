@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rigidlab import surfaces as sf
 from rigidlab.darboux import (darboux_residual, support_at,
                               verify_shape_identity)
-from rigidlab.geometry import frame_at, interior_points
+from rigidlab.geometry import GeometryError, frame_at, interior_points
 from rigidlab.pairs import (EnergyPositivityError, IsometricPair, PairError,
                             check_isometric, cofactor_divergence_identity,
                             difference_tensors, energy_inner_product,
@@ -267,3 +267,28 @@ def test_order_three_frames_give_the_order_two_bits(surf):
     assert low.keys() == high.keys()
     for name, values in low.items():
         assert values.tobytes() == high[name].tobytes(), (surf.name, name)
+
+
+def _graph3(name, height):
+    return sf.load_surface({
+        "name": name, "dim": 3, "components": ["x1", "x2", "x3", height],
+        "domain": [[-0.5, 0.5]] * 3, "periodic": [False] * 3})
+
+
+def test_the_trace_rule_refuses_forms_that_are_not_2x2():
+    # graphs whose second forms at the origin are (hbar -/+ W) / 2 for
+    # hbar = diag(1, 2, 3) and W = diag(1, 1, -5): hbar^{ij} W_ij = -1/6
+    # there, while the 2x2 cofactor rule would read 0.5 from the leading
+    # block alone
+    pair = IsometricPair(_graph3("first", "0.25*x2^2 + 2*x3^2"),
+                         _graph3("second", "0.5*x1^2 + 0.75*x2^2 - 0.5*x3^2"))
+    frames = pair_frames(pair, np.zeros((1, 3)), order=3)
+    d = difference_tensors(frames)
+    assert np.allclose(np.abs(d.h_bar[0]), np.diag([1.0, 2.0, 3.0]))
+    assert np.allclose(np.abs(d.w_diff[0]), np.diag([1.0, 1.0, 5.0]))
+    with pytest.raises(GeometryError, match="2x2 forms, got 3x3"):
+        verify_gauss_trace_and_codazzi(frames, d)
+    # trace-free in the leading 2x2 block only: hbar^{ij} w_ij = 7/3
+    with pytest.raises(GeometryError, match="2x2 forms, got 3x3"):
+        cofactor_divergence_identity(np.diag([1.0, 2.0, 3.0]),
+                                     np.diag([1.0, -2.0, 7.0]))
