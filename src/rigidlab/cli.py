@@ -8,6 +8,7 @@ verdict indeterminate (and nothing failed), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -72,6 +73,7 @@ def _tolerance(text):
     return value
 
 
+@functools.cache          # parsing leaves no state in the parser
 def build_parser():
     parser = _Parser(prog="rigidlab",
                      description="numerical rigidity checks for immersed "

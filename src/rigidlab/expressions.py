@@ -80,6 +80,7 @@ class Pow:
 
 
 Node = object
+_OPERANDS = {Binary: ("left", "right"), Unary: ("arg",), Pow: ("base",)}
 
 
 # ---------------------------------------------------------------------------
@@ -247,32 +248,52 @@ def _prec(node):
     return _PRECEDENCE[node.op]
 
 
-def _wrap(node, parent_prec, strict=False):
-    text = to_text(node)
+def _wrap(node, text, parent_prec, strict=False):
     p = _prec(node)
     if p < parent_prec or (strict and p == parent_prec):
         return f"({text})"
     return text
 
 
+def _fold(root, visit):
+    """``visit(node, parent, operand_values)`` at each node of ``root`` in
+    post-order (left operand first) from a stack; returns the root's."""
+    results, stack = [], [(root, None, False)]
+    while stack:
+        node, parent, ready = stack.pop()
+        kids = [getattr(node, name) for name in _OPERANDS.get(type(node), ())]
+        if kids and not ready:
+            stack.append((node, parent, True))
+            stack.extend((kid, node, False) for kid in reversed(kids))
+        else:
+            split = len(results) - len(kids)
+            results[split:] = [visit(node, parent, results[split:])]
+    return results[0]
+
+
 def to_text(node):
     """Canonical textual form; ``parse_expression(to_text(t), dim) == t``."""
+    return _fold(node, _text)
+
+
+def _text(node, parent, args):
     if isinstance(node, Var):
         return f"x{node.index}"
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Unary):
         if node.op == "neg":
-            return f"-{_wrap(node.arg, _PRECEDENCE['neg'], strict=True)}"
-        return f"{node.op}({to_text(node.arg)})"
+            return "-" + _wrap(node.arg, args[0], _PRECEDENCE["neg"],
+                               strict=True)
+        return f"{node.op}({args[0]})"
     if isinstance(node, Pow):
-        base = _wrap(node.base, _PRECEDENCE["pow"], strict=True)
+        base = _wrap(node.base, args[0], _PRECEDENCE["pow"], strict=True)
         return f"{base}^{node.exponent}"
     if isinstance(node, Binary):
-        left = _wrap(node.left, _prec(node))
+        left = _wrap(node.left, args[0], _prec(node))
         # parenthesize equal-precedence right operands so the left-associa-
         # tive reparse reproduces the tree exactly
-        right = _wrap(node.right, _prec(node), strict=True)
+        right = _wrap(node.right, args[1], _prec(node), strict=True)
         return f"{left} {node.op} {right}"
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -351,7 +372,7 @@ class _Program:
         self.variables = []    # (slot, 1-based index), first use first
         self.constants = []    # (slot, value) of constant jets
         self.steps = []        # (slot, function, operand slots)
-        self.outputs = [self._visit(c) for c in components]
+        self.outputs = [_fold(c, self._visit) for c in components]
         last = {a: k for k, (_, _, args) in enumerate(self.steps)
                 for a in args}
         dead = [[] for _ in self.steps]
@@ -375,11 +396,12 @@ class _Program:
             self.steps.append((slot, _STEPS[key[0]], args))
         return slot
 
-    def _visit(self, node, as_number=False):
+    def _visit(self, node, parent, args):
         if isinstance(node, Num):
             value = float(node.value)
             key = value.hex()           # 0.0 and -0.0 are different literals
-            if as_number:
+            if isinstance(parent, Binary) and not isinstance(
+                    parent.right if node is parent.left else parent.left, Num):
                 return self._slot(("number", key), value)[0]
             slot, new = self._slot(("constant", key))
             if new:
@@ -391,18 +413,17 @@ class _Program:
                 self.variables.append((slot, node.index))
             return slot
         if isinstance(node, Unary):
-            arg = self._visit(node.arg)
+            arg, = args
             if node.op in ("sin", "cos"):
                 pair = self._step(("sin_cos", arg), arg)
                 return self._step((node.op, arg), arg, pair)
             return self._step((node.op, arg), arg)
         if isinstance(node, Pow):
-            base = self._visit(node.base)
+            base, = args
             exponent = self._slot(("int", node.exponent), node.exponent)[0]
             return self._step(("^", base, exponent), base, exponent)
         if isinstance(node, Binary):
-            left = self._visit(node.left, not isinstance(node.right, Num))
-            right = self._visit(node.right, not isinstance(node.left, Num))
+            left, right = args
             return self._step((node.op, left, right), left, right)
         raise TypeError(f"not an expression node: {node!r}")
 

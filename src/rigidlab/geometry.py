@@ -189,17 +189,17 @@ def frame_at(immersion, point, order=2):
 
 
 def _metric(immersion, points, tangents):
-    """Metric, det g and inverse metric from the chart tangents at
-    ``points``.
-
-    Raises :class:`GeometryError` when det g is not finite, and
-    :class:`DegenerateFrameError` when it falls under
-    ``1e-12 * (max tangent norm)^(2n)``.
-    """
-    n = tangents.shape[-1]
+    """Metric, det g and inverse metric from the chart tangents."""
     metric = contract("...ai,...aj->...ij", tangents, tangents)
     det_metric, adj_metric = cofactor(metric)
-    scale = np.max(np.diagonal(metric, axis1=-2, axis2=-1), axis=-1) ** n
+    _refuse_degenerate(immersion, points, det_metric, np.max(np.diagonal(
+        metric, axis1=-2, axis2=-1), axis=-1) ** tangents.shape[-1])
+    return metric, det_metric, adj_metric / det_metric[..., None, None]
+
+
+def _refuse_degenerate(immersion, points, det_metric, scale):
+    """Refuse det g where it is not finite (:class:`GeometryError` naming
+    the first such point) or not above ``DEGENERACY_RTOL (max_i g_ii)^n``."""
     # NaN fails this comparison, so a non-finite det g lands here too
     if not np.all(det_metric > DEGENERACY_RTOL * scale):
         _refuse_non_finite(immersion, points, "det g",
@@ -207,7 +207,6 @@ def _metric(immersion, points, tangents):
         raise DegenerateFrameError(
             f"immersion {immersion.name}: degenerate tangent frame "
             f"(min det g = {np.min(det_metric):.3e})")
-    return metric, det_metric, adj_metric / det_metric[..., None, None]
 
 
 def _refuse_non_finite(immersion, points, what, finite):
@@ -499,9 +498,8 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
 
     def speed(sigma):
         _, jts = _component_jets(immersion, curve_point(sigma), 1)
-        tang, = stacked(jts, (1,))
-        g = contract("...ai,...aj->...ij", tang, tang)
-        return np.sqrt(g[..., other, other])
+        rows = [jet.coef[1 + other] for jet in jts]
+        return np.sqrt(functools.reduce(np.add, [r * r for r in rows]))
 
     # equal-arclength parameter values and the total boundary length from
     # the spectral antiderivative of the speed on a fine grid
@@ -532,10 +530,8 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
     # shoot all geodesics at once
     t_nodes = np.linspace(0.0, depth, n_t + 1)
     hstep = depth / n_t
-    pts = np.empty((n_s, n_t + 1, 2))
-    vel = np.empty((n_s, n_t + 1, 2))
-    x = start_pts.copy()
-    v = nu.copy()
+    pts, vel = np.empty((2, n_s, n_t + 1, 2))
+    x, v = start_pts, nu
     pts[:, 0], vel[:, 0] = x, v
     for j in range(n_t):
         x, v = _rk4_geodesic_step(immersion, x, v, hstep)
@@ -571,14 +567,25 @@ def geodesic_boundary_chart(immersion, edge, depth, n_s=64, n_t=64):
 
 
 def _geodesic_acceleration(immersion, x, v):
-    """x'' = -Gamma(v, v) = -g^{-1} r_x^T (r_xx[v, v]) of the geodesics
-    through ``x`` with velocity ``v``, from the order-2 jets alone."""
-    _, jts = _component_jets(immersion, x, 2)
-    tangents, d2 = stacked(jts, (1, 2))
-    metric_inv = _metric(immersion, x, tangents)[2]
-    r_vv = contract("...aij,...i,...j->...a", d2, v, v)
-    return -contract("...kl,...l->...k", metric_inv,
-                     contract("...al,...a->...l", tangents, r_vv))
+    """x'' = -Gamma(v, v) = -g^{-1} r_x^T (r_xx[v, v]) at ``x`` (..., 2)
+    and velocity ``v``, from jet rows as whole-batch arrays and the 2x2
+    closed form, summed in ``contract``/``cofactor`` order: bitwise theirs."""
+    pts, jts = _component_jets(immersion, x, 2)
+    # rows d0, d1, c00, c01, c11 of each component a: (5, A, N)
+    coef = np.stack([jet.coef for jet in jts], axis=1)[1:]
+    vel = np.asarray(v, dtype=float).reshape(-1, 2).T[:, None]  # (2, 1, N)
+    # sums over a run in order: g_ij = sum_a r_ai r_aj, and p_l below
+    g = functools.reduce(np.add, np.moveaxis(coef[:2, None] * coef[:2], 2, 0))
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    _refuse_degenerate(immersion, pts.reshape(-1, 2), det,
+                       np.maximum(g[0, 0], g[1, 1]) ** 2)
+    inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+    hess = coef[[2, 3, 3, 4]]         # r_aij over (i, j) = 00, 01, 10, 11
+    hess[::3] *= 2.0                  # r_ii = 2 c_ii, as ``stacked`` has it
+    r_vv = functools.reduce(np.add, hess * vel[[0, 0, 1, 1]]
+                            * vel[[0, 1, 0, 1]])
+    p = functools.reduce(np.add, (coef[:2] * r_vv).swapaxes(0, 1))
+    return -(inv[:, 0] * p[0] + inv[:, 1] * p[1]).T.reshape(pts.shape)
 
 
 def _rk4_geodesic_step(immersion, x, v, h):
@@ -589,6 +596,5 @@ def _rk4_geodesic_step(immersion, x, v, h):
     k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
     k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
     k4x, k4v = rhs(x + h * k3x, v + h * k3v)
-    x_new = x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-    v_new = v + h * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-    return x_new, v_new
+    return (x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0,
+            v + h * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0)

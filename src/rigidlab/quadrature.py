@@ -104,20 +104,30 @@ def trig_interpolate(samples, period, points):
     """Evaluate the trigonometric interpolant of uniform periodic samples,
     in blocks of about ``_CHUNK`` (points x modes) entries: the working set
     stays bounded and a point's value does not depend on its batch."""
-    m = samples.size
-    k = np.arange(m // 2 + 1)
-    # mode 0 and the unpaired Nyquist mode of an even m once, the rest twice
-    weight = np.where((k == 0) | (2 * k == m), 1.0, 2.0)
-    coef = weight * np.fft.rfft(samples) / m
-    freq = TWO_PI * k
+    coef = _kept_modes(samples)
+    freq = TWO_PI * np.arange(coef.size)
     pts = np.asarray(points, dtype=float)
     flat, out = pts.ravel(), np.empty(pts.size)
-    step = max(1, _CHUNK // k.size)
+    step = max(1, _CHUNK // coef.size)
     for lo in range(0, flat.size, step):
         phase = np.multiply.outer(flat[lo:lo + step], freq) / period
         out[lo:lo + step] = (np.einsum("pk,k->p", np.cos(phase), coef.real)
                              - np.einsum("pk,k->p", np.sin(phase), coef.imag))
     return out.reshape(pts.shape)
+
+
+def _kept_modes(samples):
+    """Coefficients c_k of the interpolant sum_k Re(c_k e^{ikx}) of m
+    uniform periodic samples, less the trailing modes of summed magnitude
+    at most eps sum_k |c_k| (mode 0 always kept)."""
+    m = samples.size
+    k = np.arange(m // 2 + 1)
+    # mode 0 and the unpaired Nyquist mode of an even m once, the rest twice
+    weight = np.where((k == 0) | (2 * k == m), 1.0, 2.0)
+    coef = weight * np.fft.rfft(samples) / m
+    tail = np.cumsum(np.abs(coef[::-1]))[::-1]
+    kept = np.count_nonzero(tail > np.finfo(float).eps * tail[0])
+    return coef[:max(1, kept)]
 
 
 def trig_resample(samples, count):

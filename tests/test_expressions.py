@@ -45,6 +45,16 @@ def test_fractional_exponent_rejected():
         parse_expression("x1^1.5", 1)
 
 
+def test_deep_expressions_print_and_evaluate_without_recursion():
+    # left-deep sums and products 5000 operations deep
+    for text, want in ((" + ".join(["x1"] * 5001), 5001.0 * 0.5),
+                       (" * ".join(["x1"] * 5001), 0.0)):
+        tree = parse_expression(text, 1)
+        assert to_text(tree) == text
+        assert evaluate_jet(tree, np.array([0.5]), order=1).value == \
+            pytest.approx(want)
+
+
 def test_jet_of_square():
     jet = evaluate_jet(parse_expression("x1^2", 1), [3.0], order=2)
     assert jet.value == pytest.approx(9.0)

@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidlab import geometry as gm
 from rigidlab import surfaces as sf
 from rigidlab.darboux import darboux_residual, support_at
 from rigidlab.expressions import evaluate_jet, parse_expression
 from rigidlab.geometry import (DegenerateFrameError, GeodesicChartError,
-                               Immersion, _geodesic_acceleration,
+                               GeometryError, Immersion,
+                               _geodesic_acceleration,
                                brioschi_curvature,
                                codazzi_residual, covariant_hessian, frame_at,
                                geodesic_boundary_chart, interior_points,
                                second_form_derivatives)
-from rigidlab.linalg import cofactor
+from rigidlab.jets import stacked
+from rigidlab.linalg import cofactor, contract
 from rigidlab.quadrature import gauss_legendre
 
 CATALOG = [sf.sphere(1.0), sf.sphere(2.0), sf.ellipsoid(), sf.cylinder(1.0),
@@ -195,6 +198,73 @@ def test_geodesic_acceleration_is_minus_christoffels_of_the_velocity():
         # relative to |v|^2 too, where Gamma vanishes (plane, cylinder)
         scale = max(np.max(np.abs(expected)), np.max(vel ** 2))
         assert np.max(np.abs(acc - expected)) <= 1e-13 * scale, surf.name
+
+
+def _reference_acceleration(immersion, x, v):
+    """The geodesic stage through ``stacked``, ``cofactor`` and
+    ``contract``, as written for charts of any dimension."""
+    jts = evaluate_jet(immersion.components, x, order=2)
+    tangents, d2 = stacked(jts, (1, 2))
+    metric = contract("...ai,...aj->...ij", tangents, tangents)
+    det, adj = cofactor(metric)
+    r_vv = contract("...aij,...i,...j->...a", d2, v, v)
+    return -contract("...kl,...l->...k", adj / det[..., None, None],
+                     contract("...al,...a->...l", tangents, r_vv))
+
+
+def test_geodesic_stage_is_bitwise_the_general_contraction():
+    rng = np.random.default_rng(33)
+    for surf in CONNECTION_CHARTS:
+        pts = interior_points(surf, 200, rng)
+        vel = rng.normal(size=pts.shape)
+        assert np.array_equal(_geodesic_acceleration(surf, pts, vel),
+                              _reference_acceleration(surf, pts, vel)), \
+            surf.name
+
+
+def test_geodesic_stage_does_not_depend_on_the_batch(assert_batch_invariant):
+    rng = np.random.default_rng(34)
+    surf = sf.quartic_cap_polar()
+    pts = interior_points(surf, 64, rng)
+    vel = rng.normal(size=pts.shape)
+    assert_batch_invariant(
+        lambda xv: _geodesic_acceleration(surf, xv[:, :2], xv[:, 2:]),
+        np.concatenate([pts, vel], axis=1))
+    batch = _geodesic_acceleration(surf, pts, vel)
+    for k in (0, 17, 63):
+        alone = _geodesic_acceleration(surf, pts[k], vel[k])
+        assert alone.shape == (2,)
+        assert alone.tobytes() == batch[k].tobytes()
+
+
+def test_geodesic_stage_refuses_degenerate_and_non_finite_frames():
+    # the sphere's chart pole, as in test_degenerate_frame_raises
+    pts = np.array([[0.1, 0.3], [0.1, np.pi / 2]])
+    with pytest.raises(DegenerateFrameError):
+        _geodesic_acceleration(sf.sphere(1.0), pts, np.ones_like(pts))
+    overflow = sf.load_surface({
+        "name": "overflow", "dim": 2, "components": ["x1", "x2", "x1^1000"],
+        "domain": [[0, 2], [-1, 1]], "periodic": [False, False]})
+    pts = np.array([[0.5, 0.25], [1.5, -0.125], [1.75, 0.5]])
+    with np.errstate(all="ignore"), pytest.raises(GeometryError) as err:
+        _geodesic_acceleration(overflow, pts, np.ones_like(pts))
+    assert not isinstance(err.value, DegenerateFrameError)
+    assert "det g at (x1, x2) = (1.5, -0.125) is not finite" in str(err.value)
+
+
+@pytest.mark.parametrize("surf, edge, depth", [
+    (sf.quartic_cap_polar(), (1, "hi"), 0.1),
+    (sf.spherical_cap(0.4, 1.4), (1, "lo"), 0.3),
+    (sf.flat_disk_polar(), (1, "hi"), 0.4),
+])
+def test_geodesic_chart_is_bitwise_the_general_stage(monkeypatch, surf, edge,
+                                                     depth):
+    fused = geodesic_boundary_chart(surf, edge, depth=depth, n_s=32, n_t=16)
+    monkeypatch.setattr(gm, "_geodesic_acceleration", _reference_acceleration)
+    general = geodesic_boundary_chart(surf, edge, depth=depth, n_s=32, n_t=16)
+    for name in ("points", "velocities", "B"):
+        assert np.array_equal(getattr(fused, name), getattr(general, name)), \
+            name
 
 
 def _christoffel_edge_kg(fr0, other, nu):

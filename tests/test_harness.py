@@ -13,8 +13,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab import boundary, cli, darboux, flex, pairs
+from rigidlab import boundary, cli, darboux, flex, pairs, quadrature
 from rigidlab import surfaces as sf
+from rigidlab.geometry import geodesic_boundary_chart
 from rigidlab.linalg import null_space, numerical_rank, singular_values
 from rigidlab.quadrature import (gauss_legendre, gauss_legendre_nodes,
                                  periodic_trapezoid, rk4_path,
@@ -81,6 +82,8 @@ def test_trig_interpolate_matches_the_per_mode_sum(m, shape):
     got = trig_interpolate(samples, period, points)
     assert got.shape == want.shape == shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # white noise has no rounding tail: no mode is dropped
+    assert quadrature._kept_modes(samples).size == m // 2 + 1
 
 
 @pytest.mark.parametrize("m", [64, 4095, 4096, 6001, 8192])
@@ -106,6 +109,63 @@ def test_trig_interpolate_is_batch_invariant(assert_batch_invariant):
     points = np.random.default_rng(4).uniform(0.0, 2 * np.pi, 5000)
     assert_batch_invariant(
         lambda pts: trig_interpolate(samples, 2 * np.pi, pts), points)
+
+
+def _quartic_cap_interpolants(monkeypatch):
+    """(samples, period) of every trig_interpolate call that the quartic
+    cap's boundary chart and its profile make, in call order."""
+    calls, interpolate = [], quadrature.trig_interpolate
+
+    def spy(samples, period, points):
+        calls.append((samples, period))
+        return interpolate(samples, period, points)
+
+    monkeypatch.setattr(quadrature, "trig_interpolate", spy)
+    monkeypatch.setattr(boundary, "trig_interpolate", spy)
+    chart = geodesic_boundary_chart(sf.quartic_cap_polar(), (1, "hi"), 0.1)
+    boundary.BoundaryProfile.from_chart(chart)
+    monkeypatch.undo()
+    return calls
+
+
+def test_trig_interpolate_drops_the_rounding_tail_of_chart_profiles(
+        monkeypatch):
+    calls = _quartic_cap_interpolants(monkeypatch)
+    kept = [(samples.size, quadrature._kept_modes(samples).size)
+            for samples, _ in calls]
+    # three Newton steps of the speed inversion (the periodic part of the
+    # arclength of 4096 speed samples: rounding only, as the boundary
+    # circle has unit speed), then the k_g profile: its 64 curvature
+    # samples as density, and the periodic part of its antiderivative on
+    # 128 samples, three times each, and k_g once more at the nodes
+    assert kept[:3] == [(4096, 1)] * 3
+    assert sorted(set(kept[3:])) == [(64, 26), (128, 1)]
+
+
+def test_trig_interpolate_moves_no_value_beyond_a_rounding_unit(
+        monkeypatch):
+    # the k_g density of the quartic cap's profile, 26 of its 33 modes kept
+    samples, period = _quartic_cap_interpolants(monkeypatch)[3]
+    m = samples.size
+    k = np.arange(m // 2 + 1)
+    coef = np.where((k == 0) | (2 * k == m), 1.0, 2.0) * np.fft.rfft(
+        samples) / m
+    points = np.random.default_rng(6).uniform(0.0, period, 4096)
+    phase = np.multiply.outer(points, 2 * np.pi * k) / period
+    untruncated = (np.einsum("pk,k->p", np.cos(phase), coef.real)
+                   - np.einsum("pk,k->p", np.sin(phase), coef.imag))
+    got = trig_interpolate(samples, period, points)
+    assert quadrature._kept_modes(samples).size == 26
+    assert np.max(np.abs(got - untruncated)) <= (
+        np.finfo(float).eps * np.sum(np.abs(coef)))
+
+
+def test_truncated_trig_interpolate_is_batch_invariant(monkeypatch,
+                                                       assert_batch_invariant):
+    samples, period = _quartic_cap_interpolants(monkeypatch)[3]
+    points = np.random.default_rng(7).uniform(0.0, period, 5000)
+    assert_batch_invariant(
+        lambda pts: trig_interpolate(samples, period, pts), points)
 
 
 def test_trig_interpolate_working_set_is_bounded():
@@ -469,6 +529,35 @@ def test_cli_boundary_csv_report_is_independent_of_its_directory(tmp_path):
     assert inputs["kg"] == "kg.csv"
     assert inputs["kg_sha256"] == hashlib.sha256(
         (text + "\n").encode()).hexdigest()
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    argv = ["flex-kernel", "sphere", "--grid", "8x6"]
+    assert cli.main(argv + ["--svd-tol", "0.5", "--report", str(first)]) in (
+        0, 2, 3)
+    assert json.loads(first.read_text())["inputs"]["svd_tol"] == 0.5
+    capsys.readouterr()
+    # a usage error after a good run: exit 64 and one stderr line
+    assert cli.main(["flex-kernel", "sphere", "--grid", "8"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("rigidlab: bad grid")
+    # neither option of the first run reaches the next ones
+    first.unlink()
+    cli.main(argv)
+    assert not first.exists()
+    cli.main(argv + ["--report", str(second)])
+    assert json.loads(second.read_text())["inputs"]["svd_tol"] == 1e-8
+    assert not first.exists()
+
+
+def test_cli_boundary_compiles_a_sum_of_thousands_of_terms(capsys):
+    # a left-deep tree 2000 operations deep, past the recursion limit
+    f = " + ".join(["cos(x1)"] * 2000)
+    assert cli.main(["boundary", "--kg", "1", "--f", f, "--steps", "64"]) in (
+        0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_usage_errors(tmp_path, capsys):
