@@ -219,13 +219,13 @@ class BoundaryProfile:
         return cls.from_arclength(-chart.kg, chart.length)
 
 
-def _antiderivative_half_step(integrand_aligned, theta_aligned):
-    """Antiderivative of a periodic integrand on the half-step offset grid:
-    the periodic part is shifted spectrally (exact phase factor), the mean
+def _antiderivative_half_step(full, slope, theta_aligned):
+    """The antiderivative ``full`` on ``theta_aligned`` of a periodic
+    integrand of mean ``slope``, moved to the half-step offset grid: the
+    periodic part is shifted spectrally (exact phase factor), the mean
     ramp exactly."""
-    m = integrand_aligned.size
-    slope = float(np.mean(integrand_aligned))
-    full = periodic_antiderivative(integrand_aligned, TWO_PI)
+    m = full.size
+    slope = float(slope)
     periodic_part = full - slope * theta_aligned
     spectrum = np.fft.rfft(periodic_part)
     k = np.fft.rfftfreq(m, d=1.0 / m)
@@ -558,8 +558,10 @@ def boundary_energy_inequality(profile, f):
     value_direct = -2.0 * float(periodic_trapezoid(
         f_vals * np.cos(theta) * uv.u, TWO_PI))
 
-    u_off = _antiderivative_half_step(f_vals * np.sin(theta), theta)
-    x2_off = _antiderivative_half_step(np.sin(theta) / uv.curve.kg, theta)
+    u_off = _antiderivative_half_step(
+        uv.u, np.mean(f_vals * np.sin(theta)), theta)
+    x2_off = _antiderivative_half_step(
+        uv.curve.x2, np.mean(np.sin(theta) / uv.curve.kg), theta)
     big_u_off = u_off + uv.constant * x2_off
     ratio = big_u_off / np.sin(TWO_PI * (np.arange(n) + 0.5) / n)
     value_uv = -float(periodic_trapezoid(ratio**2, TWO_PI)) \

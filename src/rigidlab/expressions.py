@@ -84,151 +84,152 @@ _OPERANDS = {Binary: ("left", "right"), Unary: ("arg",), Pow: ("base",)}
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# parser: one loop over a stack of open groups
 # ---------------------------------------------------------------------------
 
-class _Parser:
+def _digits(text, pos):
+    """End of the run of digits (``str.isdigit``) from ``pos``."""
+    while text[pos:pos + 1].isdigit():
+        pos += 1
+    return pos
+
+
+class _Scanner:
+    """Position in the text of an expression and the tokens read there."""
+
     def __init__(self, text, dim):
-        self.text = text
-        self.dim = dim
-        self.pos = 0
+        self.text, self.dim, self.pos = text, dim, 0
 
-    def error(self, message):
-        raise ExpressionError(message, offset=self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, message, at=None):
+        """Raise ``message`` at 0-based position ``at``, by default here."""
+        raise ExpressionError(message,
+                              offset=(self.pos if at is None else at) + 1)
 
     def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character past whitespace, "" at the end."""
+        text, pos = self.text, self.pos
+        while text[pos:pos + 1].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos:pos + 1]
 
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected '{ch}'")
-        self.pos += 1
-
-    def parse(self):
-        node = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected character {self.text[self.pos]!r}")
-        return node
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            node = Binary(op, node, self.parse_term())
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
-            node = Binary(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self):
-        node = self.parse_base()
-        while self.peek() == "^":
-            self.pos += 1
-            node = Pow(node, self.parse_integer())
-        return node
-
-    def parse_base(self):
-        ch = self.peek()
-        if ch == "-":
-            self.pos += 1
-            return Unary("neg", self.parse_base())
-        return self.parse_atom()
-
-    def parse_integer(self):
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in ("+", "-"):
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        chunk = self.text[start:self.pos]
-        if not chunk or chunk in "+-":
-            self.pos = start
-            self.error("expected an integer exponent")
-        return int(chunk)
-
-    def parse_atom(self):
-        ch = self.peek()
-        if ch == "":
-            self.error("unexpected end of input")
+    def operand(self, ch):
+        """The number or variable at ``ch``, the next character, or the
+        group that opens there: "(" or a function name, its "(" read."""
         if ch == "(":
             self.pos += 1
-            node = self.parse_expr()
-            self.expect(")")
-            return node
+            return ch
         if ch.isdigit() or ch == ".":
-            return self.parse_number()
+            return self.number()
         if ch.isalpha() or ch == "_":
-            return self.parse_identifier()
-        self.error(f"unexpected character {ch!r}")
+            return self.identifier()
+        self.error(f"unexpected character {ch!r}" if ch
+                   else "unexpected end of input")
 
-    def parse_number(self):
-        start = self.pos
-        text = self.text
-        n = len(text)
-        while self.pos < n and text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < n and text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < n and text[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < n and text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and text[self.pos].isdigit():
-                while self.pos < n and text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent suffix, leave it
-        chunk = text[start:self.pos]
+    def number(self):
+        """The numeric literal at the position."""
+        text, start = self.text, self.pos
+        pos = _digits(text, start)
+        if text[pos:pos + 1] == ".":
+            pos = _digits(text, pos + 1)
+        if text[pos:pos + 1] in ("e", "E"):  # a suffix only with a digit
+            digits = pos + 1 + (text[pos + 1:pos + 2] in ("+", "-"))
+            end = _digits(text, digits)
+            pos = end if end > digits else pos
+        self.pos = pos
         try:
-            return Num(float(chunk))
+            return Num(float(text[start:pos]))
         except ValueError:
-            self.pos = start
-            self.error(f"bad numeric literal {chunk!r}")
+            self.error(f"bad numeric literal {text[start:pos]!r}", start)
 
-    def parse_identifier(self):
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        name = text[start:self.pos]
+    def identifier(self):
+        """The variable at the position, or the function name there, its
+        "(" read."""
+        text, start = self.text, self.pos
+        pos = start
+        while text[pos:pos + 1].isalnum() or text[pos:pos + 1] == "_":
+            pos += 1
+        self.pos, name = pos, text[start:pos]
         if name[0] == "x" and name[1:].isdigit():
             index = int(name[1:])
             if not 1 <= index <= self.dim:
-                self.pos = start
-                self.error(f"variable {name} exceeds chart dimension {self.dim}")
+                self.error(f"variable {name} exceeds chart dimension "
+                           f"{self.dim}", start)
             return Var(index)
         if name in UNARY_FUNCTIONS and name != "neg":
             if self.peek() != "(":
                 self.error(f"function {name} requires parentheses")
             self.pos += 1
-            arg = self.parse_expr()
-            self.expect(")")
-            return Unary(name, arg)
-        self.pos = start
-        self.error(f"unknown identifier {name!r}")
+            return name
+        self.error(f"unknown identifier {name!r}", start)
+
+    def integer(self):
+        """The exponent after "^": an integer literal, maybe signed."""
+        self.peek()
+        text, start = self.text, self.pos
+        digits = start + (text[start:start + 1] in ("+", "-"))
+        self.pos = _digits(text, digits)
+        if self.pos == digits:
+            self.error("expected an integer exponent", start)
+        return int(text[start:self.pos])
 
 
 def parse_expression(text, dim):
-    """Parse ``text`` into an AST over variables x1..x{dim}."""
+    """Parse ``text`` into an AST over variables x1..x{dim}.
+
+    One loop over an explicit stack of open groups (Dijkstra's operator-
+    precedence scheme): the whole text, a parenthesis or a function call.
+    Each group holds its operands, its pending binary operators, which
+    reduce by the printer's ``_PRECEDENCE``, and the negations pending on
+    its next operand, which bind tighter than "^".
+    """
     if dim < 1:
         raise ValueError("chart dimension must be positive")
-    return _Parser(text, dim).parse()
+    scan = _Scanner(text, dim)
+    outer = []                    # the enclosing groups, innermost last
+    group, operands, operators, negations = None, [], [], 0
+    while True:
+        ch = scan.peek()
+        if ch == "-":
+            scan.pos += 1
+            negations += 1
+            continue
+        node = scan.operand(ch)
+        if isinstance(node, str):         # "(" or a function name
+            outer.append((group, operands, operators, negations))
+            group, operands, operators, negations = node, [], [], 0
+            continue
+        while True:               # ``node`` ends an operand, maybe a group
+            while negations:
+                node = Unary("neg", node)
+                negations -= 1
+            ch = scan.peek()
+            while ch == "^":
+                scan.pos += 1
+                node = Pow(node, scan.integer())
+                ch = scan.peek()
+            # one character: only a binary operator has a precedence
+            precedence = _PRECEDENCE.get(ch, 0)
+            operands.append(node)
+            while operators and _PRECEDENCE[operators[-1]] >= precedence:
+                right = operands.pop()
+                operands.append(Binary(operators.pop(), operands.pop(),
+                                       right))
+            if precedence:
+                scan.pos += 1
+                operators.append(ch)
+                break
+            node, = operands
+            if group is None:
+                if ch:
+                    scan.error(f"unexpected character {ch!r}")
+                return node
+            if ch != ")":
+                scan.error("expected ')'")
+            scan.pos += 1
+            if group != "(":
+                node = Unary(group, node)
+            group, operands, operators, negations = outer.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,6 @@ _STEPS = {
     "exp": jets.exp,
     "log": jets.log,
     "sqrt": jets.sqrt,
-    "sin_cos": jets.sin_cos_values,
     "^": operator.pow,
     "+": operator.add,
     "-": operator.sub,
@@ -363,8 +363,7 @@ class _Program:
     bitwise the same whatever else the program holds.  A literal next to a
     non-literal enters as a plain number (the jet arithmetic applies it to
     the coefficients directly, bitwise what a constant jet gives), any
-    other literal as a constant jet, and sin and cos of one jet share its
-    sine and cosine."""
+    other literal as a constant jet."""
 
     def __init__(self, components):
         self.slots = {}        # structural key -> slot
@@ -414,9 +413,6 @@ class _Program:
             return slot
         if isinstance(node, Unary):
             arg, = args
-            if node.op in ("sin", "cos"):
-                pair = self._step(("sin_cos", arg), arg)
-                return self._step((node.op, arg), arg, pair)
             return self._step((node.op, arg), arg)
         if isinstance(node, Pow):
             base, = args

@@ -380,19 +380,16 @@ def brioschi_curvature(frame):
     F_uv = second_metric_derivative(frame, 0, 1, 0, 1)
 
     zero = np.zeros_like(E)
-    m1 = _det3(
-        -0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v,
-        F_v - 0.5 * G_u, E, F,
-        0.5 * G_v, F, G)
-    m2 = _det3(
-        zero, 0.5 * E_v, 0.5 * G_u,
-        0.5 * E_v, E, F,
-        0.5 * G_u, F, G)
+    m1, m2 = (cofactor(batch_first(np.array(rows), 2), adjugate=False)[0]
+              for rows in (
+                  [[-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u,
+                    F_u - 0.5 * E_v],
+                   [F_v - 0.5 * G_u, E, F],
+                   [0.5 * G_v, F, G]],
+                  [[zero, 0.5 * E_v, 0.5 * G_u],
+                   [0.5 * E_v, E, F],
+                   [0.5 * G_u, F, G]]))
     return (m1 - m2) / frame.det_metric ** 2
-
-
-def _det3(a, b, c, d, e, f, g, h, i):
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ class Jet:
 
     def _coerce(self, other):
         """``other`` as a jet like this one, or a plain scalar (0-d arrays
-        too) as a float the arithmetic applies to the coefficients directly."""
+        too) as a float the arithmetic applies to the coefficients directly;
+        anything else is a TypeError."""
         if isinstance(other, Jet):
             if (other.nvars, other.order, other.batch_shape) != (
                     self.nvars, self.order, self.batch_shape):
@@ -200,7 +201,8 @@ class Jet:
         if isinstance(other, (int, float, np.integer, np.floating)) or (
                 isinstance(other, np.ndarray) and other.ndim == 0):
             return float(other)
-        return Jet.constant(other, self.nvars, self.order, self.batch_shape)
+        raise TypeError(f"jet arithmetic takes jets and scalars, not "
+                        f"{type(other).__name__}")
 
     def truncate(self, order):
         """View of this jet at a lower order (coefficients are shared)."""
@@ -320,37 +322,22 @@ def _compose(u, taylor):
     return u._like(out)
 
 
-def sin_cos_values(x):
-    """(sin u_0, cos u_0) of a jet: what :func:`sin` and :func:`cos` of one
-    jet both read, so a caller that takes both can compute them once."""
-    return np.sin(x.coef[0]), np.cos(x.coef[0])
-
-
-def sin(x, values=None):
-    """sin of a jet or an array; ``values`` is the jet's
-    :func:`sin_cos_values` when the caller already has them."""
-    if not isinstance(x, Jet):
-        return np.sin(x)
-
+def sin(x):
     def taylor():
-        s = np.sin(x.coef[0]) if values is None else values[0]
+        s = np.sin(x.coef[0])
         yield s
-        c = np.cos(x.coef[0]) if values is None else values[1]
+        c = np.cos(x.coef[0])
         yield c
         yield -0.5 * s
         yield c / -6.0
     return _compose(x, taylor())
 
 
-def cos(x, values=None):
-    """cos of a jet or an array; ``values`` as for :func:`sin`."""
-    if not isinstance(x, Jet):
-        return np.cos(x)
-
+def cos(x):
     def taylor():
-        c = np.cos(x.coef[0]) if values is None else values[1]
+        c = np.cos(x.coef[0])
         yield c
-        s = np.sin(x.coef[0]) if values is None else values[0]
+        s = np.sin(x.coef[0])
         yield -s
         yield -0.5 * c
         yield s / 6.0
@@ -358,8 +345,6 @@ def cos(x, values=None):
 
 
 def tan(x):
-    if not isinstance(x, Jet):
-        return np.tan(x)
     if np.any(np.abs(np.cos(x.coef[0])) < 1e-300):
         raise JetDomainError("tan evaluated at a pole")
 
@@ -374,9 +359,6 @@ def tan(x):
 
 
 def exp(x):
-    if not isinstance(x, Jet):
-        return np.exp(x)
-
     def taylor():
         e = np.exp(x.coef[0])
         yield e
@@ -387,8 +369,6 @@ def exp(x):
 
 
 def log(x):
-    if not isinstance(x, Jet):
-        return np.log(x)
     u = x.coef[0]
     if np.any(u <= 0.0):
         raise JetDomainError("log of a non-positive number")
@@ -403,8 +383,6 @@ def log(x):
 
 
 def sqrt(x):
-    if not isinstance(x, Jet):
-        return np.sqrt(x)
     u = x.coef[0]
     if np.any(u <= 0.0):
         raise JetDomainError("sqrt of a non-positive number (its derivatives "

@@ -1,4 +1,6 @@
+import collections
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from rigidlab import jets as jt
 from rigidlab import surfaces as sf
-from rigidlab.expressions import (Binary, ExpressionError, Num, Pow, Unary,
-                                  Var, evaluate_jet, parse_expression,
-                                  to_text)
+from rigidlab.expressions import (UNARY_FUNCTIONS, Binary, ExpressionError,
+                                  Num, Pow, Unary, Var, _fold, evaluate_jet,
+                                  parse_expression, to_text)
 from rigidlab.geometry import Immersion, interior_points
 from rigidlab.jets import Jet
 
@@ -53,6 +55,239 @@ def test_deep_expressions_print_and_evaluate_without_recursion():
         assert to_text(tree) == text
         assert evaluate_jet(tree, np.array([0.5]), order=1).value == \
             pytest.approx(want)
+    # 5000 nested parentheses, 5000 leading minus signs, 1000 nested sines
+    nested_sine = np.full(1, 0.5)     # np.sin on an array, as the jets call it
+    for _ in range(1000):
+        nested_sine = np.sin(nested_sine)
+    for text, want in (("(" * 5000 + "x1" + ")" * 5000, 0.5),
+                       ("-" * 5000 + "x1", 0.5),
+                       ("sin(" * 1000 + "x1" + ")" * 1000, nested_sine[0])):
+        tree = parse_expression(text, 1)
+        printed = to_text(tree)
+        # trees compared through the printer: the dataclass == recurses
+        assert to_text(parse_expression(printed, 1)) == printed
+        jet = evaluate_jet(tree, np.array([0.5]), order=3)
+        assert jet.value == want
+        assert np.all(np.isfinite(jet.third))
+
+
+class _RecursiveParser:
+    """The recursive-descent parser that the loop of parse_expression
+    replaced, kept as its oracle."""
+
+    def __init__(self, text, dim):
+        self.text = text
+        self.dim = dim
+        self.pos = 0
+
+    def error(self, message):
+        raise ExpressionError(message, offset=self.pos + 1)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            self.error(f"expected '{ch}'")
+        self.pos += 1
+
+    def parse(self):
+        node = self.parse_expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error(f"unexpected character {self.text[self.pos]!r}")
+        return node
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while self.peek() in ("+", "-"):
+            op = self.text[self.pos]
+            self.pos += 1
+            node = Binary(op, node, self.parse_term())
+        return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while self.peek() in ("*", "/"):
+            op = self.text[self.pos]
+            self.pos += 1
+            node = Binary(op, node, self.parse_factor())
+        return node
+
+    def parse_factor(self):
+        node = self.parse_base()
+        while self.peek() == "^":
+            self.pos += 1
+            node = Pow(node, self.parse_integer())
+        return node
+
+    def parse_base(self):
+        ch = self.peek()
+        if ch == "-":
+            self.pos += 1
+            return Unary("neg", self.parse_base())
+        return self.parse_atom()
+
+    def parse_integer(self):
+        self.skip_ws()
+        start = self.pos
+        if self.peek() in ("+", "-"):
+            self.pos += 1
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        chunk = self.text[start:self.pos]
+        if not chunk or chunk in "+-":
+            self.pos = start
+            self.error("expected an integer exponent")
+        return int(chunk)
+
+    def parse_atom(self):
+        ch = self.peek()
+        if ch == "":
+            self.error("unexpected end of input")
+        if ch == "(":
+            self.pos += 1
+            node = self.parse_expr()
+            self.expect(")")
+            return node
+        if ch.isdigit() or ch == ".":
+            return self.parse_number()
+        if ch.isalpha() or ch == "_":
+            return self.parse_identifier()
+        self.error(f"unexpected character {ch!r}")
+
+    def parse_number(self):
+        start = self.pos
+        text = self.text
+        n = len(text)
+        while self.pos < n and text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos < n and text[self.pos] == ".":
+            self.pos += 1
+            while self.pos < n and text[self.pos].isdigit():
+                self.pos += 1
+        if self.pos < n and text[self.pos] in "eE":
+            mark = self.pos
+            self.pos += 1
+            if self.pos < n and text[self.pos] in "+-":
+                self.pos += 1
+            if self.pos < n and text[self.pos].isdigit():
+                while self.pos < n and text[self.pos].isdigit():
+                    self.pos += 1
+            else:
+                self.pos = mark  # not an exponent suffix, leave it
+        chunk = text[start:self.pos]
+        try:
+            return Num(float(chunk))
+        except ValueError:
+            self.pos = start
+            self.error(f"bad numeric literal {chunk!r}")
+
+    def parse_identifier(self):
+        start = self.pos
+        text = self.text
+        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
+            self.pos += 1
+        name = text[start:self.pos]
+        if name[0] == "x" and name[1:].isdigit():
+            index = int(name[1:])
+            if not 1 <= index <= self.dim:
+                self.pos = start
+                self.error(f"variable {name} exceeds chart dimension {self.dim}")
+            return Var(index)
+        if name in UNARY_FUNCTIONS and name != "neg":
+            if self.peek() != "(":
+                self.error(f"function {name} requires parentheses")
+            self.pos += 1
+            arg = self.parse_expr()
+            self.expect(")")
+            return Unary(name, arg)
+        self.pos = start
+        self.error(f"unknown identifier {name!r}")
+
+
+_FUZZ_ALPHABET = "x12+-*/^().e sincoglqrt"
+
+
+def _random_text_tree(rng, dim, depth):
+    """Random tree over every node type and function, for its printed text."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return Var(rng.randint(1, dim))
+        return Num(rng.choice([0.0, 1.0, 0.5, 2.5e10, 1e-7,
+                               round(rng.uniform(0, 9), 3)]))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Unary(rng.choice(["neg", "sin", "cos", "tan", "exp", "log",
+                                 "sqrt"]),
+                     _random_text_tree(rng, dim, depth - 1))
+    if kind == 1:
+        return Pow(_random_text_tree(rng, dim, depth - 1), rng.randint(-3, 3))
+    return Binary(rng.choice("+-*/"), _random_text_tree(rng, dim, depth - 1),
+                  _random_text_tree(rng, dim, depth - 1))
+
+
+def _parity_corpus():
+    """Catalog texts, fuzz-alphabet strings, printed random trees and three
+    one-character mutations of each: over 20000 texts, derandomized."""
+    rng = random.Random(25)
+    texts = [text for build in sf.catalog().values()
+             for text in sf.surface_to_dict(build())["components"]]
+    texts += ["".join(rng.choices(_FUZZ_ALPHABET, k=rng.randint(0, 16)))
+              for _ in range(10000)]
+    characters = _FUZZ_ALPHABET + "0123456789E_x\t\u00b2\u00e9"
+    for _ in range(2500):
+        text = to_text(_random_text_tree(rng, 2, rng.randint(0, 5)))
+        texts.append(text)
+        for _ in range(3):
+            at = rng.randint(0, len(text))
+            edit = rng.randrange(3)           # insert, replace, delete
+            texts.append(text[:at] + (rng.choice(characters) if edit < 2
+                                      else "") + text[at + (edit > 0):])
+    return texts
+
+
+def _postorder(tree):
+    """Node labels of ``tree`` in post-order, literals by float.hex: equal
+    lists for equal trees, built without recursion."""
+    labels = []
+
+    def label(node, parent, args):
+        labels.append(node.value.hex() if isinstance(node, Num) else
+                      (type(node),) + tuple(getattr(node, field, None) for
+                                            field in ("op", "exponent",
+                                                      "index")))
+    _fold(tree, label)
+    return labels
+
+
+def _outcome(parse, text, dim):
+    try:
+        return "tree", _postorder(parse(text, dim))
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def test_parser_loop_is_the_recursive_parser():
+    corpus = _parity_corpus()
+    assert len(corpus) > 20000
+    kinds = collections.Counter()
+    for text in corpus:
+        for dim in (1, 2):
+            try:
+                want = _outcome(
+                    lambda t, d: _RecursiveParser(t, d).parse(), text, dim)
+            except RecursionError:
+                continue
+            assert _outcome(parse_expression, text, dim) == want, (text, dim)
+            kinds[want[0]] += 1
+    # both sides of the grammar are exercised
+    assert kinds["tree"] > 5000 and kinds[ExpressionError] > 5000
 
 
 def test_jet_of_square():

@@ -519,6 +519,41 @@ def test_kernel_verdict_is_invariant_under_similarities(surface, grid, route,
     assert (moved.route, moved.dimension, moved.verdict) == (
         base.route, base.dimension, base.verdict)
 
+
+def _scaled_about_z(immersion, scale, angle):
+    """The chart x -> scale R x, R the rotation by ``angle`` about the
+    z-axis, written out as expressions: a chart of revolution keeps its
+    axis, so it stays on the sector route."""
+    c, s = math.cos(angle), math.sin(angle)
+    spec = sf.surface_to_dict(immersion)
+    comps = spec["components"]
+    spec["components"] = [
+        " + ".join(f"({scale * qa!r})*({comp})"
+                   for qa, comp in zip(row, comps) if qa)
+        for row in ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))]
+    return sf.load_surface(spec)
+
+
+@pytest.mark.parametrize("surface, grid, verdict, dimension", [
+    (sf.ellipsoid(1.2, 1.2, 0.8), (24, 12), "certified-rigid", 6),
+    (sf.cylinder(), (16, 8), "flexible", 32),
+], ids=["spheroid", "cylinder"])
+def test_sector_verdict_is_invariant_under_similarities(surface, grid,
+                                                        verdict, dimension):
+    base = kernel_dimension(assemble_flex_operator(surface, grid=grid))
+    assert (base.route, base.verdict, base.dimension) == (
+        "sector", verdict, dimension)
+    for scale in (1e-3, 0.1, 10.0, 1e3):
+        moved = kernel_dimension(assemble_flex_operator(
+            _scaled_about_z(surface, scale, 0.7), grid=grid))
+        assert (moved.route, moved.verdict, moved.dimension) == (
+            "sector", verdict, dimension)
+        # kernel_sigma is at rounding level, so the gap ratio is not
+        for name in ("sigma_max", "next_sigma"):
+            assert getattr(moved, name) == pytest.approx(
+                scale * getattr(base, name), rel=1e-12, abs=0.0)
+
+
 def _sphere_chart(t_domain, closed_poles):
     return sf.load_surface({
         "name": "sphere_band", "dim": 2,

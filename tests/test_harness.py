@@ -282,13 +282,18 @@ def test_cli_check_surface_catalog_name(tmp_path, capsys):
     assert all(c["verdict"] in ("pass", "skip") for c in data["checks"])
 
 
-def test_cli_check_surface_from_file(tmp_path):
+def test_cli_check_surface_from_file(tmp_path, capsys):
     surf = {"name": "tilted_plane", "dim": 2,
             "components": ["x1", "x2", "0.5*x1 + 1"],
             "domain": [[-1, 1], [-1, 1]], "periodic": [False, False]}
     path = tmp_path / "surf.json"
     path.write_text(json.dumps(surf))
     assert cli.main(["check-surface", str(path), "--points", "40"]) == 0
+    # x1 inside 5000 parentheses, past the recursion limit
+    surf["components"][0] = "(" * 5000 + "x1" + ")" * 5000
+    path.write_text(json.dumps(surf))
+    assert cli.main(["check-surface", str(path), "--points", "40"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_pair_check(tmp_path):
@@ -553,11 +558,13 @@ def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
 
 
 def test_cli_boundary_compiles_a_sum_of_thousands_of_terms(capsys):
-    # a left-deep tree 2000 operations deep, past the recursion limit
-    f = " + ".join(["cos(x1)"] * 2000)
-    assert cli.main(["boundary", "--kg", "1", "--f", f, "--steps", "64"]) in (
-        0, 2, 3)
-    assert "Traceback" not in capsys.readouterr().err
+    # a left-deep tree 2000 operations deep, and sin(2*x1) inside 300
+    # parentheses: both past the recursion limit
+    for f in (" + ".join(["cos(x1)"] * 2000),
+              "(" * 300 + "sin(2*x1)" + ")" * 300):
+        assert cli.main(["boundary", "--kg", "1", "--f", f,
+                         "--steps", "64"]) in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_usage_errors(tmp_path, capsys):
