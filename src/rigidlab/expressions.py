@@ -151,7 +151,7 @@ class _Scanner:
             pos += 1
         self.pos, name = pos, text[start:pos]
         if name[0] == "x" and name[1:].isdigit():
-            index = int(name[1:])
+            index = self.decimal(start + 1, pos)
             if not 1 <= index <= self.dim:
                 self.error(f"variable {name} exceeds chart dimension "
                            f"{self.dim}", start)
@@ -171,7 +171,19 @@ class _Scanner:
         self.pos = _digits(text, digits)
         if self.pos == digits:
             self.error("expected an integer exponent", start)
-        return int(text[start:self.pos])
+        return self.decimal(start, self.pos)
+
+    def decimal(self, start, end):
+        """The integer in ``text[start:end]``: digits (``str.isdigit``),
+        maybe signed.  A digit that ``int`` cannot read, such as a
+        superscript, is refused at its offset."""
+        chunk = self.text[start:end]
+        try:
+            return int(chunk)
+        except ValueError:
+            at = next(k for k, ch in enumerate(chunk)
+                      if ch.isdigit() and not ch.isdecimal())
+            self.error(f"non-decimal digit {chunk[at]!r}", start + at)
 
 
 def parse_expression(text, dim):

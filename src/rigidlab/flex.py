@@ -36,10 +36,10 @@ import numpy as np
 from . import jets as jt
 from .darboux import SUPPORT_DEGENERATE_TOL, support_at
 from .expressions import evaluate_jet, parse_expression
-from .geometry import (_codazzi_defect, _component_jets, _cross_normal,
-                       _covariant_derivative, _relative_residual,
-                       _trace_residual, covariant_hessian, frame_at,
-                       in_point_blocks, sample_grid)
+from .geometry import (DEGENERACY_RTOL, _codazzi_defect, _component_jets,
+                       _covariant_derivative, _cross_normal,
+                       _relative_residual, _trace_residual, covariant_hessian,
+                       frame_at, in_point_blocks, sample_grid)
 from .jets import Jet, RigidlabError, derivative_view, stacked
 from .linalg import cofactor, contract, singular_values
 
@@ -730,6 +730,7 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     # p N + k at 3 k + p and column alpha N + k at 3 k + alpha
     d = _difference_matrices(immersion, grid, h_s, h_t)
     d_r = [dk @ positions.reshape(n_nodes, 3) for dk in d]
+    _refuse_degenerate_metric(immersion, mesh, d_r)
     blocks = [[scipy.sparse.diags(d_r[a][:, alpha]) @ d[b]
                + scipy.sparse.diags(d_r[b][:, alpha]) @ d[a]
                for alpha in range(3)] for a, b in ((0, 0), (0, 1), (1, 1))]
@@ -742,6 +743,27 @@ def assemble_flex_operator(immersion, grid=(64, 32)):
     return FlexOperator(operator=csr, basis=basis, rotation=rotation,
                         immersion=immersion, grid=grid, nodes=mesh,
                         positions=positions, unknown_count=n_cols)
+
+
+def _refuse_degenerate_metric(immersion, mesh, d_r):
+    """Refuse the first grid node whose discrete metric, the Gram matrix
+    of D_0 r and D_1 r, has determinant not above ``DEGENERACY_RTOL
+    (max_i g_ii)^2``, as ``frame_at`` refuses a chart point.  Non-finite
+    differences are left to the operator's own check."""
+    with np.errstate(all="ignore"):
+        g00, g01, g11 = (np.sum(d_r[a] * d_r[b], axis=1)
+                         for a, b in ((0, 0), (0, 1), (1, 1)))
+        det = g00 * g11 - g01 * g01
+        bad = np.flatnonzero(~(det > DEGENERACY_RTOL
+                               * np.maximum(g00, g11) ** 2)
+                             & np.isfinite(det))
+    if bad.size:
+        i, j = divmod(int(bad[0]), mesh.shape[1])
+        raise FlexError(f"immersion {immersion.name}: degenerate discrete "
+                        f"metric at grid node ({i}, {j}), (x1, x2) = "
+                        f"({float(mesh[i, j, 0])!r}, "
+                        f"{float(mesh[i, j, 1])!r}): det g = "
+                        f"{float(det[bad[0]]):.3e}")
 
 
 def _charge_spectrum(route, need, n_unknowns):

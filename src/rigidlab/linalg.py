@@ -1,6 +1,12 @@
 """Dense linear algebra wrappers: singular values, numerical rank, null
 spaces, and closed-form determinants and adjugates of small pointwise
-matrices."""
+matrices.
+
+``numerical_rank`` and ``null_space`` factor small matrices (the pointwise
+rank test's n x n h and its linearized Gauss constraints) with
+``np.linalg.svd``, the LAPACK that numpy loads anyway.  Only
+``singular_values``, the flex spectra's in-place gesdd, imports
+``scipy.linalg``, and only when called."""
 
 from __future__ import annotations
 
@@ -33,13 +39,20 @@ def singular_values(matrix):
         a = matrix.toarray(order="F")
     else:
         a = np.array(matrix, dtype=float, order="F")
-    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        raise ValueError("singular_values: matrix has non-finite entries")
+    _refuse_non_finite(a, "singular_values")
     return scipy.linalg.svdvals(a, overwrite_a=True, check_finite=False)
 
 
+def _refuse_non_finite(a, routine):
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValueError(f"{routine}: matrix has non-finite entries")
+
+
 def numerical_rank(matrix, rel_tol=1e-10):
-    s = singular_values(matrix)
+    """Count of singular values above ``rel_tol`` times the largest."""
+    a = np.atleast_2d(np.asarray(matrix, dtype=float))
+    _refuse_non_finite(a, "numerical_rank")
+    s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))
@@ -47,16 +60,14 @@ def numerical_rank(matrix, rel_tol=1e-10):
 
 def null_space(matrix, rel_tol=1e-10):
     """Orthonormal basis (rows) of the numerical null space."""
-    import scipy.linalg
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise ValueError("null_space: matrix has non-finite entries")
+    _refuse_non_finite(a, "null_space")
     # zero rows up to the column count keep the null space and let the
     # economy SVD return all of V^T without an m x m left factor
     rows, cols = a.shape
     padded = np.zeros((max(rows, cols), cols))
     padded[:rows] = a
-    _, s, vt = scipy.linalg.svd(padded, full_matrices=False)
+    _, s, vt = np.linalg.svd(padded, full_matrices=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > rel_tol * smax)) if smax > 0 else 0
     return vt[rank:]
@@ -75,7 +86,7 @@ def _laplace_tables(n, adjugate):
     and the index of each sub-minor in the level below, both (pairs, k);
     level 1 is the flat matrix.  The adjugate adj[j, i] = (-1)^(i + j)
     minor(all - i, all - j) is read from level n - 1 (the single empty
-    minor, 1, when n = 1)."""
+    minor, 1, when n = 1); ``odd`` lists its entries of odd i + j."""
     full = tuple(range(n))
     drop = [full[:i] + full[i + 1:] for i in full]
     row_sets = [full] + (drop if adjugate else [])
@@ -96,8 +107,8 @@ def _laplace_tables(n, adjugate):
         return levels, None, None
     adj = np.array([below[(drop[i], drop[j])] if n > 1 else 0
                     for j in full for i in full], dtype=np.intp)
-    sign = np.array([(-1.0) ** (i + j) for j in full for i in full])
-    return levels, adj, sign
+    odd = [j * n + i for j in full for i in full if (i + j) % 2]
+    return levels, adj, odd
 
 
 def cofactor(matrix, adjugate=True):
@@ -113,13 +124,14 @@ def cofactor(matrix, adjugate=True):
     """
     m = np.asarray(matrix)
     n, batch = m.shape[-1], m.shape[:-2]
-    levels, adj_index, sign = _laplace_tables(n, adjugate)
+    levels, adj_index, odd = _laplace_tables(n, adjugate)
     # (n, n, ...) view, then the entries flat as level 1: (n * n, ...)
     comp = m.transpose((m.ndim - 2, m.ndim - 1) + tuple(range(m.ndim - 2)))
     flat = comp.reshape((n * n,) + batch)
     below = minors = flat
     for entry, sub in levels:
-        terms = flat[entry] * minors[sub]
+        terms = flat[entry]           # a gathered copy: multiply in place
+        terms *= minors[sub]
         acc = terms[:, 0]
         for t in range(1, entry.shape[1]):
             acc = acc - terms[:, t] if t % 2 else acc + terms[:, t]
@@ -128,7 +140,9 @@ def cofactor(matrix, adjugate=True):
         return minors[0], None
     if n == 1:
         below = np.ones((1,) + batch)
-    adj = below[adj_index] * sign.reshape((n * n,) + (1,) * len(batch))
+    adj = below[adj_index]
+    for k in odd:                     # the sign (-1)^(i + j), in place
+        np.negative(adj[k:k + 1], out=adj[k:k + 1])
     return minors[0], batch_first(adj.reshape((n, n) + batch), 2)
 
 

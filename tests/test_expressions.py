@@ -144,7 +144,14 @@ class _RecursiveParser:
         if not chunk or chunk in "+-":
             self.pos = start
             self.error("expected an integer exponent")
+        self.refuse_non_decimal(start, chunk)
         return int(chunk)
+
+    def refuse_non_decimal(self, start, chunk):
+        for k, ch in enumerate(chunk):
+            if ch.isdigit() and not ch.isdecimal():
+                self.pos = start + k
+                self.error(f"non-decimal digit {ch!r}")
 
     def parse_atom(self):
         ch = self.peek()
@@ -195,6 +202,7 @@ class _RecursiveParser:
             self.pos += 1
         name = text[start:self.pos]
         if name[0] == "x" and name[1:].isdigit():
+            self.refuse_non_decimal(start + 1, name[1:])
             index = int(name[1:])
             if not 1 <= index <= self.dim:
                 self.pos = start

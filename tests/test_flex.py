@@ -723,6 +723,19 @@ def test_non_finite_chart_positions_are_refused_before_any_spectrum():
         assemble_flex_operator(overflow, grid=(16, 8))
 
 
+def test_a_degenerate_discrete_metric_is_refused_at_its_node():
+    double_cone = sf.load_surface({
+        "name": "double_cone", "dim": 2,
+        "components": ["x2*cos(x1)", "x2*sin(x1)", "x2"],
+        "domain": [[0.0, 2 * np.pi], [-1.0, 1.0]], "periodic": [True, False]})
+    # the apex x2 = 0 is the middle ring, j = 4 of 9; D_0 r vanishes there
+    with pytest.raises(FlexError, match=r"degenerate discrete metric at "
+                                        r"grid node \(0, 4\)"):
+        assemble_flex_operator(double_cone, grid=(16, 9))
+    # an even ring count puts no ring at the apex
+    assert assemble_flex_operator(double_cone, grid=(16, 8)).grid == (16, 8)
+
+
 def _traced_peak(call):
     import tracemalloc
 

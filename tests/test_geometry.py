@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidlab import geometry as gm
+from rigidlab import linalg
 from rigidlab import surfaces as sf
 from rigidlab.darboux import darboux_residual, support_at
 from rigidlab.expressions import evaluate_jet, parse_expression
@@ -14,7 +15,7 @@ from rigidlab.geometry import (DegenerateFrameError, GeodesicChartError,
                                codazzi_residual, covariant_hessian, frame_at,
                                geodesic_boundary_chart, interior_points,
                                second_form_derivatives)
-from rigidlab.jets import stacked
+from rigidlab.jets import batch_first, stacked
 from rigidlab.linalg import cofactor, contract
 from rigidlab.quadrature import gauss_legendre
 
@@ -373,6 +374,63 @@ def test_cofactor_matches_numpy_linalg(mats):
     assert np.max(np.abs(inv - np.linalg.inv(mats))) <= 1e-12 * max(
         1.0, np.max(np.abs(np.linalg.inv(mats))))
     assert np.array_equal(cofactor(mats, adjugate=False)[0], det)
+
+
+def _cofactor_by_sign_products(matrix):
+    """``cofactor`` as first written: each level's products into a new
+    array, and the adjugate's sign as a product with +-1.0 per entry."""
+    m = np.asarray(matrix)
+    n, batch = m.shape[-1], m.shape[:-2]
+    levels, adj_index, _ = linalg._laplace_tables(n, True)
+    comp = m.transpose((m.ndim - 2, m.ndim - 1) + tuple(range(m.ndim - 2)))
+    flat = comp.reshape((n * n,) + batch)
+    below = minors = flat
+    for entry, sub in levels:
+        terms = flat[entry] * minors[sub]
+        acc = terms[:, 0]
+        for t in range(1, entry.shape[1]):
+            acc = acc - terms[:, t] if t % 2 else acc + terms[:, t]
+        below, minors = minors, acc
+    sign = np.array([(-1.0) ** (i + j) for j in range(n) for i in range(n)])
+    adj = below[adj_index] * sign.reshape((n * n,) + (1,) * len(batch))
+    return minors[0], batch_first(adj.reshape((n, n) + batch), 2)
+
+
+def _bytes(array):
+    """The bytes of a float array, or of every jet coefficient in an
+    object array of jets."""
+    if array.dtype != object:
+        return array.tobytes()
+    return b"".join(jet.coef.tobytes() for jet in array.ravel())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cofactor_is_bitwise_its_first_formulation_on_floats(n):
+    rng = np.random.default_rng(40 + n)
+    batch = rng.standard_normal((64, n, n))
+    # a single matrix, a batch, and the batch with the points innermost
+    for mats in (batch[0], batch,
+                 np.moveaxis(np.ascontiguousarray(np.moveaxis(batch, 0, -1)),
+                             -1, 0)):
+        det, adj = cofactor(mats)
+        want_det, want_adj = _cofactor_by_sign_products(mats)
+        assert det.tobytes() == want_det.tobytes()
+        assert adj.tobytes() == want_adj.tobytes()
+
+
+@pytest.mark.parametrize("n, order", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_cofactor_is_bitwise_its_first_formulation_on_jets(n, order):
+    rng = np.random.default_rng(50 + 10 * n + order)
+    texts = [f"sin({a:.3f}*x1 + {b:.3f}*x2) + {c:.3f}*x1*x2"
+             for a, b, c in rng.uniform(-2.0, 2.0, size=(n * n, 3))]
+    jts = evaluate_jet(tuple(parse_expression(text, 2) for text in texts),
+                       rng.uniform(-1.0, 1.0, size=(16, 2)), order=order)
+    mats = np.empty((n, n), dtype=object)
+    mats.ravel()[:] = jts
+    det, adj = cofactor(mats)
+    want_det, want_adj = _cofactor_by_sign_products(mats)
+    assert det.coef.tobytes() == want_det.coef.tobytes()
+    assert _bytes(adj) == _bytes(want_adj)
 
 
 @pytest.mark.parametrize("radius", [1.0, 2, np.float64(0.5)])

@@ -223,8 +223,8 @@ def test_null_space_matches_the_full_svd(rows, cols, rank):
 
 
 def test_svd_rejects_non_finite():
-    for routine in (singular_values, null_space):
-        with pytest.raises(ValueError):
+    for routine in (singular_values, numerical_rank, null_space):
+        with pytest.raises(ValueError, match="non-finite"):
             routine(np.array([[1.0, np.nan]]))
 
 
@@ -834,40 +834,57 @@ def test_cli_fuzz_exits_with_a_code_never_a_traceback(argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
-def test_module_entry_point():
+def _fresh_interpreter(*args):
+    """Run ``python *args`` in a new process that imports the same rigidlab
+    package as this one."""
     import os
     import subprocess
     import sys as _sys
 
     import rigidlab
-    # the child imports the same package as this process
     src = os.path.dirname(os.path.dirname(rigidlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([_sys.executable, "-m", "rigidlab", "catalog"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([_sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    proc = _fresh_interpreter("-m", "rigidlab", "catalog")
     assert proc.returncode == 0
     assert "catalog-sphere" in proc.stdout
 
 
 def test_cli_import_leaves_scipy_linalg_and_sparse_unloaded():
-    import os
-    import subprocess
-    import sys as _sys
-
-    import rigidlab
-    src = os.path.dirname(os.path.dirname(rigidlab.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, rigidlab.cli\n"
-            "print(sorted({'scipy.linalg', 'scipy.sparse'} & set(sys.modules)))")
-    proc = subprocess.run([_sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = _fresh_interpreter("-c", (
+        "import sys, rigidlab.cli\n"
+        "print(sorted({'scipy.linalg', 'scipy.sparse'} & set(sys.modules)))"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 _PACKAGED_PAIR = str(importlib.resources.files("rigidlab") / "data"
                     / "flat_cylinder_pair.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["check-surface", "ellipsoid", "--points", "50", "--grid", "8x8"],
+    ["pair-check", _PACKAGED_PAIR, "--points", "50"],
+    ["pointwise-gauss", "--h", "1,2,3"],
+    ["boundary", "--kg", "1 + 0.3*cos(2*x1)", "--f", "sin(2*x1)"],
+    ["flex-kernel", "ellipsoid", "--grid", "16x8"],
+], ids=lambda argv: argv[0])
+def test_only_flex_kernel_loads_scipy_linalg_and_sparse(argv):
+    loaded = (["scipy.linalg", "scipy.sparse"] if argv[0] == "flex-kernel"
+              else [])
+    proc = _fresh_interpreter("-c", (
+        "import sys\n"
+        "from rigidlab import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, sorted({'scipy.linalg', 'scipy.sparse'}"
+        " & set(sys.modules)))"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 @pytest.mark.parametrize("argv", [
@@ -900,6 +917,43 @@ def test_cli_pair_check_refuses_charts_that_are_not_surfaces(tmp_path,
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "rigidlab: pair-check needs surface charts (dim 2), got dims 3 and 3"]
+
+
+def _chart_file(tmp_path, components):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps({
+        "name": "bad", "dim": 2, "components": components,
+        "domain": [[0.0, 1.0], [0.0, 1.0]], "periodic": [False, False]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-surface", ["x1", "x2", "x1^\u00b2"]],
+     "rigidlab: non-decimal digit '\u00b2' (offset 4)"),
+    (["check-surface", ["x1", "x2", "x\u00b2"]],
+     "rigidlab: non-decimal digit '\u00b2' (offset 2)"),
+    (["boundary", "--kg", "x\u00b2"],
+     "rigidlab: non-decimal digit '\u00b2' (offset 2)"),
+    (["flex-kernel", ["0", "0", "0"], "--grid", "8x8"],
+     "rigidlab: immersion bad: degenerate discrete metric at grid node "
+     "(0, 0), (x1, x2) = (0.0, 0.0): det g = 0.000e+00"),
+    (["flex-kernel", ["x1", "0", "0"], "--grid", "8x8"],
+     "rigidlab: immersion bad: degenerate discrete metric at grid node "
+     "(0, 0), (x1, x2) = (0.0, 0.0): det g = 0.000e+00"),
+    (["flex-kernel", ["x1+x2", "x1+x2", "0"], "--grid", "8x8"],
+     "rigidlab: immersion bad: degenerate discrete metric at grid node "
+     "(0, 0), (x1, x2) = (0.0, 0.0): det g = 0.000e+00"),
+], ids=["superscript-exponent", "superscript-variable",
+        "boundary-superscript-variable", "flex-zero-chart",
+        "flex-line-chart", "flex-diagonal-line-chart"])
+def test_cli_refuses_non_decimal_digits_and_degenerate_flex_metrics(
+        tmp_path, capsys, argv, message):
+    argv = [_chart_file(tmp_path, arg) if isinstance(arg, list) else arg
+            for arg in argv]
+    assert cli.main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
 
 
 def test_cli_csv_dir_is_an_option_of_the_commands_that_write_csv(tmp_path,
