@@ -41,7 +41,8 @@ from .geometry import (DEGENERACY_RTOL, _codazzi_defect, _component_jets,
                        _relative_residual, _trace_residual, covariant_hessian,
                        frame_at, in_point_blocks, sample_grid)
 from .jets import Jet, RigidlabError, derivative_view, stacked
-from .linalg import cofactor, contract, singular_values
+from .linalg import (_single_threaded_blas, cofactor, contract,
+                     singular_values)
 
 __all__ = [
     "FlexError",
@@ -1117,11 +1118,17 @@ def kernel_dimension(op, rel_tol=1e-8):
     densifies the reduced operator once and factors that copy in place, so
     the cached ``FlexOperator.matrix`` is never built.  A plain matrix
     always takes the dense SVD.
+
+    The sector blocks and the deflated certificate factor a few hundred
+    columns at a time and run on one BLAS thread
+    (``linalg._single_threaded_blas``); the dense SVD keeps the caller's
+    threads.
     """
     expected = trivial_motion_count(3)
     bounds = None
     if isinstance(op, FlexOperator) and op.rotation is None:
-        bounds = _deflated_certificate(op, rel_tol)
+        with _single_threaded_blas():
+            bounds = _deflated_certificate(op, rel_tol)
     if bounds is not None:
         kernel_sigma, next_sigma, smax = bounds
         dim, route = expected, "deflated"
@@ -1131,7 +1138,9 @@ def kernel_dimension(op, rel_tol=1e-8):
         if not isinstance(op, FlexOperator):
             desc, route = singular_values(np.asarray(op)), "dense"
         elif op.rotation is not None:
-            desc, route = _sector_singular_values(op, op.rotation), "sector"
+            with _single_threaded_blas():
+                desc = _sector_singular_values(op, op.rotation)
+            route = "sector"
         else:
             desc, route = singular_values(op.reduced()), "dense"
         svals, resolved = desc[::-1], None

@@ -4,13 +4,24 @@ matrices.
 
 ``numerical_rank`` and ``null_space`` factor small matrices (the pointwise
 rank test's n x n h and its linearized Gauss constraints) with
-``np.linalg.svd``, the LAPACK that numpy loads anyway.  Only
-``singular_values``, the flex spectra's in-place gesdd, imports
-``scipy.linalg``, and only when called."""
+``np.linalg.svd``, the LAPACK that numpy loads anyway.  Only the flex
+spectra import ``scipy.linalg``, and only when called: through
+``singular_values``, their in-place gesdd, and ``_single_threaded_blas``.
+
+``_single_threaded_blas`` runs a block on one OpenBLAS thread in the
+calling thread and then restores that thread's previous count.  The flex
+spectra's sector blocks and deflated certificate work on a few hundred
+columns at most, where OpenBLAS threads cost more than they save; the
+dense SVD keeps the caller's threads.  Without an OpenBLAS that exports
+``openblas_set_num_threads_local`` (or without ``/proc``) it does
+nothing."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +52,46 @@ def singular_values(matrix):
         a = np.array(matrix, dtype=float, order="F")
     _refuse_non_finite(a, "singular_values")
     return scipy.linalg.svdvals(a, overwrite_a=True, check_finite=False)
+
+
+@lru_cache(maxsize=None)
+def _openblas_thread_setters():
+    """``openblas_set_num_threads_local`` of every OpenBLAS library mapped
+    into this process (numpy's and scipy's wheels each bundle one), read
+    from ``/proc/self/maps`` once ``scipy.linalg`` has loaded its own.  The
+    setter acts on the calling thread only and returns its previous count;
+    () without ``/proc`` or without such a library."""
+    import scipy.linalg      # noqa: F401 -- maps scipy's BLAS first
+    try:
+        # fields: address, perms, offset, dev, inode and the mapped path
+        with open("/proc/self/maps") as fh:
+            maps = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted({fields[5].rstrip("\n") for fields in maps
+                        if len(fields) == 6
+                        and "openblas" in os.path.basename(fields[5])}):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the block with every OpenBLAS at one thread in the calling
+    thread, then restore each library's previous count."""
+    setters = _openblas_thread_setters()
+    previous = [setter(1) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, previous):
+            setter(count)
 
 
 def _refuse_non_finite(a, routine):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab import flex
+from rigidlab import flex, linalg
 from rigidlab import surfaces as sf
 from rigidlab.boundary import dong_conditions, lemma_hh_check
 from rigidlab.expressions import evaluate_jet, parse_expression
@@ -767,6 +768,139 @@ def test_dense_route_factors_one_copy_of_the_operator():
     # the cached oracle is not built; gesdd overwrites the one dense copy
     assert "matrix" not in op.__dict__
     assert peak <= 1.3 * op.matrix.nbytes, (peak, op.matrix.nbytes)
+
+
+def _blas_threads():
+    """The calling thread's count in every OpenBLAS setter, left as read."""
+    counts = []
+    for setter in linalg._openblas_thread_setters():
+        count = setter(1)
+        setter(count)
+        counts.append(count)
+    return counts
+
+
+@contextlib.contextmanager
+def _blas_threads_at(count):
+    """Every OpenBLAS setter at ``count`` in this thread for the block, then
+    back at its count before."""
+    setters = linalg._openblas_thread_setters()
+    previous = [setter(count) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, before in zip(setters, previous):
+            setter(before)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Two OpenBLAS threads in this thread for the test, so that one thread
+    inside a route differs from the caller's count."""
+    if not linalg._openblas_thread_setters():
+        pytest.skip("no OpenBLAS with openblas_set_num_threads_local")
+    with _blas_threads_at(2):
+        yield _blas_threads()
+
+
+def _record_blas_threads(monkeypatch, names):
+    """Wrap each flex function in ``names`` to log the BLAS thread counts it
+    runs at, in call order, as (name, counts)."""
+    seen = []
+
+    def recording(name, function):
+        def recorded(*args, **kwargs):
+            seen.append((name, _blas_threads()))
+            return function(*args, **kwargs)
+        return recorded
+
+    for name in names:
+        monkeypatch.setattr(flex, name, recording(name, getattr(flex, name)))
+    return seen
+
+
+@pytest.mark.parametrize("surface, grid, route, calls", [
+    (sf.sphere(1.0), (16, 8), "sector", ["_sector_singular_values"]),
+    (sf.ellipsoid(), (16, 8), "deflated",
+     ["_deflated_certificate", "singular_values"]),
+    # the deflated route declines, then the dense SVD decides
+    (sf.saddle(), (16, 8), "dense",
+     ["_deflated_certificate", "singular_values", "singular_values"]),
+], ids=["sector", "deflated", "dense"])
+def test_only_the_dense_svd_keeps_the_callers_blas_threads(
+        monkeypatch, two_blas_threads, surface, grid, route, calls):
+    op = assemble_flex_operator(surface, grid=grid)
+    seen = _record_blas_threads(monkeypatch, [
+        "_sector_singular_values", "_deflated_certificate",
+        "singular_values"])
+    rep = kernel_dimension(op)
+    assert rep.route == route
+    assert [name for name, _ in seen] == calls
+    one = [1] * len(two_blas_threads)
+    dense = two_blas_threads if route == "dense" else one
+    # every call but the dense route's own SVD runs at one thread
+    assert [counts for _, counts in seen] == [one] * (len(calls) - 1) + [
+        dense]
+    assert _blas_threads() == two_blas_threads
+
+
+@pytest.mark.parametrize("name, surface", [
+    ("_sector_singular_values", sf.sphere(1.0)),
+    ("_deflated_certificate", sf.ellipsoid()),
+])
+def test_blas_threads_are_restored_when_a_route_raises(
+        monkeypatch, two_blas_threads, name, surface):
+    op = assemble_flex_operator(surface, grid=(16, 8))
+    seen = []
+
+    def failing(*args):
+        seen.append(_blas_threads())
+        raise FlexError("route failed")
+
+    monkeypatch.setattr(flex, name, failing)
+    with pytest.raises(FlexError, match="route failed"):
+        kernel_dimension(op)
+    assert seen == [[1] * len(two_blas_threads)]
+    assert _blas_threads() == two_blas_threads
+
+
+def test_blas_discovery_without_proc_finds_nothing(monkeypatch):
+    def no_proc(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(linalg, "open", no_proc, raising=False)
+    assert linalg._openblas_thread_setters.__wrapped__() == ()
+
+
+@pytest.mark.parametrize("surface, grid, route", [
+    (sf.sphere(1.0), (32, 16), "sector"),
+    (sf.cylinder(1.3), (16, 8), "sector"),
+    (sf.ellipsoid(), (24, 12), "deflated"),
+], ids=["sphere", "cylinder", "ellipsoid"])
+def test_single_threaded_routes_are_bitwise_the_one_thread_call(
+        two_blas_threads, surface, grid, route):
+    op = assemble_flex_operator(surface, grid=grid)
+    rep = kernel_dimension(op)
+    assert rep.route == route
+    if route == "sector":
+        got = rep.singular_values
+
+        def direct():
+            return flex._sector_singular_values(op, op.rotation)[::-1]
+    else:
+        got = np.array([rep.kernel_sigma, rep.next_sigma, rep.sigma_max])
+
+        def direct():
+            return np.array(flex._deflated_certificate(op, 1e-8))
+    # the route function called directly at one thread, whatever the
+    # caller's count: at two threads this ellipsoid's mu can differ in its
+    # last bit (OpenBLAS 0.3.31, Haswell kernels)
+    with _blas_threads_at(1):
+        assert np.array_equal(got, direct())
+    if route == "sector":
+        # and at the caller's two threads: blocks of 3 nt <= 48 columns
+        # stay below OpenBLAS's threading thresholds
+        assert np.array_equal(got, direct())
 
 
 def _full_fft_sector_values(op):

@@ -903,6 +903,27 @@ def test_cli_reports_are_byte_stable(tmp_path, argv):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("surface, route", [("sphere", "sector"),
+                                            ("ellipsoid", "deflated")])
+def test_flex_kernel_without_an_openblas_thread_setter(tmp_path, monkeypatch,
+                                                      surface, route):
+    from rigidlab import linalg
+
+    argv = ["flex-kernel", surface, "--grid", "16x8", "--report"]
+    policy, fallback = tmp_path / "policy.json", tmp_path / "fallback.json"
+    assert cli.main(argv + [str(policy)]) == 0
+    # as on a BLAS that is not OpenBLAS, or a system without /proc: the
+    # routes run at the caller's count, here the one thread they run at
+    # under the policy, since this ellipsoid's bits change with the count
+    with linalg._single_threaded_blas():
+        monkeypatch.setattr(linalg, "_openblas_thread_setters", lambda: ())
+        assert cli.main(argv + [str(fallback)]) == 0
+    kernel = [c for c in json.loads(fallback.read_text())["checks"]
+              if c["kind"] == "kernel"][0]
+    assert kernel["metadata"]["route"] == route
+    assert fallback.read_bytes() == policy.read_bytes()
+
+
 def test_cli_pair_check_refuses_charts_that_are_not_surfaces(tmp_path,
                                                             capsys):
     chart = tmp_path / "graph3.json"
