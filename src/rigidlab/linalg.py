@@ -8,13 +8,18 @@ rank test's n x n h and its linearized Gauss constraints) with
 spectra import ``scipy.linalg``, and only when called: through
 ``singular_values``, their in-place gesdd, and ``_single_threaded_blas``.
 
-``_single_threaded_blas`` runs a block on one OpenBLAS thread in the
-calling thread and then restores that thread's previous count.  The flex
+``_single_threaded_blas`` runs a block with every loaded OpenBLAS at one
+thread and then restores each library's previous count.  The flex
 spectra's sector blocks and deflated certificate work on a few hundred
 columns at most, where OpenBLAS threads cost more than they save; the
-dense SVD keeps the caller's threads.  Without an OpenBLAS that exports
-``openblas_set_num_threads_local`` (or without ``/proc``) it does
-nothing."""
+dense SVD keeps the caller's threads.  The count it sets is the
+process's: in the pthreads builds that numpy's and scipy's wheels bundle,
+``openblas_set_num_threads_local`` sets the count of every thread.  So
+other threads' BLAS calls run on one thread during the block too, and the
+manager is not safe to enter from several threads at once: their saves
+and restores can interleave and leave the process at one thread.  Without an OpenBLAS that exports
+``openblas_set_num_threads_local`` (older OpenBLAS releases do not) or
+without ``/proc`` it does nothing."""
 
 from __future__ import annotations
 
@@ -59,8 +64,9 @@ def _openblas_thread_setters():
     """``openblas_set_num_threads_local`` of every OpenBLAS library mapped
     into this process (numpy's and scipy's wheels each bundle one), read
     from ``/proc/self/maps`` once ``scipy.linalg`` has loaded its own.  The
-    setter acts on the calling thread only and returns its previous count;
-    () without ``/proc`` or without such a library."""
+    setter sets the library's count (for the whole process in a pthreads
+    build) and returns its previous count; () without ``/proc`` or without
+    such a library."""
     import scipy.linalg      # noqa: F401 -- maps scipy's BLAS first
     try:
         # fields: address, perms, offset, dev, inode and the mapped path
@@ -83,8 +89,9 @@ def _openblas_thread_setters():
 
 @contextlib.contextmanager
 def _single_threaded_blas():
-    """Run the block with every OpenBLAS at one thread in the calling
-    thread, then restore each library's previous count."""
+    """Run the block with every OpenBLAS at one thread, then restore each
+    library's previous count.  The count is the process's, so do not enter
+    this from two threads at once."""
     setters = _openblas_thread_setters()
     previous = [setter(1) for setter in setters]
     try:

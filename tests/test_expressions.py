@@ -362,10 +362,9 @@ def test_round_trip_through_canonical_printer(tree):
 @given(ast_strategy(depth=6), st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))
 def test_jet_matches_finite_differences(tree, px, py):
     p = np.array([px, py])
-    with np.errstate(over="ignore", invalid="ignore"):   # skipped just below
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is skipped below
         jet = evaluate_jet(tree, p, order=2)
     if not np.all(np.isfinite(jet.value)) or abs(jet.value) > 1e3 \
-            or not np.all(np.isfinite(jet.hess)) \
             or np.max(np.abs(jet.hess)) > 1e3:
         return
     h = 1e-5

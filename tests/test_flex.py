@@ -771,7 +771,7 @@ def test_dense_route_factors_one_copy_of_the_operator():
 
 
 def _blas_threads():
-    """The calling thread's count in every OpenBLAS setter, left as read."""
+    """The current count of every OpenBLAS setter, left as read."""
     counts = []
     for setter in linalg._openblas_thread_setters():
         count = setter(1)
@@ -782,8 +782,8 @@ def _blas_threads():
 
 @contextlib.contextmanager
 def _blas_threads_at(count):
-    """Every OpenBLAS setter at ``count`` in this thread for the block, then
-    back at its count before."""
+    """Every OpenBLAS setter at ``count`` for the block, then back at its
+    count before."""
     setters = linalg._openblas_thread_setters()
     previous = [setter(count) for setter in setters]
     try:
@@ -795,7 +795,7 @@ def _blas_threads_at(count):
 
 @pytest.fixture
 def two_blas_threads():
-    """Two OpenBLAS threads in this thread for the test, so that one thread
+    """Two OpenBLAS threads for the test, so that one thread
     inside a route differs from the caller's count."""
     if not linalg._openblas_thread_setters():
         pytest.skip("no OpenBLAS with openblas_set_num_threads_local")
